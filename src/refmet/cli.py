@@ -15,16 +15,17 @@ import sys
 from pathlib import Path
 
 from .distort import apply_chain, chain_fingerprint, parse_chain
-from .downstream import SegmenterParams
 from .errors import RefmetError
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
-from .image import Image, load_image, mask_from_image, mask_to_image, save_image
-from .metrics import (EvalContext, HistogramParams, evaluate, format_score,
-                      masked_evaluate, registered_metrics)
-from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
+from .image import load_image, mask_from_image, mask_to_image, save_image
+from .metrics import evaluate, format_score, masked_evaluate, registered_metrics
+from .normalize import DataRangePolicy, NormMethod
+# Not called here (EvalPlan.prepare calls them), but perfbench/tracer.py hooks
+# these names on this module, so they must stay importable from it.
+from .normalize import bin_quantize, normalize  # noqa: F401
 from .phantom import PhantomParams, generate_phantom
-from .report import Lint, Report, Row, write_report
+from .report import Report, Row, write_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,26 +112,22 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def _cmd_compare(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
-    metrics = _parse_metrics(args.metrics)
-    norm = NormMethod.parse(args.norm)
-    policy = DataRangePolicy.parse(args.range_policy)
-    mask = mask_from_image(load_image(args.mask)) if args.mask else None
-    plan = EvalPlan(metrics=metrics, norm=norm, range_policy=policy,
-                    prebin=args.prebin, nmi_bins=args.bins, mask=mask)
+    plan = EvalPlan(metrics=_parse_metrics(args.metrics),
+                    norm=NormMethod.parse(args.norm),
+                    range_policy=DataRangePolicy.parse(args.range_policy),
+                    prebin=args.prebin, nmi_bins=args.bins,
+                    mask=mask_from_image(load_image(args.mask)) if args.mask else None)
     lints = lint_configuration(ref, test, plan)
     for lint in lints:
         print(lint.line(), file=sys.stderr)
     if args.strict and lints:
         return EXIT_LINT
-    if norm.kind != "none":
-        ref, test = normalize(ref, norm), normalize(test, norm)
-    if args.prebin:
-        ref, test = bin_quantize(ref, args.prebin), bin_quantize(test, args.prebin)
-    ctx = EvalContext(range_policy=policy, hist=HistogramParams(bins=args.bins))
+    ref, test = plan.prepare(ref, test)
+    ctx = plan.ctx()
     rows = []
-    for metric_id in metrics:
-        if mask is not None and metric_id != "dice":
-            score = masked_evaluate(metric_id, ref, test, mask, ctx)
+    for metric_id in plan.metrics:
+        if plan.mask is not None and metric_id != "dice":
+            score = masked_evaluate(metric_id, ref, test, plan.mask, ctx)
         else:
             score = evaluate(metric_id, ref, test, ctx)
         print(f"{score.metric_id}\t{format_score(score.value)}\t"

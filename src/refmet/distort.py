@@ -21,7 +21,6 @@ from scipy import ndimage
 from . import rng
 from .errors import ConfigError, DegenerateRangeError, RefmetError
 from .image import Image
-from .metrics.score import fingerprint
 
 __all__ = [
     "DistortionSpec",
@@ -183,16 +182,17 @@ def crop_fraction(img: Image, fraction: float) -> Image:
 # Serializable specs and dispatch
 # ---------------------------------------------------------------------------
 
-# kind -> (required params, whether the seed is consumed)
-_KINDS: dict[str, tuple[tuple[str, ...], bool]] = {
-    "gamma": (("gamma",), False),
-    "linear_scale": (("factor",), False),
-    "translate": (("shift",), False),
-    "mirror_replace": (("axis",), False),
-    "gaussian_noise": (("sigma_rel",), True),
-    "stripes": (("period", "amplitude_rel", "axis"), False),
-    "gaussian_blur": (("sigma",), False),
-    "crop_fraction": (("fraction",), False),
+# kind -> (function, parameter names in call order, whether the seed is
+# consumed as the last argument)
+_KINDS = {
+    "gamma": (gamma_transform, ("gamma",), False),
+    "linear_scale": (linear_scale, ("factor",), False),
+    "translate": (translate, ("shift",), False),
+    "mirror_replace": (mirror_replace, ("axis",), False),
+    "gaussian_noise": (add_gaussian_noise, ("sigma_rel",), True),
+    "stripes": (add_stripes, ("period", "amplitude_rel", "axis"), False),
+    "gaussian_blur": (gaussian_blur, ("sigma",), False),
+    "crop_fraction": (crop_fraction, ("fraction",), False),
 }
 
 
@@ -212,7 +212,7 @@ class DistortionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown distortion kind {self.kind!r}")
-        required, _ = _KINDS[self.kind]
+        _, required, _ = _KINDS[self.kind]
         missing = [k for k in required if k not in self.params]
         if missing:
             raise ConfigError(f"{self.kind} spec missing params {missing}")
@@ -244,7 +244,7 @@ class DistortionSpec:
 
     def fingerprint(self) -> str:
         kv = dict(self.params)
-        if _KINDS[self.kind][1]:
+        if _KINDS[self.kind][2]:
             kv["seed"] = self.seed
         inner = ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
                          for k, v in sorted(kv.items()))
@@ -264,23 +264,9 @@ class DistortionSpec:
 
 def apply(spec: DistortionSpec, img: Image) -> Image:
     """Dispatch one spec and append its fingerprint to the provenance trail."""
-    p = spec.params
-    if spec.kind == "gamma":
-        out = gamma_transform(img, p["gamma"])
-    elif spec.kind == "linear_scale":
-        out = linear_scale(img, p["factor"])
-    elif spec.kind == "translate":
-        out = translate(img, p["shift"])
-    elif spec.kind == "mirror_replace":
-        out = mirror_replace(img, p["axis"])
-    elif spec.kind == "gaussian_noise":
-        out = add_gaussian_noise(img, p["sigma_rel"], spec.seed)
-    elif spec.kind == "stripes":
-        out = add_stripes(img, p["period"], p["amplitude_rel"], p["axis"])
-    elif spec.kind == "gaussian_blur":
-        out = gaussian_blur(img, p["sigma"])
-    else:
-        out = crop_fraction(img, p["fraction"])
+    fn, names, seeded = _KINDS[spec.kind]
+    args = [spec.params[k] for k in names] + ([spec.seed] if seeded else [])
+    out = fn(img, *args)
     return Image(out.data, declared_range=out.declared_range,
                  provenance=img.provenance + (spec.fingerprint(),))
 

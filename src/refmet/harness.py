@@ -1,8 +1,8 @@
 """Five built-in pitfall scenarios, the lint engine, and report assembly.
 
-Each scenario is a list of labeled variants; a variant fixes a distortion
-chain, a per-image normalization step (optional binning), masking mode,
-data-range policy, and a metric panel. Running a scenario applies every
+Each scenario is a list of labeled variants; a variant pairs an
+:class:`EvalPlan` (distortion chain, per-image normalization, optional
+binning, data-range policy, metric panel) with a masking mode. Running a scenario applies every
 variant to every phantom, appends one row per metric, and finishes with
 mean rows (case_id ``"mean"``) per (variant, metric).
 
@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fraction
 from .downstream import SegmenterParams, task_similarity
-from .errors import ConfigError
+from .errors import ConfigError, RefmetError
 from .image import Image, Mask, bounding_box, crop
 from .metrics import (EvalContext, HistogramParams, evaluate, masked_evaluate,
                       metric_kind, rect_of_mask, registered_metrics,
                       truncated_weights)
-from .metrics.score import MetricScore, fingerprint, merge_fingerprints
+from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
 from .report import Lint, Report, Row
@@ -43,29 +44,23 @@ PANEL_WINDOW_SAFE = ("mae", "mse", "psnr", "ssim", "ms_ssim", "pcc", "nmi")
 PANEL_POINTWISE = ("mae", "mse", "psnr", "pcc", "nmi")
 
 MASK_MODES = ("none", "crop_fraction", "bbox", "foreground")
+OUTPUT_FORMATS = ("csv", "markdown")
 
 
 @dataclass(frozen=True)
-class Variant:
-    """One labeled evaluation configuration inside a scenario."""
+class EvalPlan:
+    """The one evaluation spec: metric panel, pair preparation and metric
+    knobs. The harness, ``refmet compare`` and ``refmet lint`` all use it;
+    it is linted before scores are trusted."""
 
-    label: str
-    chain: tuple[DistortionSpec, ...] = ()
+    metrics: tuple[str, ...]
     norm: NormMethod = field(default_factory=NormMethod.none)
-    prebin: int | None = None
     range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
+    prebin: int | None = None
     nmi_bins: int = 256
-    metrics: tuple[str, ...] = PANEL_FULL
-    mask_mode: str = "none"
-    crop_frac: float = 0.03
+    chain: tuple[DistortionSpec, ...] = ()
+    mask: Mask | None = None
     ms_scales: int = 5
-
-    def __post_init__(self):
-        if self.mask_mode not in MASK_MODES:
-            raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
-        unknown = [m for m in self.metrics if m not in registered_metrics()]
-        if unknown:
-            raise ConfigError(f"variant {self.label!r} references unknown metrics {unknown}")
 
     def ctx(self) -> EvalContext:
         return EvalContext(range_policy=self.range_policy,
@@ -73,18 +68,43 @@ class Variant:
                            scales=self.ms_scales,
                            weights=truncated_weights(self.ms_scales))
 
+    def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
+        """Normalize, then pre-bin, both images of a pair."""
+        if self.norm.kind != "none":
+            ref, test = normalize(ref, self.norm), normalize(test, self.norm)
+        if self.prebin:
+            ref, test = bin_quantize(ref, self.prebin), bin_quantize(test, self.prebin)
+        return ref, test
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One labeled evaluation configuration inside a scenario."""
+
+    label: str
+    plan: EvalPlan
+    mask_mode: str = "none"
+    crop_frac: float = 0.03
+
+    def __post_init__(self):
+        if self.mask_mode not in MASK_MODES:
+            raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
+        unknown = [m for m in self.plan.metrics if m not in registered_metrics()]
+        if unknown:
+            raise ConfigError(f"variant {self.label!r} references unknown metrics {unknown}")
+
     def case_chain(self, phantom: Phantom) -> tuple[DistortionSpec, ...]:
         """Chain with per-case seeds so each case draws independent noise."""
         return tuple(replace(s, seed=s.seed + phantom.seed)
-                     if s.kind == "gaussian_noise" else s for s in self.chain)
+                     if s.kind == "gaussian_noise" else s for s in self.plan.chain)
 
     def pipeline_fingerprint(self, phantom: Phantom) -> str:
         return fingerprint(chain=chain_fingerprint(self.case_chain(phantom)),
                            mask=self.mask_mode
                            if self.mask_mode != "crop_fraction"
                            else f"crop_fraction({self.crop_frac!r})",
-                           norm=self.norm.spec_string(),
-                           prebin=self.prebin if self.prebin else "none")
+                           norm=self.plan.norm.spec_string(),
+                           prebin=self.plan.prebin if self.plan.prebin else "none")
 
 
 @dataclass(frozen=True)
@@ -109,7 +129,7 @@ class HarnessConfig:
     scenarios: tuple[str, ...] = SCENARIO_IDS
     segmenter: SegmenterParams = field(default_factory=SegmenterParams)
     out_dir: str = "audit_out"
-    out_formats: tuple[str, ...] = ("csv", "markdown")
+    out_formats: tuple[str, ...] = OUTPUT_FORMATS
 
     def __post_init__(self):
         if self.phantom_count < 1:
@@ -117,6 +137,10 @@ class HarnessConfig:
         bad = [s for s in self.scenarios if s not in SCENARIO_IDS]
         if bad:
             raise ConfigError(f"unknown scenario ids {bad}")
+        bad = [f for f in self.out_formats if f not in OUTPUT_FORMATS]
+        if bad:
+            raise ConfigError(f"unknown output formats {bad}; "
+                              f"allowed: {', '.join(OUTPUT_FORMATS)}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "HarnessConfig":
@@ -143,13 +167,13 @@ class HarnessConfig:
             scenarios=tuple(obj.get("scenarios", SCENARIO_IDS)),
             segmenter=sp,
             out_dir=out.get("dir", "audit_out"),
-            out_formats=tuple(out.get("formats", ("csv", "markdown"))),
+            out_formats=tuple(out.get("formats", OUTPUT_FORMATS)),
         )
 
     @classmethod
     def load(cls, path) -> "HarnessConfig":
         try:
-            return cls.from_json(json.loads(open(path).read()))
+            return cls.from_json(json.loads(Path(path).read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from None
 
@@ -168,40 +192,45 @@ def _gamma_linear_chain() -> tuple[DistortionSpec, ...]:
             DistortionSpec("linear_scale", {"factor": 1.2}))
 
 
+def _variant(label: str, metrics: tuple[str, ...] = PANEL_FULL,
+             mask_mode: str = "none", **plan) -> Variant:
+    return Variant(label, EvalPlan(metrics=metrics, **plan), mask_mode)
+
+
 def builtin_scenario(scenario_id: str) -> Scenario:
     if scenario_id == "pitfall1":
         chain = _gamma_linear_chain()
         variants = [
-            Variant("none_joint", chain=chain),
-            Variant("none_range_ref", chain=chain,
-                    range_policy=DataRangePolicy.ref(), metrics=("ssim", "psnr")),
-            Variant("none_range_test", chain=chain,
-                    range_policy=DataRangePolicy.test(), metrics=("ssim", "psnr")),
-            Variant("minmax", chain=chain, norm=NormMethod.minmax(),
-                    metrics=("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim")),
-            Variant("zscore", chain=chain, norm=NormMethod.zscore(),
-                    metrics=("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim")),
-            Variant("binned_256", chain=chain, prebin=256),
-            Variant("nmi_bins_128", chain=chain, nmi_bins=128, metrics=("nmi",)),
-            Variant("nmi_bins_512", chain=chain, nmi_bins=512, metrics=("nmi",)),
+            _variant("none_joint", chain=chain),
+            _variant("none_range_ref", chain=chain,
+                     range_policy=DataRangePolicy.ref(), metrics=("ssim", "psnr")),
+            _variant("none_range_test", chain=chain,
+                     range_policy=DataRangePolicy.test(), metrics=("ssim", "psnr")),
+            _variant("minmax", chain=chain, norm=NormMethod.minmax(),
+                     metrics=("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim")),
+            _variant("zscore", chain=chain, norm=NormMethod.zscore(),
+                     metrics=("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim")),
+            _variant("binned_256", chain=chain, prebin=256),
+            _variant("nmi_bins_128", chain=chain, nmi_bins=128, metrics=("nmi",)),
+            _variant("nmi_bins_512", chain=chain, nmi_bins=512, metrics=("nmi",)),
         ]
     elif scenario_id == "pitfall2":
         variants = [
-            Variant(f"shift_{k}px",
-                    chain=(DistortionSpec("translate", {"shift": (k, 0)}),))
+            _variant(f"shift_{k}px",
+                     chain=(DistortionSpec("translate", {"shift": (k, 0)}),))
             for k in (1, 2, 3, 4)
         ]
     elif scenario_id == "pitfall3":
         chain = (DistortionSpec("mirror_replace", {"axis": 0}),)
         # 4 scales so ms_ssim fits the bounding-box crops at every scale
         variants = [
-            Variant("full", chain=chain, metrics=PANEL_WINDOW_SAFE, ms_scales=4),
-            Variant("crop_3pct", chain=chain, metrics=PANEL_WINDOW_SAFE,
-                    mask_mode="crop_fraction", crop_frac=0.03, ms_scales=4),
-            Variant("bbox_crop", chain=chain, metrics=PANEL_WINDOW_SAFE,
-                    mask_mode="bbox", ms_scales=4),
-            Variant("foreground_mask", chain=chain, metrics=PANEL_POINTWISE,
-                    mask_mode="foreground"),
+            _variant("full", chain=chain, metrics=PANEL_WINDOW_SAFE, ms_scales=4),
+            _variant("crop_3pct", chain=chain, metrics=PANEL_WINDOW_SAFE,
+                     mask_mode="crop_fraction", ms_scales=4),
+            _variant("bbox_crop", chain=chain, metrics=PANEL_WINDOW_SAFE,
+                     mask_mode="bbox", ms_scales=4),
+            _variant("foreground_mask", chain=chain, metrics=PANEL_POINTWISE,
+                     mask_mode="foreground"),
         ]
     elif scenario_id == "pitfall4":
         bases = {
@@ -214,16 +243,16 @@ def builtin_scenario(scenario_id: str) -> Scenario:
         panel = ("mae", "mse", "psnr", "ssim", "ms_ssim", "nmi")
         variants = []
         for name, chain in bases.items():
-            variants.append(Variant(name, chain=chain, metrics=panel))
+            variants.append(_variant(name, chain=chain, metrics=panel))
             for sigma in (0.5, 1.0, 2.0):
                 blurred = chain + (DistortionSpec("gaussian_blur", {"sigma": sigma}),)
-                variants.append(Variant(f"{name}_blur_{sigma}", chain=blurred,
-                                        metrics=panel))
+                variants.append(_variant(f"{name}_blur_{sigma}", chain=blurred,
+                                         metrics=panel))
     elif scenario_id == "pitfall5":
         chain = (DistortionSpec("mirror_replace", {"axis": 0}),)
         variants = [
-            Variant("image_metrics", chain=chain),
-            Variant("proxy_task", chain=chain, metrics=("dice",)),
+            _variant("image_metrics", chain=chain),
+            _variant("proxy_task", chain=chain, metrics=("dice",)),
         ]
     else:
         raise ConfigError(f"unknown scenario id {scenario_id!r}")
@@ -236,32 +265,28 @@ def builtin_scenario(scenario_id: str) -> Scenario:
 
 def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[Image, Image]:
     ref = phantom.image
-    test = apply_chain(variant.case_chain(phantom), ref)
-    if variant.norm.kind != "none":
-        ref = normalize(ref, variant.norm)
-        test = normalize(test, variant.norm)
-    if variant.prebin:
-        ref = bin_quantize(ref, variant.prebin)
-        test = bin_quantize(test, variant.prebin)
-    return ref, test
+    return variant.plan.prepare(ref, apply_chain(variant.case_chain(phantom), ref))
 
 
-def _evaluate_one(phantom: Phantom, variant: Variant, metric_id: str,
-                  segmenter: SegmenterParams) -> MetricScore:
+def _score(phantom: Phantom, variant: Variant, metric_id: str,
+           segmenter: SegmenterParams) -> tuple[float, str]:
+    """One report cell: the score and its fingerprint merged with the pipeline's."""
     ref, test = _prepare_pair(phantom, variant)
-    ctx = variant.ctx()
+    ctx = variant.plan.ctx()
     if metric_id == "dice":
-        return task_similarity(ref, test, segmenter)
-    if variant.mask_mode == "none":
-        return evaluate(metric_id, ref, test, ctx)
-    if variant.mask_mode == "crop_fraction":
-        return evaluate(metric_id, crop_fraction(ref, variant.crop_frac),
-                        crop_fraction(test, variant.crop_frac), ctx)
-    if variant.mask_mode == "bbox":
-        rect = bounding_box(phantom.foreground_mask)
-        return evaluate(metric_id, crop(ref, rect), crop(test, rect), ctx)
-    # foreground mask
-    return masked_evaluate(metric_id, ref, test, phantom.foreground_mask, ctx)
+        score = task_similarity(ref, test, segmenter)
+    elif variant.mask_mode == "foreground":
+        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask, ctx)
+    else:
+        if variant.mask_mode == "crop_fraction":
+            ref = crop_fraction(ref, variant.crop_frac)
+            test = crop_fraction(test, variant.crop_frac)
+        elif variant.mask_mode == "bbox":
+            rect = bounding_box(phantom.foreground_mask)
+            ref, test = crop(ref, rect), crop(test, rect)
+        score = evaluate(metric_id, ref, test, ctx)
+    return score.value, merge_fingerprints(score.params_fingerprint,
+                                           variant.pipeline_fingerprint(phantom))
 
 
 def _case_id(phantom: Phantom) -> str:
@@ -274,6 +299,8 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
 
     Appends mean rows (case_id ``"mean"``) per (variant, metric). Row order
     is deterministic: sorted by (case_id, variant, metric_id), means last.
+    A failing evaluation re-raises its error class with the scenario,
+    variant, case and metric prepended to the message.
     """
     if not phantoms:
         raise ConfigError("run_scenario needs a non-empty phantom list")
@@ -282,32 +309,26 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     scores: dict[tuple[str, str], list[float]] = {}
     for variant in scenario.variants:
         for phantom in phantoms:
-            pipe_fp = variant.pipeline_fingerprint(phantom)
-            for metric_id in variant.metrics:
+            for metric_id in variant.plan.metrics:
                 try:
-                    score = _evaluate_one(phantom, variant, metric_id,
-                                          config.segmenter)
-                except ConfigError as exc:
-                    raise ConfigError(
-                        f"scenario {scenario.scenario_id}, variant "
-                        f"{variant.label!r}: {exc}") from exc
-                fp = merge_fingerprints(score.params_fingerprint, pipe_fp)
+                    value, fp = _score(phantom, variant, metric_id, config.segmenter)
+                except RefmetError as exc:
+                    raise type(exc)(
+                        f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
+                        f"case {_case_id(phantom)}, metric {metric_id}: {exc}") from exc
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
-                                       variant.label, metric_id, fp, score.value))
-                scores.setdefault((variant.label, metric_id), []).append(score.value)
+                                       variant.label, metric_id, fp, value))
+                scores.setdefault((variant.label, metric_id), []).append(value)
         ref, test = _prepare_pair(phantoms[0], variant)
-        plan = EvalPlan(metrics=variant.metrics, norm=variant.norm,
-                        range_policy=variant.range_policy, prebin=variant.prebin,
-                        nmi_bins=variant.nmi_bins, chain=variant.chain,
-                        mask=phantoms[0].foreground_mask
-                        if variant.mask_mode == "foreground" else None)
+        plan = replace(variant.plan, mask=phantoms[0].foreground_mask
+                       if variant.mask_mode == "foreground" else None)
         for lint in lint_configuration(ref, test, plan):
             report.lints.append(replace(
                 lint, message=f"[{scenario.scenario_id}/{variant.label}] {lint.message}"))
     report.rows.sort(key=lambda r: (r.case_id, r.variant, r.metric_id))
     mean_rows = []
     for variant in scenario.variants:
-        for metric_id in variant.metrics:
+        for metric_id in variant.plan.metrics:
             vals = scores[(variant.label, metric_id)]
             fp = fingerprint(aggregate="mean", n=len(vals))
             mean_rows.append(Row("mean", scenario.scenario_id, variant.label,
@@ -328,32 +349,17 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
         raise ConfigError(f"cannot re-evaluate aggregate row {row.case_id!r}")
     seed = int(row.case_id[len("case_"):])
     phantom = generate_phantom(seed, config.phantom_params)
-    score = _evaluate_one(phantom, variant, row.metric_id, config.segmenter)
-    fp = merge_fingerprints(score.params_fingerprint,
-                            variant.pipeline_fingerprint(phantom))
+    value, fp = _score(phantom, variant, row.metric_id, config.segmenter)
     if fp != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "
             f"{fp} != {row.params_fingerprint}")
-    return score.value
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Lint engine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvalPlan:
-    """What a caller intends to do; linted before scores are trusted."""
-
-    metrics: tuple[str, ...]
-    norm: NormMethod = field(default_factory=NormMethod.none)
-    range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
-    prebin: int | None = None
-    nmi_bins: int = 256
-    chain: tuple[DistortionSpec, ...] = ()
-    mask: Mask | None = None
-
 
 _ERROR_METRICS = frozenset({"mae", "mse", "psnr"})
 _RANGE_TOL = 0.05

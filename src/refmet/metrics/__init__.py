@@ -29,7 +29,7 @@ from ..normalize import DataRangePolicy, resolve_data_range_values
 from .information import HistogramParams, mi, mi_values, nmi, nmi_values
 from .overlap import dice
 from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
-                        psnr, psnr_values)
+                        psnr, psnr_score)
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
 from .structural import (DEFAULT_MSSSIM_WEIGHTS, MsSsimParams, SsimParams,
                          WindowSpec, ms_ssim, ssim, truncated_weights)
@@ -66,20 +66,18 @@ class EvalContext:
                             scales=self.scales, weights=self.weights)
 
 
-def _policy_fp(ctx: EvalContext) -> str:
-    return fingerprint(range_policy=ctx.range_policy.spec_string())
+def _with_policy(score: MetricScore, ctx: EvalContext) -> MetricScore:
+    return replace(score, params_fingerprint=merge_fingerprints(
+        score.params_fingerprint,
+        fingerprint(range_policy=ctx.range_policy.spec_string())))
 
 
 def _eval_ssim(ref, test, ctx):
-    score = ssim(ref, test, ctx.ssim_params(ref, test))
-    return replace(score, params_fingerprint=merge_fingerprints(
-        score.params_fingerprint, _policy_fp(ctx)))
+    return _with_policy(ssim(ref, test, ctx.ssim_params(ref, test)), ctx)
 
 
 def _eval_ms_ssim(ref, test, ctx):
-    score = ms_ssim(ref, test, ctx.ms_ssim_params(ref, test))
-    return replace(score, params_fingerprint=merge_fingerprints(
-        score.params_fingerprint, _policy_fp(ctx)))
+    return _with_policy(ms_ssim(ref, test, ctx.ms_ssim_params(ref, test)), ctx)
 
 
 def _eval_dice(ref, test, ctx):
@@ -90,25 +88,41 @@ def _eval_dice(ref, test, ctx):
 class MetricDef:
     metric_id: str
     kind: str  # pointwise | windowed | mask
-    fn: Callable[[Image, Image, EvalContext], MetricScore]
+    fn: Callable[..., MetricScore]
 
 
 _REGISTRY: dict[str, MetricDef] = {}
 
 
 def register_metric(metric_id: str, fn, kind: str) -> None:
-    """Attach a metric under the standard evaluation/masking semantics."""
+    """Attach a metric under the standard evaluation/masking semantics.
+
+    A ``pointwise`` metric is ``fn(ref_vals, test_vals, ctx)`` over two
+    equal-shape value arrays: :func:`evaluate` passes ``ref.data`` and
+    ``test.data``, :func:`masked_evaluate` passes the 1-D arrays of masked
+    values. ``windowed`` and ``mask`` metrics are ``fn(ref, test, ctx)``
+    over :class:`~refmet.image.Image` objects.
+    """
     if kind not in ("pointwise", "windowed", "mask"):
         raise ConfigError(f"unknown metric kind {kind!r}")
     _REGISTRY[metric_id] = MetricDef(metric_id, kind, fn)
 
 
-register_metric("mae", lambda r, t, ctx: mae(r, t), "pointwise")
-register_metric("mse", lambda r, t, ctx: mse(r, t), "pointwise")
-register_metric("psnr", lambda r, t, ctx: psnr(r, t, ctx.range_policy), "pointwise")
-register_metric("pcc", lambda r, t, ctx: pcc(r, t), "pointwise")
-register_metric("mi", lambda r, t, ctx: mi(r, t, ctx.hist), "pointwise")
-register_metric("nmi", lambda r, t, ctx: nmi(r, t, ctx.hist), "pointwise")
+def _histogram_metric(metric_id, values_fn):
+    return lambda r, t, ctx: MetricScore(metric_id, values_fn(r, t, ctx.hist),
+                                         ctx.hist.fingerprint())
+
+
+register_metric("mae", lambda r, t, ctx: MetricScore("mae", mae_values(r, t)),
+                "pointwise")
+register_metric("mse", lambda r, t, ctx: MetricScore("mse", mse_values(r, t)),
+                "pointwise")
+register_metric("psnr", lambda r, t, ctx: psnr_score(r, t, ctx.range_policy),
+                "pointwise")
+register_metric("pcc", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t)),
+                "pointwise")
+register_metric("mi", _histogram_metric("mi", mi_values), "pointwise")
+register_metric("nmi", _histogram_metric("nmi", nmi_values), "pointwise")
 register_metric("ssim", _eval_ssim, "windowed")
 register_metric("ms_ssim", _eval_ms_ssim, "windowed")
 register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t, ctx.cw), "windowed")
@@ -119,42 +133,26 @@ def registered_metrics() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def metric_kind(metric_id: str) -> str:
+def _lookup(metric_id: str) -> MetricDef:
     try:
-        return _REGISTRY[metric_id].kind
+        return _REGISTRY[metric_id]
     except KeyError:
         raise ConfigError(f"unknown metric {metric_id!r}") from None
+
+
+def metric_kind(metric_id: str) -> str:
+    return _lookup(metric_id).kind
 
 
 def evaluate(metric_id: str, ref: Image, test: Image,
              ctx: EvalContext | None = None) -> MetricScore:
     """Evaluate one registered metric on a full image pair."""
     ctx = ctx or EvalContext()
-    if metric_id not in _REGISTRY:
-        raise ConfigError(f"unknown metric {metric_id!r}")
-    return _REGISTRY[metric_id].fn(ref, test, ctx)
-
-
-def _masked_pointwise(metric_id: str, ref_vals: np.ndarray, test_vals: np.ndarray,
-                      ctx: EvalContext) -> MetricScore:
-    if metric_id == "mae":
-        return MetricScore("mae", mae_values(ref_vals, test_vals))
-    if metric_id == "mse":
-        return MetricScore("mse", mse_values(ref_vals, test_vals))
-    if metric_id == "psnr":
-        L = resolve_data_range_values(ref_vals, test_vals, ctx.range_policy)
-        return MetricScore("psnr", psnr_values(ref_vals, test_vals, L),
-                           fingerprint(data_range=L,
-                                       range_policy=ctx.range_policy.spec_string()))
-    if metric_id == "pcc":
-        return MetricScore("pcc", pcc_values(ref_vals, test_vals))
-    if metric_id == "mi":
-        return MetricScore("mi", mi_values(ref_vals, test_vals, ctx.hist),
-                           ctx.hist.fingerprint())
-    if metric_id == "nmi":
-        return MetricScore("nmi", nmi_values(ref_vals, test_vals, ctx.hist),
-                           ctx.hist.fingerprint())
-    raise ConfigError(f"metric {metric_id!r} has no masked pointwise form")
+    mdef = _lookup(metric_id)
+    if mdef.kind == "pointwise":
+        require_same_shape(ref, test)
+        return mdef.fn(ref.data, test.data, ctx)
+    return mdef.fn(ref, test, ctx)
 
 
 def rect_of_mask(m: Mask):
@@ -176,21 +174,21 @@ def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
     evaluate on the cropped images, bit-identical to cropping explicitly.
     """
     ctx = ctx or EvalContext()
-    kind = metric_kind(metric_id)
+    mdef = _lookup(metric_id)
     require_same_shape(ref, test)
     require_same_shape(ref, m)
     if not m.data.any():
         raise RefmetError("evaluation mask is empty")
-    if kind == "mask":
+    if mdef.kind == "mask":
         raise ConfigError(f"metric {metric_id!r} compares masks; "
                           "masked image evaluation does not apply")
-    if kind == "pointwise":
+    if mdef.kind == "pointwise":
         sel = m.data
-        return _masked_pointwise(metric_id, ref.data[sel], test.data[sel], ctx)
+        return mdef.fn(ref.data[sel], test.data[sel], ctx)
     rect = rect_of_mask(m)
     if rect is None:
         raise NonRectangularMaskError(
             f"{metric_id} combines neighboring pixels and supports only masks that "
             "are exactly a filled rectangle (evaluated as a crop); "
             "use a pointwise metric or a rectangular mask")
-    return _REGISTRY[metric_id].fn(crop(ref, rect), crop(test, rect), ctx)
+    return mdef.fn(crop(ref, rect), crop(test, rect), ctx)

@@ -55,6 +55,13 @@ def mse(ref: Image, test: Image) -> MetricScore:
     return MetricScore("mse", mse_values(ref.data, test.data))
 
 
+def psnr_score(ref: np.ndarray, test: np.ndarray,
+               policy: DataRangePolicy) -> MetricScore:
+    L = resolve_data_range_values(ref, test, policy)
+    return MetricScore("psnr", psnr_values(ref, test, L),
+                       fingerprint(data_range=L, range_policy=policy.spec_string()))
+
+
 def psnr(ref: Image, test: Image,
          range_policy: DataRangePolicy | None = None) -> MetricScore:
     """Peak signal-to-noise ratio 10 log10(L^2 / MSE) in dB.
@@ -63,11 +70,7 @@ def psnr(ref: Image, test: Image,
     L comes from ``range_policy`` (default: joint range of both images).
     """
     require_same_shape(ref, test)
-    policy = range_policy or DataRangePolicy.joint()
-    L = resolve_data_range_values(ref.data, test.data, policy)
-    value = psnr_values(ref.data, test.data, L)
-    return MetricScore("psnr", value,
-                       fingerprint(data_range=L, range_policy=policy.spec_string()))
+    return psnr_score(ref.data, test.data, range_policy or DataRangePolicy.joint())
 
 
 def pcc(ref: Image, test: Image) -> MetricScore:

@@ -201,8 +201,6 @@ def bin_quantize(img: Image, bins: int) -> Image:
 
 def resolve_data_range(ref: Image, test: Image, policy: DataRangePolicy) -> float:
     """The data-range parameter L under ``policy``; L must come out > 0."""
-    if policy.kind == "fixed":
-        return float(policy.value)
     return resolve_data_range_values(ref.data, test.data, policy)
 
 

@@ -187,6 +187,24 @@ def test_audit_unknown_scenario_exits_1(workdir):
     assert res.returncode == 1
 
 
+def test_audit_unknown_output_format_exits_1(workdir):
+    cfg = workdir / "bad_formats.json"
+    cfg.write_text(json.dumps({"output": {"formats": ["CSV"]}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_fmt"))
+    assert res.returncode == 1
+    assert "['CSV']" in res.stderr and "csv, markdown" in res.stderr
+
+
+def test_audit_error_names_scenario_variant_case_and_metric(workdir):
+    cfg = workdir / "small_dims.json"
+    cfg.write_text(json.dumps({"phantoms": {"count": 1, "dims": [64, 64]}}))
+    res = run_cli("audit", "--scenario", "pitfall1", "--config", str(cfg),
+                  "--out", str(workdir / "audit_small"))
+    assert res.returncode == 1
+    assert ("scenario pitfall1, variant 'none_joint', case case_1000, "
+            "metric ms_ssim: window support") in res.stderr
+
+
 def test_audit_strict_with_warnings_exits_2(workdir, audit_config):
     out = workdir / "audit_strict"
     res = run_cli("audit", "--scenario", "pitfall1", "--config", str(audit_config),

@@ -1,12 +1,15 @@
+import gc
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from refmet.distort import DistortionSpec
-from refmet.errors import ConfigError
-from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Variant,
-                            builtin_scenario, generate_phantoms,
+from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
+from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
+                            Variant, builtin_scenario, generate_phantoms,
                             lint_configuration, reevaluate_row, run_scenario)
 from refmet.image import Image, Mask
 from refmet.normalize import DataRangePolicy, NormMethod
@@ -130,6 +133,40 @@ def test_harness_config_json_roundtrip():
     assert cfg.scenarios == ("pitfall2",)
     with pytest.raises(ConfigError):
         HarnessConfig.from_json({"unknown_key": 1})
+
+
+def test_unknown_output_format_rejected():
+    with pytest.raises(ConfigError, match=r"\['CSV'\].*csv, markdown"):
+        HarnessConfig.from_json({"output": {"formats": ["CSV"]}})
+
+
+def test_load_closes_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"phantoms": {"count": 2}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert HarnessConfig.load(path).phantom_count == 2
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_scenario_error_names_scenario_variant_case_and_metric():
+    cfg = HarnessConfig(phantom_count=1, phantom_params=PhantomParams(dims=(64, 64)))
+    with pytest.raises(RefmetError) as info:
+        run_scenario(builtin_scenario("pitfall1"), generate_phantoms(cfg), cfg)
+    assert type(info.value) is RefmetError
+    assert str(info.value).startswith(
+        "scenario pitfall1, variant 'none_joint', case case_1000, metric ms_ssim: "
+        "window support")
+
+
+def test_scenario_error_keeps_its_class(small_phantoms):
+    variant = Variant("fg_ssim", EvalPlan(metrics=("mae", "ssim")),
+                      mask_mode="foreground")
+    with pytest.raises(NonRectangularMaskError,
+                       match=r"^scenario custom, variant 'fg_ssim', case case_1000, "
+                             r"metric ssim: ssim combines"):
+        run_scenario(Scenario("custom", (variant,)), small_phantoms, CFG)
 
 
 # --- report serialization ---------------------------------------------------

@@ -150,9 +150,15 @@ def test_metric_kinds():
 def test_plugin_registration(pair):
     ref, test = pair
     register_metric("toy_plugin",
-                    lambda r, t, ctx: MetricScore("toy_plugin", 0.5), "pointwise")
+                    lambda r, t, ctx: MetricScore("toy_plugin", float(np.mean(r - t))),
+                    "pointwise")
+    checker = Mask(np.indices(ref.shape).sum(axis=0) % 2 == 0)
+    sel = checker.data
     try:
-        assert evaluate("toy_plugin", ref, test).value == 0.5
+        assert evaluate("toy_plugin", ref, test).value == \
+            float(np.mean(ref.data - test.data))
+        assert masked_evaluate("toy_plugin", ref, test, checker).value == \
+            float(np.mean(ref.data[sel] - test.data[sel]))
     finally:
         from refmet.metrics import _REGISTRY
         _REGISTRY.pop("toy_plugin")
