@@ -141,8 +141,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_distort(args) -> int:
     img = load_image(args.input)
-    spec_path = Path(args.spec)
-    text = spec_path.read_text() if spec_path.exists() else args.spec
+    # Inline JSON is an array or object; anything else names a file.
+    spec = args.spec
+    text = spec if spec.lstrip()[:1] in ("[", "{") else Path(spec).read_text()
     chain = parse_chain(text)
     out = apply_chain(chain, img)
     save_image(out, args.output)

@@ -13,6 +13,7 @@ configurations before any score is trusted. Lints never change scores.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -264,20 +265,24 @@ def builtin_scenario(scenario_id: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[Image, Image]:
+    """Chain, then normalize and pre-bin: the pair every metric of the
+    variant scores on (after its mask mode) and the lint checks."""
     ref = phantom.image
     return variant.plan.prepare(ref, apply_chain(variant.case_chain(phantom), ref))
 
 
 def _score(phantom: Phantom, variant: Variant, metric_id: str,
-           segmenter: SegmenterParams) -> tuple[float, str]:
-    """One report cell: the score and its fingerprint merged with the pipeline's."""
-    ref, test = _prepare_pair(phantom, variant)
+           pair: tuple[Image, Image], segmenter: SegmenterParams) -> tuple[float, str]:
+    """One report cell on a prepared pair: the score and its fingerprint
+    merged with the pipeline's."""
+    ref, test = pair
     ctx = variant.plan.ctx()
     if metric_id == "dice":
         score = task_similarity(ref, test, segmenter)
     elif variant.mask_mode == "foreground":
         score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask, ctx)
     else:
+        # Crops are views, so taking them per metric costs nothing.
         if variant.mask_mode == "crop_fraction":
             ref = crop_fraction(ref, variant.crop_frac)
             test = crop_fraction(test, variant.crop_frac)
@@ -289,6 +294,15 @@ def _score(phantom: Phantom, variant: Variant, metric_id: str,
                                            variant.pipeline_fingerprint(phantom))
 
 
+@contextmanager
+def _context(where: str):
+    """Re-raise a RefmetError with its class kept and ``where`` prepended."""
+    try:
+        yield
+    except RefmetError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _case_id(phantom: Phantom) -> str:
     return f"case_{phantom.seed}"
 
@@ -297,10 +311,12 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
                  config: HarnessConfig | None = None) -> Report:
     """Evaluate every variant of ``scenario`` on every phantom.
 
-    Appends mean rows (case_id ``"mean"``) per (variant, metric). Row order
-    is deterministic: sorted by (case_id, variant, metric_id), means last.
+    Each (case, variant) pair is prepared once and scored by the variant's
+    whole panel; the first phantom's pair is also the one linted. Appends
+    mean rows (case_id ``"mean"``) per (variant, metric). Row order is
+    deterministic: sorted by (case_id, variant, metric_id), means last.
     A failing evaluation re-raises its error class with the scenario,
-    variant, case and metric prepended to the message.
+    variant, case and (for a scoring error) metric prepended to the message.
     """
     if not phantoms:
         raise ConfigError("run_scenario needs a non-empty phantom list")
@@ -308,21 +324,23 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     report = Report()
     scores: dict[tuple[str, str], list[float]] = {}
     for variant in scenario.variants:
+        lint_pair = None
         for phantom in phantoms:
+            where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
+                     f"case {_case_id(phantom)}")
+            with _context(where):
+                pair = _prepare_pair(phantom, variant)
+            lint_pair = lint_pair or pair
             for metric_id in variant.plan.metrics:
-                try:
-                    value, fp = _score(phantom, variant, metric_id, config.segmenter)
-                except RefmetError as exc:
-                    raise type(exc)(
-                        f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
-                        f"case {_case_id(phantom)}, metric {metric_id}: {exc}") from exc
+                with _context(f"{where}, metric {metric_id}"):
+                    value, fp = _score(phantom, variant, metric_id, pair,
+                                       config.segmenter)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, value))
                 scores.setdefault((variant.label, metric_id), []).append(value)
-        ref, test = _prepare_pair(phantoms[0], variant)
         plan = replace(variant.plan, mask=phantoms[0].foreground_mask
                        if variant.mask_mode == "foreground" else None)
-        for lint in lint_configuration(ref, test, plan):
+        for lint in lint_configuration(*lint_pair, plan):
             report.lints.append(replace(
                 lint, message=f"[{scenario.scenario_id}/{variant.label}] {lint.message}"))
     report.rows.sort(key=lambda r: (r.case_id, r.variant, r.metric_id))
@@ -349,7 +367,8 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
         raise ConfigError(f"cannot re-evaluate aggregate row {row.case_id!r}")
     seed = int(row.case_id[len("case_"):])
     phantom = generate_phantom(seed, config.phantom_params)
-    value, fp = _score(phantom, variant, row.metric_id, config.segmenter)
+    value, fp = _score(phantom, variant, row.metric_id,
+                       _prepare_pair(phantom, variant), config.segmenter)
     if fp != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "

@@ -22,10 +22,10 @@ anywhere in the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigError, RefmetError
 from ..image import Image, require_same_shape
@@ -55,8 +55,13 @@ class CwSsimParams:
                            orientations=self.orientations)
 
 
-def _filter_bank(shape: tuple[int, int], levels: int, orientations: int) -> list[np.ndarray]:
-    """Frequency-domain masks for every (level, orientation) subband."""
+# One entry: an audit scores many pairs of one shape, and a 512x512 bank
+# holds 25 MB.
+@lru_cache(maxsize=1)
+def _filter_bank(shape: tuple[int, int], levels: int,
+                 orientations: int) -> tuple[np.ndarray, ...]:
+    """Read-only frequency-domain masks for every (level, orientation)
+    subband; cached, so every caller shares the same arrays."""
     h, w = shape
     wy = 2.0 * np.pi * np.fft.fftfreq(h)[:, None]
     wx = 2.0 * np.pi * np.fft.fftfreq(w)[None, :]
@@ -80,17 +85,36 @@ def _filter_bank(shape: tuple[int, int], levels: int, orientations: int) -> list
         band = np.cos(np.pi / 2.0 * np.clip(logr - center, -1.0, 1.0))
         band = np.where(np.abs(logr - center) < 1.0, band, 0.0)
         for a in angular:
-            masks.append(band * a)
-    return masks
+            mask = band * a
+            mask.flags.writeable = False
+            masks.append(mask)
+    return tuple(masks)
+
+
+def _box_sum_valid(arr: np.ndarray, axis: int) -> np.ndarray:
+    """7-tap box sum along ``axis`` at valid positions only.
+
+    The additions follow scipy's symmetric-kernel order in
+    ``correlate1d``, x0 + (x-3 + x+3) + (x-2 + x+2) + (x-1 + x+1), so the
+    result is bit-identical to correlating with ones and cropping.
+    """
+    rad = (_NEIGHBORHOOD - 1) // 2
+    n = arr.shape[axis] - 2 * rad
+
+    def tap(offset):
+        sl = [slice(None)] * arr.ndim
+        sl[axis] = slice(rad + offset, rad + offset + n)
+        return arr[tuple(sl)]
+
+    out = tap(0).copy()
+    for d in range(rad, 0, -1):
+        out += tap(-d) + tap(d)
+    return out
 
 
 def _neighborhood_sum(arr: np.ndarray) -> np.ndarray:
-    """Plain 7x7 sums at valid positions (no weighting)."""
-    kern = np.ones(_NEIGHBORHOOD)
-    out = ndimage.correlate1d(arr, kern, axis=0, mode="constant")
-    out = ndimage.correlate1d(out, kern, axis=1, mode="constant")
-    rad = (_NEIGHBORHOOD - 1) // 2
-    return out[rad:arr.shape[0] - rad, rad:arr.shape[1] - rad]
+    """Plain 7x7 sums at valid positions (no weighting); real or complex."""
+    return _box_sum_valid(_box_sum_valid(arr, 0), 1)
 
 
 def cw_ssim(ref: Image, test: Image, params: CwSsimParams | None = None) -> MetricScore:
@@ -110,9 +134,8 @@ def cw_ssim(ref: Image, test: Image, params: CwSsimParams | None = None) -> Metr
     for mask in _filter_bank(ref.data.shape, p.levels, p.orientations):
         cr = np.fft.ifft2(fr * mask)
         ct = np.fft.ifft2(ft * mask)
-        cross = cr * np.conj(ct)
-        num = 2.0 * np.abs(_neighborhood_sum(cross.real)
-                           + 1j * _neighborhood_sum(cross.imag)) + p.k
+        # A complex box sum adds the real and imaginary parts separately.
+        num = 2.0 * np.abs(_neighborhood_sum(cr * np.conj(ct))) + p.k
         den = _neighborhood_sum(np.abs(cr) ** 2) + _neighborhood_sum(np.abs(ct) ** 2) + p.k
         subband_means.append(np.mean(num / den))
     return MetricScore("cw_ssim", float(np.mean(subband_means)), p.fingerprint())

@@ -86,3 +86,17 @@ def naive_entropy_bits(values, bins, lo, hi):
         counts[min(max(idx, 0), bins - 1)] += 1
     n = len(values)
     return -sum((c / n) * math.log(c / n) for c in counts if c > 0)
+
+
+def naive_box_sum(arr, side):
+    """Unweighted side x side window sums at every valid position."""
+    h, w = arr.shape
+    out = np.empty((h - side + 1, w - side + 1), dtype=arr.dtype)
+    for y in range(h - side + 1):
+        for x in range(w - side + 1):
+            total = 0.0
+            for dy in range(side):
+                for dx in range(side):
+                    total += arr[y + dy, x + dx]
+            out[y, x] = total
+    return out

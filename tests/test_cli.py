@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from refmet.distort import chain_fingerprint, parse_chain
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
 from refmet.phantom import generate_phantom
 
@@ -120,6 +121,30 @@ def test_distort_chain_records_both_steps(workdir):
 def test_distort_malformed_json_exits_1(workdir):
     res = run_cli("distort", str(workdir / "ref.rawf32"), "{bad", str(workdir / "x.rawf32"))
     assert res.returncode == 1
+
+
+def test_distort_long_inline_chain_is_parsed(workdir):
+    # longer than a file name may be, so it must never be tried as a path
+    steps = [{"kind": "linear_scale", "params": {"factor": 1.0 + 0.01 * (i % 3 + 1)}}
+             for i in range(40)]
+    chain = " " + json.dumps(steps)
+    res = run_cli("distort", str(workdir / "ref.rawf32"), chain,
+                  str(workdir / "long.rawf32"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == chain_fingerprint(parse_chain(chain))
+
+
+def test_distort_spec_file(workdir):
+    spec = workdir / "chain.json"
+    spec.write_text('\n[{"kind": "gamma", "params": {"gamma": 0.4}}]\n')
+    res = run_cli("distort", str(workdir / "ref.rawf32"), str(spec),
+                  str(workdir / "from_file.rawf32"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "gamma(gamma=0.4)"
+    missing = run_cli("distort", str(workdir / "ref.rawf32"), str(workdir / "nope.json"),
+                      str(workdir / "x.rawf32"))
+    assert missing.returncode == 1
+    assert "i/o error" in missing.stderr
 
 
 # --- phantom -----------------------------------------------------------------

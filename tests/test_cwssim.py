@@ -1,11 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from oracles import naive_box_sum
 from refmet.errors import RefmetError
 from refmet.image import Image
 from refmet.metrics import CwSsimParams, SsimParams, cw_ssim, ssim
-from refmet.distort import linear_scale, translate
+from refmet.metrics.wavelet import _filter_bank, _neighborhood_sum
+from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
 from refmet.normalize import DataRangePolicy, resolve_data_range
+from refmet.phantom import generate_phantom
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "golden.json").read_text())
 
 
 def test_identical_images_score_one(phantoms):
@@ -55,3 +64,57 @@ def test_symmetric(phantoms):
     a = phantoms[0].image
     b = translate(a, (1, 1))
     assert cw_ssim(a, b).value == pytest.approx(cw_ssim(b, a).value, rel=1e-9)
+
+
+# Captured with the full-frame correlate-and-crop box sums and a filter bank
+# rebuilt per call; pinned as exact float.hex values.
+@pytest.mark.parametrize("case", ["gamma_linear", "shift_2px", "mirror_replace"])
+def test_golden_values(case):
+    ref = generate_phantom(1000).image
+    test = {"gamma_linear": lambda: linear_scale(gamma_transform(ref, 0.4), 1.2),
+            "shift_2px": lambda: translate(ref, (2, 0)),
+            "mirror_replace": lambda: mirror_replace(ref, 0)}[case]()
+    assert cw_ssim(ref, test).value.hex() == GOLDEN["cw_ssim_phantom1000_hex"][case]
+
+
+def _correlate_and_crop(arr):
+    kern = np.ones(7)
+    out = ndimage.correlate1d(arr, kern, axis=0, mode="constant")
+    out = ndimage.correlate1d(out, kern, axis=1, mode="constant")
+    return out[3:arr.shape[0] - 3, 3:arr.shape[1] - 3]
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (7, 30), (30, 7), (8, 13), (29, 41), (64, 48)])
+def test_neighborhood_sum_matches_correlate_and_oracle(shape):
+    g = np.random.default_rng(sum(shape))
+    arr = g.normal(size=shape) * 10.0 ** g.uniform(-3, 3, size=shape)
+    got = _neighborhood_sum(arr)
+    assert got.shape == (shape[0] - 6, shape[1] - 6)
+    assert np.array_equal(got, _correlate_and_crop(arr))
+    # summation order differs from the loop: bound by the sum of magnitudes
+    err = np.abs(got - naive_box_sum(arr, 7))
+    assert np.all(err <= 1e-12 * naive_box_sum(np.abs(arr), 7))
+
+
+def test_neighborhood_sum_complex_sums_parts_separately():
+    g = np.random.default_rng(3)
+    arr = g.normal(size=(20, 17)) + 1j * g.normal(size=(20, 17))
+    got = _neighborhood_sum(arr)
+    assert np.array_equal(got.real, _correlate_and_crop(arr.real))
+    assert np.array_equal(got.imag, _correlate_and_crop(arr.imag))
+
+
+def test_filter_bank_masks_are_read_only():
+    masks = _filter_bank((64, 64), 2, 6)
+    assert len(masks) == 12
+    with pytest.raises(ValueError):
+        masks[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        masks[5] *= 2.0
+
+
+def test_filter_bank_cache_holds_one_bank(rng):
+    for shape in ((56, 56), (64, 72), (80, 60)):
+        img = Image(rng.random(shape))
+        assert cw_ssim(img, translate(img, (1, 0))).value < 1.0
+    assert _filter_bank.cache_info().currsize <= 1

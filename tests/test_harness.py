@@ -2,11 +2,13 @@ import gc
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from refmet.distort import DistortionSpec
+from refmet import harness
+from refmet.distort import DistortionSpec, apply_chain
 from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
 from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
                             Variant, builtin_scenario, generate_phantoms,
@@ -103,6 +105,35 @@ def test_rows_reproducible_from_fingerprint(pitfall1_report):
     rows = [r for r in pitfall1_report.rows if r.case_id != "mean"]
     for row in rows[::17]:
         assert reevaluate_row(row, CFG) == pytest.approx(row.score, abs=1e-12)
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_each_pair_prepared_once(monkeypatch, scenario_id):
+    cfg = HarnessConfig(phantom_count=2)
+    phantoms = generate_phantoms(cfg)
+    scenario = builtin_scenario(scenario_id)
+    calls = []
+
+    def counting_apply_chain(specs, img):
+        calls.append(specs)
+        return apply_chain(specs, img)
+
+    monkeypatch.setattr(harness, "apply_chain", counting_apply_chain)
+    rep = run_scenario(scenario, phantoms, cfg)
+    assert len(calls) == len(scenario.variants) * len(phantoms)
+    for row in rep.rows:
+        if row.case_id != "mean":
+            assert reevaluate_row(row, cfg).hex() == row.score.hex()
+    expected = []
+    first = phantoms[0]
+    for variant in scenario.variants:
+        ref = first.image
+        ref, test = variant.plan.prepare(ref, apply_chain(variant.case_chain(first), ref))
+        plan = replace(variant.plan, mask=first.foreground_mask
+                       if variant.mask_mode == "foreground" else None)
+        expected += [replace(lint, message=f"[{scenario_id}/{variant.label}] {lint.message}")
+                     for lint in lint_configuration(ref, test, plan)]
+    assert rep.lints == expected
 
 
 def test_noise_seeds_vary_per_case(small_phantoms):

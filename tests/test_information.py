@@ -9,6 +9,7 @@ from oracles import naive_entropy_bits
 from refmet.errors import DegenerateRangeError
 from refmet.image import Image
 from refmet.metrics import HistogramParams, mi, nmi
+from refmet.metrics.information import _edges, joint_histogram
 
 
 def _img(vals):
@@ -112,3 +113,39 @@ def test_fingerprint_contains_bins():
     img = Image(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert nmi(img, img, HistogramParams(bins=128)).params_fingerprint == \
         "bins=128;hist_range=per_image"
+
+
+@given(seed=st.integers(0, 2**32 - 1), bins=st.sampled_from([2, 3, 7, 256, 512]),
+       policy=st.sampled_from(["per_image", "joint"]),
+       shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+       on_edges=st.integers(0, 64), constant=st.sampled_from([None, "ref", "test"]),
+       log_scale=st.floats(-6, 6), offset=st.floats(-1e4, 1e4), masked=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_joint_histogram_equals_histogram2d(seed, bins, policy, shape, on_edges,
+                                            constant, log_scale, offset, masked):
+    g = np.random.default_rng(seed)
+    size = shape[0] * shape[1]
+    k = min(on_edges, size - 1)
+    r = g.normal(size=size - k) * 10.0 ** log_scale + offset
+    t = g.random(size - k) * 10.0 ** g.uniform(-6, 6)
+    if constant == "ref":
+        r[:] = r[0]
+    elif constant == "test":
+        t[:] = t[0]
+    h = HistogramParams(bins=bins, range_policy=policy)
+    # Values exactly on bin edges: the edges lie inside the range, so adding
+    # them leaves the edges unchanged. A constant axis stays constant.
+    er, et = _edges(r, t, h), _edges(t, r, h)
+    r = np.concatenate([r, np.full(k, r[0]) if constant == "ref" else g.choice(er, k)])
+    t = np.concatenate([t, np.full(k, t[0]) if constant == "test" else g.choice(et, k)])
+    r = g.permutation(r).reshape(shape)
+    t = g.permutation(t).reshape(shape)
+    if masked:  # masked evaluation passes 1-D arrays of the selected values
+        sel = g.random(shape) < 0.5
+        sel.flat[g.integers(size)] = True
+        r, t = r[sel], t[sel]
+    expected, _, _ = np.histogram2d(r.ravel(), t.ravel(),
+                                    bins=[_edges(r, t, h), _edges(t, r, h)])
+    got = joint_histogram(r, t, h)
+    assert got.dtype == expected.dtype == np.float64
+    assert np.array_equal(got, expected)
