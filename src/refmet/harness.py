@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -24,9 +25,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fracti
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError
 from .image import Image, Mask, bounding_box, crop
-from .metrics import (EvalContext, HistogramParams, evaluate, masked_evaluate,
-                      metric_kind, rect_of_mask, registered_metrics,
-                      truncated_weights)
+from .metrics import (EvalContext, evaluate, masked_evaluate, metric_kind,
+                      rect_of_mask, registered_metrics)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -34,7 +34,7 @@ from .report import Lint, Report, Row
 
 __all__ = [
     "Variant", "Scenario", "HarnessConfig", "EvalPlan",
-    "builtin_scenario", "SCENARIO_IDS",
+    "builtin_scenario", "SCENARIO_IDS", "config_value",
     "run_scenario", "lint_configuration", "reevaluate_row", "generate_phantoms",
 ]
 
@@ -45,29 +45,27 @@ PANEL_WINDOW_SAFE = ("mae", "mse", "psnr", "ssim", "ms_ssim", "pcc", "nmi")
 PANEL_POINTWISE = ("mae", "mse", "psnr", "pcc", "nmi")
 
 MASK_MODES = ("none", "crop_fraction", "bbox", "foreground")
+CROP_FRACTION = 0.03  # per side, for mask mode "crop_fraction"
 OUTPUT_FORMATS = ("csv", "markdown")
 
 
-@dataclass(frozen=True)
-class EvalPlan:
-    """The one evaluation spec: metric panel, pair preparation and metric
-    knobs. The harness, ``refmet compare`` and ``refmet lint`` all use it;
-    it is linted before scores are trusted."""
+@dataclass(frozen=True, kw_only=True)
+class EvalPlan(EvalContext):
+    """The one evaluation spec: metric panel, pair preparation and (from
+    EvalContext) the metric knobs, so ``evaluate`` reads the plan itself.
+    Harness, compare and lint all use it; it is linted before scoring."""
 
     metrics: tuple[str, ...]
     norm: NormMethod = field(default_factory=NormMethod.none)
-    range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
     prebin: int | None = None
-    nmi_bins: int = 256
     chain: tuple[DistortionSpec, ...] = ()
     mask: Mask | None = None
-    ms_scales: int = 5
 
-    def ctx(self) -> EvalContext:
-        return EvalContext(range_policy=self.range_policy,
-                           hist=HistogramParams(bins=self.nmi_bins),
-                           scales=self.ms_scales,
-                           weights=truncated_weights(self.ms_scales))
+    def __post_init__(self):
+        unknown = [m for m in self.metrics if m not in registered_metrics()]
+        if unknown:
+            raise ConfigError(f"unknown metrics {unknown}; available: "
+                              f"{', '.join(registered_metrics())}")
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
         """Normalize, then pre-bin, both images of a pair."""
@@ -85,14 +83,10 @@ class Variant:
     label: str
     plan: EvalPlan
     mask_mode: str = "none"
-    crop_frac: float = 0.03
 
     def __post_init__(self):
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
-        unknown = [m for m in self.plan.metrics if m not in registered_metrics()]
-        if unknown:
-            raise ConfigError(f"variant {self.label!r} references unknown metrics {unknown}")
 
     def case_chain(self, phantom: Phantom) -> tuple[DistortionSpec, ...]:
         """Chain with per-case seeds so each case draws independent noise."""
@@ -101,9 +95,8 @@ class Variant:
 
     def pipeline_fingerprint(self, phantom: Phantom) -> str:
         return fingerprint(chain=chain_fingerprint(self.case_chain(phantom)),
-                           mask=self.mask_mode
-                           if self.mask_mode != "crop_fraction"
-                           else f"crop_fraction({self.crop_frac!r})",
+                           mask=f"crop_fraction({CROP_FRACTION!r})"
+                           if self.mask_mode == "crop_fraction" else self.mask_mode,
                            norm=self.plan.norm.spec_string(),
                            prebin=self.plan.prebin if self.plan.prebin else "none")
 
@@ -117,6 +110,29 @@ class Scenario:
         labels = [v.label for v in self.variants]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate variant labels in {self.scenario_id}")
+
+
+_JSON_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 2": lambda v: type(v) is int and v >= 2,
+    "a number": lambda v: type(v) in (int, float),
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+
+def config_value(obj: dict, path: str, kind: str, default=None):
+    """The JSON value at dotted ``path`` (``"phantoms.count"``), or ``default``
+    if absent or null; a ConfigError naming the key if it is not ``kind``."""
+    section, _, key = path.rpartition(".")
+    if section:
+        obj = config_value(obj, section, "an object", {})
+    value = obj.get(key)
+    if value is not None and not _JSON_KINDS[kind](value):
+        raise ConfigError(f"config key {path!r} must be {kind}, got {json.dumps(value)}")
+    return default if value is None else value
 
 
 @dataclass(frozen=True)
@@ -151,24 +167,25 @@ class HarnessConfig:
         extra = set(obj) - known
         if extra:
             raise ConfigError(f"unknown harness config keys {sorted(extra)}")
-        ph = obj.get("phantoms", {})
-        pp = PhantomParams(dims=tuple(ph.get("dims", (192, 192))),
-                           tumor_half=ph.get("tumor_half", "lower"))
-        seg = obj.get("segmenter", {})
+        get = partial(config_value, obj)
+        pp = PhantomParams(
+            dims=tuple(get("phantoms.dims", "a list of integers", (192, 192))),
+            tumor_half=get("phantoms.tumor_half", "a string", "lower"))
         sp = SegmenterParams(
-            threshold_rel=seg.get("threshold_rel", SegmenterParams.threshold_rel),
-            min_component_size=seg.get("min_component_size",
-                                       SegmenterParams.min_component_size),
-            connectivity=seg.get("connectivity", SegmenterParams.connectivity))
-        out = obj.get("output", {})
+            threshold_rel=get("segmenter.threshold_rel", "a number",
+                              SegmenterParams.threshold_rel),
+            min_component_size=get("segmenter.min_component_size", "an integer",
+                                   SegmenterParams.min_component_size),
+            connectivity=get("segmenter.connectivity", "a string",
+                             SegmenterParams.connectivity))
         return cls(
-            phantom_count=int(ph.get("count", 20)),
-            phantom_seed=int(ph.get("seed", 1000)),
+            phantom_count=get("phantoms.count", "an integer", 20),
+            phantom_seed=get("phantoms.seed", "an integer", 1000),
             phantom_params=pp,
-            scenarios=tuple(obj.get("scenarios", SCENARIO_IDS)),
+            scenarios=tuple(get("scenarios", "a list of strings", SCENARIO_IDS)),
             segmenter=sp,
-            out_dir=out.get("dir", "audit_out"),
-            out_formats=tuple(out.get("formats", OUTPUT_FORMATS)),
+            out_dir=get("output.dir", "a string", "audit_out"),
+            out_formats=tuple(get("output.formats", "a list of strings", OUTPUT_FORMATS)),
         )
 
     @classmethod
@@ -225,11 +242,11 @@ def builtin_scenario(scenario_id: str) -> Scenario:
         chain = (DistortionSpec("mirror_replace", {"axis": 0}),)
         # 4 scales so ms_ssim fits the bounding-box crops at every scale
         variants = [
-            _variant("full", chain=chain, metrics=PANEL_WINDOW_SAFE, ms_scales=4),
+            _variant("full", chain=chain, metrics=PANEL_WINDOW_SAFE, scales=4),
             _variant("crop_3pct", chain=chain, metrics=PANEL_WINDOW_SAFE,
-                     mask_mode="crop_fraction", ms_scales=4),
+                     mask_mode="crop_fraction", scales=4),
             _variant("bbox_crop", chain=chain, metrics=PANEL_WINDOW_SAFE,
-                     mask_mode="bbox", ms_scales=4),
+                     mask_mode="bbox", scales=4),
             _variant("foreground_mask", chain=chain, metrics=PANEL_POINTWISE,
                      mask_mode="foreground"),
         ]
@@ -276,20 +293,21 @@ def _score(phantom: Phantom, variant: Variant, metric_id: str,
     """One report cell on a prepared pair: the score and its fingerprint
     merged with the pipeline's."""
     ref, test = pair
-    ctx = variant.plan.ctx()
     if metric_id == "dice":
         score = task_similarity(ref, test, segmenter)
     elif variant.mask_mode == "foreground":
-        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask, ctx)
+        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask,
+                                variant.plan)
     else:
-        # Crops are views, so taking them per metric costs nothing.
+        # Each crop copies the slice into a new Image (and rechecks it), once
+        # per metric; the prepared pair stays uncropped for dice and the lint.
         if variant.mask_mode == "crop_fraction":
-            ref = crop_fraction(ref, variant.crop_frac)
-            test = crop_fraction(test, variant.crop_frac)
+            ref = crop_fraction(ref, CROP_FRACTION)
+            test = crop_fraction(test, CROP_FRACTION)
         elif variant.mask_mode == "bbox":
             rect = bounding_box(phantom.foreground_mask)
             ref, test = crop(ref, rect), crop(test, rect)
-        score = evaluate(metric_id, ref, test, ctx)
+        score = evaluate(metric_id, ref, test, variant.plan)
     return score.value, merge_fingerprints(score.params_fingerprint,
                                            variant.pipeline_fingerprint(phantom))
 
@@ -406,8 +424,7 @@ def lint_configuration(ref: Image, test: Image, plan: EvalPlan) -> list[Lint]:
                           "while image ranges differ; SSIM/PSNR depend directly "
                           "on the chosen range"))
     if plan.mask is not None and rect_of_mask(plan.mask) is None:
-        windowed = [m for m in plan.metrics if m in registered_metrics()
-                    and metric_kind(m) == "windowed"]
+        windowed = [m for m in plan.metrics if metric_kind(m) == "windowed"]
         if windowed:
             lints.append(Lint("error", "W03",
                               f"non-rectangular mask with windowed metrics "

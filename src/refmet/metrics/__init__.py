@@ -14,11 +14,16 @@ Metrics come in three kinds:
 
 ``register_metric`` is the extension point for attaching additional
 (e.g. learned) metrics under the same evaluation semantics.
+
+The ``ctx`` a metric receives is an :class:`EvalContext`, often a
+``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
+``scales``, ``weights`` and ``nmi_bins``; all else is the direct-API default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,8 +36,8 @@ from .overlap import dice
 from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
                         psnr, psnr_score)
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
-from .structural import (DEFAULT_MSSSIM_WEIGHTS, MsSsimParams, SsimParams,
-                         WindowSpec, ms_ssim, ssim, truncated_weights)
+from .structural import (MsSsimParams, SsimParams, WindowSpec, ms_ssim, ssim,
+                         truncated_weights)
 from .wavelet import CwSsimParams, cw_ssim
 
 __all__ = [
@@ -46,42 +51,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """All tunable knobs a string-keyed metric evaluation may need."""
+    """The knobs a string-keyed evaluation reads. ``weights=None`` means the
+    standard MS-SSIM weights truncated to ``scales``; ``nmi_bins`` is the
+    mi/nmi joint-histogram bin count."""
 
     range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
-    window: WindowSpec = field(default_factory=WindowSpec)
-    k1: float = 0.01
-    k2: float = 0.03
     scales: int = 5
-    weights: tuple[float, ...] = DEFAULT_MSSSIM_WEIGHTS
-    cw: CwSsimParams = field(default_factory=CwSsimParams)
-    hist: HistogramParams = field(default_factory=HistogramParams)
-
-    def ssim_params(self, ref: Image, test: Image) -> SsimParams:
-        L = resolve_data_range_values(ref.data, test.data, self.range_policy)
-        return SsimParams(L, window=self.window, k1=self.k1, k2=self.k2)
-
-    def ms_ssim_params(self, ref: Image, test: Image) -> MsSsimParams:
-        return MsSsimParams(self.ssim_params(ref, test),
-                            scales=self.scales, weights=self.weights)
+    weights: tuple[float, ...] | None = None
+    nmi_bins: int = 256
 
 
-def _with_policy(score: MetricScore, ctx: EvalContext) -> MetricScore:
+def _eval_ssim(ref, test, ctx, multiscale=False):
+    """ssim (ms_ssim if ``multiscale``) at the data range ``ctx`` resolves;
+    the range policy joins the fingerprint."""
+    params = SsimParams(resolve_data_range_values(ref.data, test.data, ctx.range_policy))
+    if multiscale:
+        weights = truncated_weights(ctx.scales) if ctx.weights is None else ctx.weights
+        score = ms_ssim(ref, test, MsSsimParams(params, ctx.scales, weights))
+    else:
+        score = ssim(ref, test, params)
+    policy = fingerprint(range_policy=ctx.range_policy.spec_string())
     return replace(score, params_fingerprint=merge_fingerprints(
-        score.params_fingerprint,
-        fingerprint(range_policy=ctx.range_policy.spec_string())))
-
-
-def _eval_ssim(ref, test, ctx):
-    return _with_policy(ssim(ref, test, ctx.ssim_params(ref, test)), ctx)
-
-
-def _eval_ms_ssim(ref, test, ctx):
-    return _with_policy(ms_ssim(ref, test, ctx.ms_ssim_params(ref, test)), ctx)
-
-
-def _eval_dice(ref, test, ctx):
-    return dice(mask_from_image(ref), mask_from_image(test))
+        score.params_fingerprint, policy))
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,9 @@ def register_metric(metric_id: str, fn, kind: str) -> None:
     equal-shape value arrays: :func:`evaluate` passes ``ref.data`` and
     ``test.data``, :func:`masked_evaluate` passes the 1-D arrays of masked
     values. ``windowed`` and ``mask`` metrics are ``fn(ref, test, ctx)``
-    over :class:`~refmet.image.Image` objects.
+    over :class:`~refmet.image.Image` objects. ``ctx`` is the
+    :class:`EvalContext` given to :func:`evaluate` or
+    :func:`masked_evaluate`, often a ``harness.EvalPlan``.
     """
     if kind not in ("pointwise", "windowed", "mask"):
         raise ConfigError(f"unknown metric kind {kind!r}")
@@ -109,8 +102,10 @@ def register_metric(metric_id: str, fn, kind: str) -> None:
 
 
 def _histogram_metric(metric_id, values_fn):
-    return lambda r, t, ctx: MetricScore(metric_id, values_fn(r, t, ctx.hist),
-                                         ctx.hist.fingerprint())
+    def fn(r, t, ctx):
+        hist = HistogramParams(bins=ctx.nmi_bins)
+        return MetricScore(metric_id, values_fn(r, t, hist), hist.fingerprint())
+    return fn
 
 
 register_metric("mae", lambda r, t, ctx: MetricScore("mae", mae_values(r, t)),
@@ -124,9 +119,10 @@ register_metric("pcc", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t)),
 register_metric("mi", _histogram_metric("mi", mi_values), "pointwise")
 register_metric("nmi", _histogram_metric("nmi", nmi_values), "pointwise")
 register_metric("ssim", _eval_ssim, "windowed")
-register_metric("ms_ssim", _eval_ms_ssim, "windowed")
-register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t, ctx.cw), "windowed")
-register_metric("dice", _eval_dice, "mask")
+register_metric("ms_ssim", partial(_eval_ssim, multiscale=True), "windowed")
+register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t), "windowed")
+register_metric("dice", lambda r, t, ctx: dice(mask_from_image(r), mask_from_image(t)),
+                "mask")
 
 
 def registered_metrics() -> tuple[str, ...]:

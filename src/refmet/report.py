@@ -46,9 +46,6 @@ class Report:
         self.rows.extend(other.rows)
         self.lints.extend(other.lints)
 
-    def has_error_lints(self) -> bool:
-        return any(l.severity == "error" for l in self.lints)
-
 
 def _parse_score(text: str) -> float:
     if text == "inf":

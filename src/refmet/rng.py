@@ -70,8 +70,3 @@ class Stream:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * float(self.uniforms(1)[0])
-
-    def integer(self, lo: int, hi: int) -> int:
-        """Integer in [lo, hi] inclusive."""
-        span = hi - lo + 1
-        return lo + int(self.uniforms(1)[0] * span) % span

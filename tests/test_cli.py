@@ -220,6 +220,16 @@ def test_audit_unknown_output_format_exits_1(workdir):
     assert "['CSV']" in res.stderr and "csv, markdown" in res.stderr
 
 
+def test_audit_malformed_config_value_exits_1(workdir):
+    cfg = workdir / "bad_count.json"
+    cfg.write_text(json.dumps({"phantoms": {"count": "x"}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_bad"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet audit: error:")
+    assert "'phantoms.count'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_audit_error_names_scenario_variant_case_and_metric(workdir):
     cfg = workdir / "small_dims.json"
     cfg.write_text(json.dumps({"phantoms": {"count": 1, "dims": [64, 64]}}))
@@ -260,6 +270,32 @@ def test_lint_with_config_w03(workdir):
                   "--config", str(cfg))
     assert res.returncode == 2
     assert "W03\terror" in res.stdout
+
+
+@pytest.mark.parametrize("key, value", [
+    ("nmi_bins", "abc"),
+    ("mask", 5),
+    ("metrics", "ssim"),
+    ("prebin", 1),
+])
+def test_lint_config_malformed_value_exits_1(workdir, key, value):
+    cfg = workdir / f"lint_bad_{key}.json"
+    cfg.write_text(json.dumps({key: value}))
+    res = run_cli("lint", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
+                  "--config", str(cfg))
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet lint: error:")
+    assert f"'{key}'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_lint_config_unknown_metric_exits_1(workdir):
+    cfg = workdir / "lint_bogus.json"
+    cfg.write_text(json.dumps({"metrics": ["bogus"]}))
+    res = run_cli("lint", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
+                  "--config", str(cfg))
+    assert res.returncode == 1
+    assert "unknown metrics ['bogus']" in res.stderr
 
 
 def test_lint_bad_path_exits_1(workdir):

@@ -2,7 +2,7 @@ import gc
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
                             Variant, builtin_scenario, generate_phantoms,
                             lint_configuration, reevaluate_row, run_scenario)
 from refmet.image import Image, Mask
+from refmet.metrics import EvalContext, evaluate
 from refmet.normalize import DataRangePolicy, NormMethod
 from refmet.phantom import PhantomParams, generate_phantom
 from refmet.report import (Report, Row, read_report_csv, render_csv,
@@ -181,6 +182,25 @@ def test_load_closes_config_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"phantoms": [1]}, "phantoms"),
+    ({"phantoms": {"count": "x"}}, "phantoms.count"),
+    ({"phantoms": {"seed": 1.5}}, "phantoms.seed"),
+    ({"phantoms": {"dims": 5}}, "phantoms.dims"),
+    ({"segmenter": {"threshold_rel": "x"}}, "segmenter.threshold_rel"),
+    ({"scenarios": "pitfall1"}, "scenarios"),
+    ({"output": {"formats": "csv"}}, "output.formats"),
+])
+def test_from_json_rejects_malformed_value_naming_its_key(obj, key):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        HarnessConfig.from_json(obj)
+
+
+def test_from_json_null_means_default():
+    cfg = HarnessConfig.from_json({"phantoms": {"count": None}, "scenarios": None})
+    assert cfg.phantom_count == 20 and cfg.scenarios == SCENARIO_IDS
+
+
 def test_scenario_error_names_scenario_variant_case_and_metric():
     cfg = HarnessConfig(phantom_count=1, phantom_params=PhantomParams(dims=(64, 64)))
     with pytest.raises(RefmetError) as info:
@@ -325,3 +345,43 @@ def test_w05_silent_with_dependency_metric():
     chain = (DistortionSpec("gaussian_blur", {"sigma": 1.0}),)
     plan = EvalPlan(metrics=("mae", "nmi"), norm=NormMethod.minmax(), chain=chain)
     assert "W05" not in _codes(lint_configuration(ref, test, plan))
+
+
+# --- evaluation spec ---------------------------------------------------------
+
+def test_plan_rejects_unknown_metric():
+    with pytest.raises(ConfigError, match=r"unknown metrics \['bogus'\]; available: mae"):
+        EvalPlan(metrics=("bogus",))
+
+
+def test_evaluation_spec_fields():
+    assert [f.name for f in fields(EvalContext)] == \
+        ["range_policy", "scales", "weights", "nmi_bins"]
+    own = [f.name for f in fields(EvalPlan)][len(fields(EvalContext)):]
+    assert own == ["metrics", "norm", "prebin", "chain", "mask"]
+    assert [f.name for f in fields(Variant)] == ["label", "plan", "mask_mode"]
+
+
+def test_plan_is_the_evaluation_context(small_phantoms):
+    ref = small_phantoms[0].image
+    test = apply_chain((DistortionSpec("gaussian_blur", {"sigma": 1.0}),), ref)
+    plan = EvalPlan(metrics=("nmi", "ms_ssim"), nmi_bins=64, scales=4,
+                    range_policy=DataRangePolicy.ref())
+    ctx = EvalContext(nmi_bins=64, scales=4, range_policy=DataRangePolicy.ref())
+    for metric_id in plan.metrics:
+        got, want = evaluate(metric_id, ref, test, plan), evaluate(metric_id, ref, test, ctx)
+        assert got.value.hex() == want.value.hex()
+        assert got.params_fingerprint == want.params_fingerprint
+    assert "bins=64" in evaluate("nmi", ref, test, plan).params_fingerprint
+    assert "scales=4" in evaluate("ms_ssim", ref, test, plan).params_fingerprint
+
+
+def test_pitfall3_windowed_variants_use_four_scales():
+    scales = {v.label: v.plan.scales for v in builtin_scenario("pitfall3").variants}
+    assert scales == {"full": 4, "crop_3pct": 4, "bbox_crop": 4, "foreground_mask": 5}
+
+
+def test_crop_fraction_in_pipeline_fingerprint(small_phantoms):
+    variant = next(v for v in builtin_scenario("pitfall3").variants
+                   if v.mask_mode == "crop_fraction")
+    assert "mask=crop_fraction(0.03)" in variant.pipeline_fingerprint(small_phantoms[0])

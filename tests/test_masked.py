@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
 from refmet.image import Image, Mask, Rect, crop
 from refmet.metrics import (EvalContext, dice, evaluate, masked_evaluate,
-                            metric_kind, register_metric, registered_metrics)
+                            metric_kind, register_metric, registered_metrics,
+                            truncated_weights)
 from refmet.metrics.score import MetricScore
 
 POINTWISE = ("mae", "mse", "psnr", "pcc", "mi", "nmi")
@@ -145,6 +146,16 @@ def test_metric_kinds():
     assert metric_kind("dice") == "mask"
     with pytest.raises(ConfigError):
         metric_kind("lpips")
+
+
+@pytest.mark.parametrize("scales", [1, 2, 3, 4, 5])
+def test_ms_ssim_context_defaults_to_truncated_weights(pair, scales):
+    ref, test = pair
+    implicit = evaluate("ms_ssim", ref, test, EvalContext(scales=scales))
+    explicit = evaluate("ms_ssim", ref, test,
+                        EvalContext(scales=scales, weights=truncated_weights(scales)))
+    assert implicit.value.hex() == explicit.value.hex()
+    assert implicit.params_fingerprint == explicit.params_fingerprint
 
 
 def test_plugin_registration(pair):
