@@ -216,8 +216,8 @@ def _plan_from_json(obj: dict) -> EvalPlan:
                           ("mae", "mse", "psnr", "ssim"))),
         norm=NormMethod.parse(get("norm", "a string", "none")),
         range_policy=DataRangePolicy.parse(get("range", "a string", "joint")),
-        prebin=get("prebin", "an integer >= 2"),
-        nmi_bins=get("nmi_bins", "an integer >= 2", 256),
+        prebin=get("prebin", "an integer"),
+        nmi_bins=get("nmi_bins", "an integer", 256),
         chain=tuple(parse_chain(json.dumps(obj.get("chain", [])))),
         mask=mask_from_image(load_image(mask)) if mask else None,
     )

@@ -55,6 +55,8 @@ class EvalPlan(EvalContext):
     EvalContext) the metric knobs, so ``evaluate`` reads the plan itself.
     Harness, compare and lint all use it; it is linted before scoring."""
 
+    # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
+    weights: tuple[float, ...] | None = field(default=None, init=False)
     metrics: tuple[str, ...]
     norm: NormMethod = field(default_factory=NormMethod.none)
     prebin: int | None = None
@@ -66,6 +68,10 @@ class EvalPlan(EvalContext):
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; available: "
                               f"{', '.join(registered_metrics())}")
+        if self.prebin is not None and self.prebin < 2:
+            raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
+        if self.nmi_bins < 2:
+            raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
         """Normalize, then pre-bin, both images of a pair."""
@@ -116,7 +122,6 @@ _JSON_KINDS = {
     "an object": lambda v: type(v) is dict,
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
-    "an integer >= 2": lambda v: type(v) is int and v >= 2,
     "a number": lambda v: type(v) in (int, float),
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),

@@ -23,7 +23,6 @@ The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -61,18 +60,28 @@ class EvalContext:
     nmi_bins: int = 256
 
 
-def _eval_ssim(ref, test, ctx, multiscale=False):
-    """ssim (ms_ssim if ``multiscale``) at the data range ``ctx`` resolves;
-    the range policy joins the fingerprint."""
-    params = SsimParams(resolve_data_range_values(ref.data, test.data, ctx.range_policy))
-    if multiscale:
-        weights = truncated_weights(ctx.scales) if ctx.weights is None else ctx.weights
-        score = ms_ssim(ref, test, MsSsimParams(params, ctx.scales, weights))
-    else:
-        score = ssim(ref, test, params)
-    policy = fingerprint(range_policy=ctx.range_policy.spec_string())
+def _with_policy(score: MetricScore, ctx: EvalContext) -> MetricScore:
     return replace(score, params_fingerprint=merge_fingerprints(
-        score.params_fingerprint, policy))
+        score.params_fingerprint,
+        fingerprint(range_policy=ctx.range_policy.spec_string())))
+
+
+def _ssim_params(ref: Image, test: Image, ctx: EvalContext) -> SsimParams:
+    return SsimParams(resolve_data_range_values(ref.data, test.data, ctx.range_policy))
+
+
+def _eval_ssim(ref, test, ctx):
+    return _with_policy(ssim(ref, test, _ssim_params(ref, test, ctx)), ctx)
+
+
+def _eval_ms_ssim(ref, test, ctx):
+    weights = truncated_weights(ctx.scales) if ctx.weights is None else ctx.weights
+    params = MsSsimParams(_ssim_params(ref, test, ctx), ctx.scales, weights)
+    return _with_policy(ms_ssim(ref, test, params), ctx)
+
+
+def _eval_dice(ref, test, ctx):
+    return dice(mask_from_image(ref), mask_from_image(test))
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,9 @@ register_metric("pcc", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t)),
 register_metric("mi", _histogram_metric("mi", mi_values), "pointwise")
 register_metric("nmi", _histogram_metric("nmi", nmi_values), "pointwise")
 register_metric("ssim", _eval_ssim, "windowed")
-register_metric("ms_ssim", partial(_eval_ssim, multiscale=True), "windowed")
+register_metric("ms_ssim", _eval_ms_ssim, "windowed")
 register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t), "windowed")
-register_metric("dice", lambda r, t, ctx: dice(mask_from_image(r), mask_from_image(t)),
-                "mask")
+register_metric("dice", _eval_dice, "mask")
 
 
 def registered_metrics() -> tuple[str, ...]:

@@ -63,6 +63,16 @@ def test_compare_strict_lint_exits_2(workdir):
     assert "W01" in res.stderr
 
 
+@pytest.mark.parametrize("flags", [("--prebin", "0"), ("--bins", "1")])
+def test_compare_bin_count_below_2_exits_1(workdir, flags):
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--metrics", "mae", *flags)
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet compare: error:")
+    assert "must be >= 2" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_compare_unknown_metric_exits_1(workdir):
     res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
                   "--metrics", "lpips")

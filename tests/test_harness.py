@@ -354,6 +354,19 @@ def test_plan_rejects_unknown_metric():
         EvalPlan(metrics=("bogus",))
 
 
+@pytest.mark.parametrize("field_name, value", [("prebin", 0), ("prebin", 1),
+                                               ("nmi_bins", 1)])
+def test_plan_rejects_bin_count_below_2(field_name, value):
+    with pytest.raises(ConfigError, match=f"'{field_name}' must be >= 2, got {value}"):
+        EvalPlan(metrics=("nmi",), **{field_name: value})
+
+
+def test_plan_weights_not_settable():
+    with pytest.raises(TypeError, match="weights"):
+        EvalPlan(metrics=("ms_ssim",), weights=(1.0,))
+    assert EvalPlan(metrics=("ms_ssim",)).weights is None
+
+
 def test_evaluation_spec_fields():
     assert [f.name for f in fields(EvalContext)] == \
         ["range_policy", "scales", "weights", "nmi_bins"]
