@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Digest of refmet's observable CLI behaviour, one line per run.
+
+Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
+with relative paths and captured stdout/stderr: the phantom and distortion
+runs that make the inputs, ``distort`` once per distortion kind, a set of
+``compare`` flag sets, ``lint`` without a config, with a valid one and with
+one that fires W03, and ``audit --scenario all``. Each line holds the run
+name, its exit code and the sha256 of its stdout, its stderr and every file
+it wrote, so two versions of refmet behave the same on these runs exactly
+when their outputs are equal (diff them).
+
+    python scripts/behaviour_digest.py [--phantoms N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from refmet.cli import main as refmet_main  # noqa: E402
+
+REF = "in/phantom_1000.rawf32"
+TEST = "test.rawf32"
+MASK = "in/phantom_1000_foreground.pgm"
+
+# One spec per distortion kind, applied to the reference.
+DISTORTIONS = {
+    "gamma": {"kind": "gamma", "params": {"gamma": 0.4}},
+    "linear_scale": {"kind": "linear_scale", "params": {"factor": 1.2}},
+    "translate": {"kind": "translate", "params": {"shift": [2, 0]}},
+    "mirror_replace": {"kind": "mirror_replace", "params": {"axis": 0}},
+    "gaussian_noise": {"kind": "gaussian_noise", "params": {"sigma_rel": 0.05}, "seed": 7},
+    "stripes": {"kind": "stripes",
+                "params": {"period": 8, "amplitude_rel": 0.25, "axis": 0}},
+    "gaussian_blur": {"kind": "gaussian_blur", "params": {"sigma": 1.0}},
+    "crop_fraction": {"kind": "crop_fraction", "params": {"fraction": 0.03}},
+}
+
+COMPARE = {
+    "full_panel": ["--metrics", "mae,mse,psnr,ssim,ms_ssim,cw_ssim,pcc,mi,nmi,dice"],
+    "minmax_fixed_range_bins": ["--norm", "minmax", "--range", "fixed:L=2",
+                                "--bins", "64"],
+    "prebin": ["--prebin", "256"],
+    "mask_pointwise_dice": ["--mask", MASK, "--metrics", "mae,mse,psnr,pcc,nmi,dice"],
+    "mask_ssim": ["--mask", MASK, "--metrics", "ssim"],
+    "strict_zscore": ["--strict", "--norm", "zscore"],
+    "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
+    "unknown_metric": ["--metrics", "lpips,ssim"],
+    "range_test_out": ["--range", "test", "--out", "scores.csv"],
+}
+
+# Lint configs, written before the runs (not counted as run output).
+LINT_CONFIGS = {
+    "lint_valid.json": {"metrics": ["ssim", "nmi"], "norm": "minmax",
+                        "prebin": 64, "nmi_bins": 64},
+    "lint_w03.json": {"metrics": ["ssim", "mae"], "mask": MASK},
+}
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    """(name, argv) of every run, in order; earlier runs write later inputs."""
+    chain = json.dumps([DISTORTIONS["gamma"], DISTORTIONS["linear_scale"]])
+    out = [("phantom", ["phantom", "in", "--count", "1"]),
+           ("distort_test_pair", ["distort", REF, chain, TEST])]
+    out += [(f"distort_{kind}", ["distort", REF, json.dumps(spec), f"d_{kind}.rawf32"])
+            for kind, spec in DISTORTIONS.items()]
+    out += [(f"compare_{name}", ["compare", REF, TEST, *flags])
+            for name, flags in COMPARE.items()]
+    out += [("lint_no_config", ["lint", REF, TEST]),
+            ("lint_valid_config", ["lint", REF, TEST, "--config", "lint_valid.json"]),
+            ("lint_w03_config", ["lint", REF, TEST, "--config", "lint_w03.json"])]
+    out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
+                              "--out", "audit_out"]))
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): _sha(p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = StringIO(), StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = refmet_main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digest(phantoms: int) -> list[str]:
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        os.chdir(root)
+        try:
+            inputs = {**LINT_CONFIGS, "audit.json": {"phantoms": {"count": phantoms}}}
+            for name, obj in inputs.items():
+                (root / name).write_text(json.dumps(obj))
+            for name, argv in runs():
+                before = _files(root)
+                code, out, err = _run(argv)
+                written = [f"{path}={sha}" for path, sha in _files(root).items()
+                           if before.get(path) != sha]
+                lines.append("\t".join([name, f"exit={code}", f"stdout={_sha(out.encode())}",
+                                        f"stderr={_sha(err.encode())}", *written]))
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--phantoms", type=int, default=20,
+                        help="phantom count of the audit run (default 20)")
+    args = parser.parse_args(argv)
+    for line in digest(args.phantoms):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

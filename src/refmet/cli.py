@@ -16,10 +16,9 @@ from functools import partial
 from pathlib import Path
 
 from .distort import apply_chain, chain_fingerprint, parse_chain
-from .errors import RefmetError
+from .errors import RefmetError, config_value
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
-                      config_value, generate_phantoms, lint_configuration,
-                      run_scenario)
+                      generate_phantoms, lint_configuration, run_scenario)
 from .image import load_image, mask_from_image, mask_to_image, save_image
 from .metrics import evaluate, format_score, masked_evaluate
 from .normalize import DataRangePolicy, NormMethod

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 from scipy import ndimage
 
 from . import rng
-from .errors import ConfigError, DegenerateRangeError, RefmetError
+from .errors import ConfigError, DegenerateRangeError, RefmetError, check_kind
 from .image import Image
 
 __all__ = [
@@ -52,7 +51,7 @@ def gamma_transform(img: Image, gamma: float) -> Image:
     lo, hi = _span(img)
     unit = (img.data - lo) / (hi - lo)
     out = lo + (hi - lo) * np.power(unit, gamma)
-    return img.with_data(out, declared_range=img.declared_range)
+    return Image(out, declared_range=img.declared_range)
 
 
 def linear_scale(img: Image, factor: float) -> Image:
@@ -66,7 +65,7 @@ def linear_scale(img: Image, factor: float) -> Image:
     if img.declared_range is not None:
         lo, hi = img.declared_range
         declared = tuple(sorted((lo * factor, hi * factor)))
-    return img.with_data(img.data * factor, declared_range=declared)
+    return Image(img.data * factor, declared_range=declared)
 
 
 def translate(img: Image, shift: tuple[int, ...]) -> Image:
@@ -84,7 +83,7 @@ def translate(img: Image, shift: tuple[int, ...]) -> Image:
     src = tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(shift, img.shape))
     dst = tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(shift, img.shape))
     out[dst] = img.data[src]
-    return img.with_data(out, declared_range=img.declared_range)
+    return Image(out, declared_range=img.declared_range)
 
 
 def mirror_replace(img: Image, axis: int = 0) -> Image:
@@ -107,7 +106,7 @@ def mirror_replace(img: Image, axis: int = 0) -> Image:
     # reversed first rows: out[k] = in[n-1-k] for k in [keep, n)
     idx_src[axis] = slice(n - 1 - keep, None, -1)
     out[tuple(idx_dst)] = img.data[tuple(idx_src)]
-    return img.with_data(out, declared_range=img.declared_range)
+    return Image(out, declared_range=img.declared_range)
 
 
 def add_gaussian_noise(img: Image, sigma_rel: float, seed: int) -> Image:
@@ -120,7 +119,7 @@ def add_gaussian_noise(img: Image, sigma_rel: float, seed: int) -> Image:
     lo, hi = _span(img)
     noise = rng.normals(seed, img.data.size).reshape(img.shape)
     out = img.data + sigma_rel * (hi - lo) * noise
-    return img.with_data(out, declared_range=None)
+    return Image(out)
 
 
 def add_stripes(img: Image, period: int, amplitude_rel: float, axis: int = 0) -> Image:
@@ -138,7 +137,7 @@ def add_stripes(img: Image, period: int, amplitude_rel: float, axis: int = 0) ->
     idx = [slice(None)] * img.ndim
     idx[axis] = slice(0, None, period)
     out[tuple(idx)] += amplitude_rel * (hi - lo)
-    return img.with_data(out, declared_range=None)
+    return Image(out)
 
 
 def _gauss_kernel(sigma: float) -> np.ndarray:
@@ -161,7 +160,7 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     out = img.data
     for ax in range(img.ndim):
         out = ndimage.correlate1d(out, kern, axis=ax, mode="reflect")
-    return img.with_data(out, declared_range=img.declared_range)
+    return Image(out, declared_range=img.declared_range)
 
 
 def crop_fraction(img: Image, fraction: float) -> Image:
@@ -175,24 +174,24 @@ def crop_fraction(img: Image, fraction: float) -> Image:
     if all(m == 0 for m in margins):
         return img
     sl = tuple(slice(m, n - m) for m, n in zip(margins, img.shape))
-    return img.with_data(img.data[sl], declared_range=img.declared_range)
+    return Image(img.data[sl], declared_range=img.declared_range)
 
 
 # ---------------------------------------------------------------------------
 # Serializable specs and dispatch
 # ---------------------------------------------------------------------------
 
-# kind -> (function, parameter names in call order, whether the seed is
-# consumed as the last argument)
+# kind -> (function, {parameter: JSON kind} in call order, seed consumed last)
 _KINDS = {
-    "gamma": (gamma_transform, ("gamma",), False),
-    "linear_scale": (linear_scale, ("factor",), False),
-    "translate": (translate, ("shift",), False),
-    "mirror_replace": (mirror_replace, ("axis",), False),
-    "gaussian_noise": (add_gaussian_noise, ("sigma_rel",), True),
-    "stripes": (add_stripes, ("period", "amplitude_rel", "axis"), False),
-    "gaussian_blur": (gaussian_blur, ("sigma",), False),
-    "crop_fraction": (crop_fraction, ("fraction",), False),
+    "gamma": (gamma_transform, {"gamma": "a number"}, False),
+    "linear_scale": (linear_scale, {"factor": "a number"}, False),
+    "translate": (translate, {"shift": "a list of integers"}, False),
+    "mirror_replace": (mirror_replace, {"axis": "an integer"}, False),
+    "gaussian_noise": (add_gaussian_noise, {"sigma_rel": "a number"}, True),
+    "stripes": (add_stripes, {"period": "an integer", "amplitude_rel": "a number",
+                              "axis": "an integer"}, False),
+    "gaussian_blur": (gaussian_blur, {"sigma": "a number"}, False),
+    "crop_fraction": (crop_fraction, {"fraction": "a number"}, False),
 }
 
 
@@ -200,18 +199,19 @@ _KINDS = {
 class DistortionSpec:
     """One deterministic distortion: kind, parameters, and a seed.
 
-    The seed is consumed only by ``gaussian_noise``. JSON form:
+    The seed is consumed only by the ``seeded`` kinds. JSON form:
     ``{"kind": "...", "params": {...}, "seed": n}``; chains are JSON
     arrays applied left to right.
     """
 
     kind: str
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: dict[str, object] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if type(self.kind) is not str or self.kind not in _KINDS:
             raise ConfigError(f"unknown distortion kind {self.kind!r}")
+        check_kind(self.params, "an object", f"{self.kind} params")
         _, required, _ = _KINDS[self.kind]
         missing = [k for k in required if k not in self.params]
         if missing:
@@ -219,12 +219,16 @@ class DistortionSpec:
         extra = [k for k in self.params if k not in required]
         if extra:
             raise ConfigError(f"{self.kind} spec has unknown params {extra}")
-        params = dict(self.params)
-        if "shift" in params:
-            params["shift"] = tuple(int(v) for v in params["shift"])
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, kind in required.items():
+            check_kind(self.params[name], kind, f"{self.kind} param {name!r}")
+        check_kind(self.seed, "an integer", f"{self.kind} seed")
+        object.__setattr__(self, "params", {k: tuple(v) if k == "shift" else v
+                                            for k, v in self.params.items()})
         self._validate_values()
+
+    @property
+    def seeded(self) -> bool:
+        return _KINDS[self.kind][2]
 
     def _validate_values(self):
         p = self.params
@@ -234,7 +238,7 @@ class DistortionSpec:
             raise ConfigError("linear scale factor must be nonzero")
         if self.kind == "gaussian_noise" and p["sigma_rel"] < 0:
             raise ConfigError(f"sigma_rel must be >= 0, got {p['sigma_rel']}")
-        if self.kind == "stripes" and int(p["period"]) < 2:
+        if self.kind == "stripes" and p["period"] < 2:
             raise ConfigError(f"stripe period must be >= 2, got {p['period']}")
         if self.kind == "gaussian_blur" and not p["sigma"] > 0:
             raise ConfigError(f"blur sigma must be > 0, got {p['sigma']}")
@@ -244,7 +248,7 @@ class DistortionSpec:
 
     def fingerprint(self) -> str:
         kv = dict(self.params)
-        if _KINDS[self.kind][2]:
+        if self.seeded:
             kv["seed"] = self.seed
         inner = ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
                          for k, v in sorted(kv.items()))
@@ -259,16 +263,17 @@ class DistortionSpec:
     def from_json(cls, obj) -> "DistortionSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError(f"bad distortion spec {obj!r}")
+        extra = sorted(set(obj) - {"kind", "params", "seed"})
+        if extra:
+            raise ConfigError(f"unknown distortion spec keys {extra}")
         return cls(obj["kind"], obj.get("params", {}), obj.get("seed", 0))
 
 
 def apply(spec: DistortionSpec, img: Image) -> Image:
-    """Dispatch one spec and append its fingerprint to the provenance trail."""
-    fn, names, seeded = _KINDS[spec.kind]
-    args = [spec.params[k] for k in names] + ([spec.seed] if seeded else [])
-    out = fn(img, *args)
-    return Image(out.data, declared_range=out.declared_range,
-                 provenance=img.provenance + (spec.fingerprint(),))
+    """Dispatch one spec to its distortion function."""
+    fn, names, _ = _KINDS[spec.kind]
+    args = [spec.params[k] for k in names] + ([spec.seed] if spec.seeded else [])
+    return fn(img, *args)
 
 
 def apply_chain(specs, img: Image) -> Image:

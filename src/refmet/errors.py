@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and JSON value checks."""
+
+import json
 
 
 class RefmetError(ValueError):
@@ -28,3 +30,31 @@ class NonRectangularMaskError(RefmetError):
 
 class ConfigError(RefmetError):
     """Invalid harness/CLI configuration."""
+
+
+JSON_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of integers":
+        lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v),
+}
+
+
+def check_kind(value, kind: str, name: str):
+    """``value`` if it is of JSON ``kind``, else a ConfigError naming ``name``."""
+    if not JSON_KINDS[kind](value):
+        raise ConfigError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def config_value(obj: dict, path: str, kind: str, default=None):
+    """The JSON value at dotted ``path`` (``"phantoms.count"``), or ``default``
+    if absent or null; a ConfigError naming the key if it is not ``kind``."""
+    section, _, key = path.rpartition(".")
+    if section:
+        obj = config_value(obj, section, "an object", {})
+    value = obj.get(key)
+    return default if value is None else check_kind(value, kind, f"config key {path!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fraction
 from .downstream import SegmenterParams, task_similarity
-from .errors import ConfigError, RefmetError
+from .errors import ConfigError, RefmetError, config_value
 from .image import Image, Mask, bounding_box, crop
 from .metrics import (EvalContext, evaluate, masked_evaluate, metric_kind,
                       rect_of_mask, registered_metrics)
@@ -34,7 +33,7 @@ from .report import Lint, Report, Row
 
 __all__ = [
     "Variant", "Scenario", "HarnessConfig", "EvalPlan",
-    "builtin_scenario", "SCENARIO_IDS", "config_value",
+    "builtin_scenario", "SCENARIO_IDS",
     "run_scenario", "lint_configuration", "reevaluate_row", "generate_phantoms",
 ]
 
@@ -97,7 +96,7 @@ class Variant:
     def case_chain(self, phantom: Phantom) -> tuple[DistortionSpec, ...]:
         """Chain with per-case seeds so each case draws independent noise."""
         return tuple(replace(s, seed=s.seed + phantom.seed)
-                     if s.kind == "gaussian_noise" else s for s in self.plan.chain)
+                     if s.seeded else s for s in self.plan.chain)
 
     def pipeline_fingerprint(self, phantom: Phantom) -> str:
         return fingerprint(chain=chain_fingerprint(self.case_chain(phantom)),
@@ -118,32 +117,24 @@ class Scenario:
             raise ConfigError(f"duplicate variant labels in {self.scenario_id}")
 
 
-_JSON_KINDS = {
-    "an object": lambda v: type(v) is dict,
-    "a string": lambda v: type(v) is str,
-    "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
-    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
-    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+# Every harness config key, dotted under its section: (JSON kind, default).
+_CONFIG_KEYS = {
+    "phantoms.count": ("an integer", 20),
+    "phantoms.seed": ("an integer", 1000),
+    "phantoms.dims": ("a list of integers", PhantomParams.dims),
+    "phantoms.tumor_half": ("a string", PhantomParams.tumor_half),
+    "scenarios": ("a list of strings", SCENARIO_IDS),
+    "segmenter.threshold_rel": ("a number", SegmenterParams.threshold_rel),
+    "segmenter.min_component_size": ("an integer", SegmenterParams.min_component_size),
+    "segmenter.connectivity": ("a string", SegmenterParams.connectivity),
+    "output.dir": ("a string", "audit_out"),
+    "output.formats": ("a list of strings", OUTPUT_FORMATS),
 }
-
-
-def config_value(obj: dict, path: str, kind: str, default=None):
-    """The JSON value at dotted ``path`` (``"phantoms.count"``), or ``default``
-    if absent or null; a ConfigError naming the key if it is not ``kind``."""
-    section, _, key = path.rpartition(".")
-    if section:
-        obj = config_value(obj, section, "an object", {})
-    value = obj.get(key)
-    if value is not None and not _JSON_KINDS[kind](value):
-        raise ConfigError(f"config key {path!r} must be {kind}, got {json.dumps(value)}")
-    return default if value is None else value
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Run-wide knobs; JSON keys: phantoms{count,seed,dims,tumor_half},
-    scenarios, segmenter{...}, output{dir,formats}."""
+    """Run-wide knobs; ``_CONFIG_KEYS`` lists the JSON keys."""
 
     phantom_count: int = 20
     phantom_seed: int = 1000
@@ -168,29 +159,24 @@ class HarnessConfig:
     def from_json(cls, obj: dict) -> "HarnessConfig":
         if not isinstance(obj, dict):
             raise ConfigError("harness config must be a JSON object")
-        known = {"phantoms", "scenarios", "segmenter", "output"}
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown harness config keys {sorted(extra)}")
-        get = partial(config_value, obj)
-        pp = PhantomParams(
-            dims=tuple(get("phantoms.dims", "a list of integers", (192, 192))),
-            tumor_half=get("phantoms.tumor_half", "a string", "lower"))
-        sp = SegmenterParams(
-            threshold_rel=get("segmenter.threshold_rel", "a number",
-                              SegmenterParams.threshold_rel),
-            min_component_size=get("segmenter.min_component_size", "an integer",
-                                   SegmenterParams.min_component_size),
-            connectivity=get("segmenter.connectivity", "a string",
-                             SegmenterParams.connectivity))
+        # Unknown keys, dotted inside a section (a non-object is a type error).
+        top = {path.partition(".")[0] for path in _CONFIG_KEYS}
+        unknown = [k for k in obj if k not in top] + [
+            f"{k}.{sub}" for k in top & obj.keys() if type(obj[k]) is dict
+            for sub in obj[k] if f"{k}.{sub}" not in _CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown harness config keys {sorted(unknown)}")
+        v = {path: config_value(obj, path, *spec) for path, spec in _CONFIG_KEYS.items()}
         return cls(
-            phantom_count=get("phantoms.count", "an integer", 20),
-            phantom_seed=get("phantoms.seed", "an integer", 1000),
-            phantom_params=pp,
-            scenarios=tuple(get("scenarios", "a list of strings", SCENARIO_IDS)),
-            segmenter=sp,
-            out_dir=get("output.dir", "a string", "audit_out"),
-            out_formats=tuple(get("output.formats", "a list of strings", OUTPUT_FORMATS)),
+            phantom_count=v["phantoms.count"],
+            phantom_seed=v["phantoms.seed"],
+            phantom_params=PhantomParams(tuple(v["phantoms.dims"]), v["phantoms.tumor_half"]),
+            scenarios=tuple(v["scenarios"]),
+            segmenter=SegmenterParams(v["segmenter.threshold_rel"],
+                                      v["segmenter.min_component_size"],
+                                      v["segmenter.connectivity"]),
+            out_dir=v["output.dir"],
+            out_formats=tuple(v["output.formats"]),
         )
 
     @classmethod
@@ -210,11 +196,6 @@ def generate_phantoms(config: HarnessConfig) -> list[Phantom]:
 # Built-in scenarios
 # ---------------------------------------------------------------------------
 
-def _gamma_linear_chain() -> tuple[DistortionSpec, ...]:
-    return (DistortionSpec("gamma", {"gamma": 0.4}),
-            DistortionSpec("linear_scale", {"factor": 1.2}))
-
-
 def _variant(label: str, metrics: tuple[str, ...] = PANEL_FULL,
              mask_mode: str = "none", **plan) -> Variant:
     return Variant(label, EvalPlan(metrics=metrics, **plan), mask_mode)
@@ -222,7 +203,8 @@ def _variant(label: str, metrics: tuple[str, ...] = PANEL_FULL,
 
 def builtin_scenario(scenario_id: str) -> Scenario:
     if scenario_id == "pitfall1":
-        chain = _gamma_linear_chain()
+        chain = (DistortionSpec("gamma", {"gamma": 0.4}),
+                 DistortionSpec("linear_scale", {"factor": 1.2}))
         variants = [
             _variant("none_joint", chain=chain),
             _variant("none_range_ref", chain=chain,
@@ -286,17 +268,22 @@ def builtin_scenario(scenario_id: str) -> Scenario:
 # Evaluation pipeline
 # ---------------------------------------------------------------------------
 
-def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[Image, Image]:
-    """Chain, then normalize and pre-bin: the pair every metric of the
-    variant scores on (after its mask mode) and the lint checks."""
-    ref = phantom.image
-    return variant.plan.prepare(ref, apply_chain(variant.case_chain(phantom), ref))
+def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[tuple[Image, Image], ...]:
+    """(chained pair, prepared pair). The lint reads the chained pair; every
+    metric scores it normalized, pre-binned and cropped (crop_fraction, bbox)."""
+    chained = phantom.image, apply_chain(variant.case_chain(phantom), phantom.image)
+    ref, test = variant.plan.prepare(*chained)
+    if variant.mask_mode == "crop_fraction":
+        ref, test = crop_fraction(ref, CROP_FRACTION), crop_fraction(test, CROP_FRACTION)
+    elif variant.mask_mode == "bbox":
+        rect = bounding_box(phantom.foreground_mask)
+        ref, test = crop(ref, rect), crop(test, rect)
+    return chained, (ref, test)
 
 
 def _score(phantom: Phantom, variant: Variant, metric_id: str,
            pair: tuple[Image, Image], segmenter: SegmenterParams) -> tuple[float, str]:
-    """One report cell on a prepared pair: the score and its fingerprint
-    merged with the pipeline's."""
+    """One report cell on a prepared pair: score, fingerprint merged with the pipeline's."""
     ref, test = pair
     if metric_id == "dice":
         score = task_similarity(ref, test, segmenter)
@@ -304,14 +291,6 @@ def _score(phantom: Phantom, variant: Variant, metric_id: str,
         score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask,
                                 variant.plan)
     else:
-        # Each crop copies the slice into a new Image (and rechecks it), once
-        # per metric; the prepared pair stays uncropped for dice and the lint.
-        if variant.mask_mode == "crop_fraction":
-            ref = crop_fraction(ref, CROP_FRACTION)
-            test = crop_fraction(test, CROP_FRACTION)
-        elif variant.mask_mode == "bbox":
-            rect = bounding_box(phantom.foreground_mask)
-            ref, test = crop(ref, rect), crop(test, rect)
         score = evaluate(metric_id, ref, test, variant.plan)
     return score.value, merge_fingerprints(score.params_fingerprint,
                                            variant.pipeline_fingerprint(phantom))
@@ -335,7 +314,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     """Evaluate every variant of ``scenario`` on every phantom.
 
     Each (case, variant) pair is prepared once and scored by the variant's
-    whole panel; the first phantom's pair is also the one linted. Appends
+    whole panel; the first phantom's chained pair is the one linted. Appends
     mean rows (case_id ``"mean"``) per (variant, metric). Row order is
     deterministic: sorted by (case_id, variant, metric_id), means last.
     A failing evaluation re-raises its error class with the scenario,
@@ -352,8 +331,8 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
             where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
                      f"case {_case_id(phantom)}")
             with _context(where):
-                pair = _prepare_pair(phantom, variant)
-            lint_pair = lint_pair or pair
+                chained, pair = _prepare_pair(phantom, variant)
+            lint_pair = lint_pair or chained
             for metric_id in variant.plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
                     value, fp = _score(phantom, variant, metric_id, pair,
@@ -391,7 +370,7 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
     seed = int(row.case_id[len("case_"):])
     phantom = generate_phantom(seed, config.phantom_params)
     value, fp = _score(phantom, variant, row.metric_id,
-                       _prepare_pair(phantom, variant), config.segmenter)
+                       _prepare_pair(phantom, variant)[1], config.segmenter)
     if fp != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "

@@ -45,16 +45,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """A 2D/3D intensity grid with optional declared range and provenance.
+    """A 2D/3D intensity grid with an optional declared range.
 
     ``declared_range`` is advisory metadata (e.g. the nominal range of the
     file format the image came from); metrics never read it implicitly.
-    ``provenance`` records the fingerprints of distortions applied so far.
     """
 
     data: np.ndarray
     declared_range: tuple[float, float] | None = None
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -73,7 +71,6 @@ class Image:
                     f"({data.min()}, {data.max()})"
                 )
             object.__setattr__(self, "declared_range", (lo, hi))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,14 +91,6 @@ class Image:
     @property
     def depth(self) -> int | None:
         return self.data.shape[0] if self.data.ndim == 3 else None
-
-    def with_data(self, data: np.ndarray, declared_range=None, provenance=None) -> "Image":
-        """New image with replaced pixel data (range/provenance optional)."""
-        return Image(
-            data,
-            declared_range=declared_range,
-            provenance=self.provenance if provenance is None else tuple(provenance),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,14 +145,13 @@ def intensity_stats(img: Image) -> tuple[float, float, float, float]:
 
 
 def crop(img: Image, r: Rect) -> Image:
-    """Sub-image at ``r``; declared range and provenance are propagated."""
+    """Sub-image at ``r``; the declared range is propagated."""
     if len(r.origin) != img.ndim:
         raise RefmetError(f"rect rank {len(r.origin)} != image rank {img.ndim}")
     for o, e, n in zip(r.origin, r.extent, img.shape):
         if o + e > n:
             raise RefmetError(f"rect {r} out of bounds for image shape {img.shape}")
-    return Image(img.data[r.slices()], declared_range=img.declared_range,
-                 provenance=img.provenance)
+    return Image(img.data[r.slices()], declared_range=img.declared_range)
 
 
 def bounding_box(m: Mask) -> Rect:

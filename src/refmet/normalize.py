@@ -181,7 +181,7 @@ def normalize(img: Image, method: NormMethod) -> Image:
     if img.declared_range is not None:
         lo, hi = img.declared_range
         declared = ((lo - a) / b, (hi - a) / b)
-    return Image(out, declared_range=declared, provenance=img.provenance)
+    return Image(out, declared_range=declared)
 
 
 def bin_quantize(img: Image, bins: int) -> Image:
@@ -196,7 +196,7 @@ def bin_quantize(img: Image, bins: int) -> Image:
         raise DegenerateRangeError("bin_quantize of a constant image")
     idx = np.floor((d - lo) / span * bins)
     idx = np.minimum(idx, bins - 1)
-    return Image(idx, declared_range=(0.0, float(bins - 1)), provenance=img.provenance)
+    return Image(idx, declared_range=(0.0, float(bins - 1)))
 
 
 def resolve_data_range(ref: Image, test: Image, policy: DataRangePolicy) -> float:

@@ -42,13 +42,13 @@ TUMOR_BASE = 0.955
 TUMOR_PEAK = 1.0
 MARKER_VALUE = 0.99
 MARKER_RADIUS = 1.6  # px; area stays below the segmenter's size filter
+TEXTURE_SMOOTHNESS = 1.5  # blur sigma of the texture field, px
 
 
 @dataclass(frozen=True)
 class PhantomParams:
     dims: tuple[int, int] = (192, 192)
     tumor_half: str = "lower"  # "lower" | "upper" | "either"
-    texture_smoothness: float = 1.5
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -58,8 +58,6 @@ class PhantomParams:
             raise ConfigError(f"phantom dims must be >= 64 per axis, got {self.dims}")
         if self.tumor_half not in ("lower", "upper", "either"):
             raise ConfigError(f"unknown tumor_half {self.tumor_half!r}")
-        if not self.texture_smoothness > 0:
-            raise ConfigError("texture_smoothness must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +90,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> Phantom:
     brain = (((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2) <= 1.0
 
     noise = stream.normals(h * w).reshape(h, w)
-    field = _uniform_remap(gaussian_blur(Image(noise), p.texture_smoothness).data)
+    field = _uniform_remap(gaussian_blur(Image(noise), TEXTURE_SMOOTHNESS).data)
     tissue = 0.5 * (TISSUE_LO + TISSUE_HI) + 0.5 * (TISSUE_HI - TISSUE_LO) * field
 
     data = np.zeros((h, w))

@@ -157,6 +157,21 @@ def test_distort_spec_file(workdir):
     assert "i/o error" in missing.stderr
 
 
+@pytest.mark.parametrize("spec, named", [
+    ('{"kind": "gamma", "params": {"gamma": "x"}}', "gamma param 'gamma'"),
+    ('{"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "seed": "x"}',
+     "gaussian_noise seed"),
+    ('{"kind": "translate", "params": {"shift": "ab"}}', "translate param 'shift'"),
+    ('{"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "sed": 5}', "['sed']"),
+])
+def test_distort_malformed_spec_exits_1(workdir, spec, named):
+    res = run_cli("distort", str(workdir / "ref.rawf32"), spec, str(workdir / "bad.rawf32"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet distort: error:") and named in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (workdir / "bad.rawf32").exists()
+
+
 # --- phantom -----------------------------------------------------------------
 
 def test_phantom_writes_expected_files(workdir):
@@ -238,6 +253,17 @@ def test_audit_malformed_config_value_exits_1(workdir):
     assert res.stderr.startswith("refmet audit: error:")
     assert "'phantoms.count'" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_audit_unknown_nested_config_key_exits_1(workdir):
+    cfg = workdir / "nested_typo.json"
+    cfg.write_text(json.dumps({"phantoms": {"cnt": 4, "dim": [96, 96]},
+                               "output": {"format": ["csv"]}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_typo"))
+    assert res.returncode == 1
+    assert res.stderr == ("refmet audit: error: unknown harness config keys "
+                          "['output.format', 'phantoms.cnt', 'phantoms.dim']\n")
+    assert not (workdir / "audit_typo").exists()
 
 
 def test_audit_error_names_scenario_variant_case_and_metric(workdir):

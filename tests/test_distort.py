@@ -231,7 +231,6 @@ def test_apply_gamma_identity_spec(rng):
     img = _phantom_like(rng)
     out = apply(DistortionSpec("gamma", {"gamma": 1.0}), img)
     assert np.array_equal(out.data, img.data)
-    assert out.provenance == ("gamma(gamma=1.0)",)
 
 
 def test_apply_chain_composes_left_to_right(rng):
@@ -242,7 +241,6 @@ def test_apply_chain_composes_left_to_right(rng):
     expected = linear_scale(gamma_transform(img, 0.4), 1.2)
     assert np.array_equal(out.data, expected.data)
     assert chain_fingerprint(chain) == "gamma(gamma=0.4)|linear_scale(factor=1.2)"
-    assert out.provenance == ("gamma(gamma=0.4)", "linear_scale(factor=1.2)")
 
 
 def test_unknown_kind_rejected():
@@ -283,3 +281,67 @@ def test_determinism_repeated_application(rng):
     img = _phantom_like(rng)
     spec = DistortionSpec("gaussian_noise", {"sigma_rel": 0.2}, seed=3)
     assert np.array_equal(apply(spec, img).data, apply(spec, img).data)
+
+
+def test_apply_returns_the_kind_functions_image(rng):
+    img = _phantom_like(rng)
+    assert apply(DistortionSpec("gamma", {"gamma": 1.0}), img) is img
+
+
+VALID_PARAMS = {
+    "gamma": {"gamma": 0.4}, "linear_scale": {"factor": 1.2},
+    "translate": {"shift": [2, 0]}, "mirror_replace": {"axis": 0},
+    "gaussian_noise": {"sigma_rel": 0.05},
+    "stripes": {"period": 8, "amplitude_rel": 0.25, "axis": 0},
+    "gaussian_blur": {"sigma": 1.0}, "crop_fraction": {"fraction": 0.03},
+}
+
+
+def test_only_gaussian_noise_is_seeded():
+    seeded = {kind for kind, params in VALID_PARAMS.items()
+              if DistortionSpec(kind, params).seeded}
+    assert seeded == {"gaussian_noise"}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "gamma", "params": {"gamma": "x"}},
+     "gamma param 'gamma' must be a number, got \"x\""),
+    ({"kind": "gamma", "params": {"gamma": True}},
+     "gamma param 'gamma' must be a number, got true"),
+    ({"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "seed": "x"},
+     "gaussian_noise seed must be an integer, got \"x\""),
+    ({"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "seed": 1.0},
+     "gaussian_noise seed must be an integer, got 1.0"),
+    ({"kind": "translate", "params": {"shift": "ab"}},
+     "translate param 'shift' must be a list of integers, got \"ab\""),
+    ({"kind": "translate", "params": {"shift": [1.5, 0]}},
+     "translate param 'shift' must be a list of integers, got [1.5, 0]"),
+    ({"kind": "stripes", "params": {"period": "8", "amplitude_rel": 0.1, "axis": 0}},
+     "stripes param 'period' must be an integer, got \"8\""),
+    ({"kind": "stripes", "params": {"period": 8.0, "amplitude_rel": 0.1, "axis": 0}},
+     "stripes param 'period' must be an integer, got 8.0"),
+    ({"kind": "mirror_replace", "params": {"axis": "0"}},
+     "mirror_replace param 'axis' must be an integer, got \"0\""),
+    ({"kind": "gamma", "params": 5}, "gamma params must be an object, got 5"),
+    ({"kind": ["gamma"], "params": {}}, "unknown distortion kind ['gamma']"),
+    ({"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "sed": 5},
+     "unknown distortion spec keys ['sed']"),
+])
+def test_malformed_spec_is_a_named_config_error(obj, message):
+    with pytest.raises(ConfigError) as info:
+        DistortionSpec.from_json(obj)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, params, seed, expected", [
+    ("gamma", {"gamma": 2}, 0, "gamma(gamma=2)"),
+    ("gamma", {"gamma": 0.4}, 5, "gamma(gamma=0.4)"),
+    ("translate", {"shift": [2, 0]}, 0, "translate(shift=(2, 0))"),
+    ("translate", {"shift": (-1, 3)}, 0, "translate(shift=(-1, 3))"),
+    ("stripes", {"period": 8, "amplitude_rel": 0.25, "axis": 1}, 0,
+     "stripes(amplitude_rel=0.25,axis=1,period=8)"),
+    ("gaussian_noise", {"sigma_rel": 0.05}, 7, "gaussian_noise(seed=7,sigma_rel=0.05)"),
+])
+def test_valid_spec_keeps_its_fingerprint(kind, params, seed, expected):
+    spec = DistortionSpec.from_json({"kind": kind, "params": params, "seed": seed})
+    assert spec.fingerprint() == expected

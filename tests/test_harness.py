@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from refmet import harness
-from refmet.distort import DistortionSpec, apply_chain
+from refmet.distort import DistortionSpec, apply_chain, crop_fraction
+from refmet.downstream import task_similarity
 from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
 from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
                             Variant, builtin_scenario, generate_phantoms,
                             lint_configuration, reevaluate_row, run_scenario)
-from refmet.image import Image, Mask
+from refmet.image import Image, Mask, bounding_box, crop
 from refmet.metrics import EvalContext, evaluate
 from refmet.normalize import DataRangePolicy, NormMethod
 from refmet.phantom import PhantomParams, generate_phantom
@@ -398,3 +400,66 @@ def test_crop_fraction_in_pipeline_fingerprint(small_phantoms):
     variant = next(v for v in builtin_scenario("pitfall3").variants
                    if v.mask_mode == "crop_fraction")
     assert "mask=crop_fraction(0.03)" in variant.pipeline_fingerprint(small_phantoms[0])
+
+
+# --- pair preparation ----------------------------------------------------------
+
+def test_audit_lints_the_chained_pair(small_phantoms, tmp_path, capsys):
+    from refmet.cli import main
+    from refmet.image import save_image
+    plan = EvalPlan(metrics=("psnr",), chain=(DistortionSpec("linear_scale", {"factor": 1.5}),),
+                    norm=NormMethod.minmax(), range_policy=DataRangePolicy.ref())
+    rep = run_scenario(Scenario("custom", (Variant("scaled", plan),)), small_phantoms, CFG)
+    ref = small_phantoms[0].image
+    lints = lint_configuration(ref, apply_chain(plan.chain, ref), plan)
+    assert [l.code for l in lints] == ["W02"]
+    assert rep.lints == [replace(lints[0], message=f"[custom/scaled] {lints[0].message}")]
+    save_image(ref, tmp_path / "ref.rawf32")
+    save_image(apply_chain(plan.chain, ref), tmp_path / "test.rawf32")
+    assert main(["compare", str(tmp_path / "ref.rawf32"), str(tmp_path / "test.rawf32"),
+                 "--metrics", "psnr", "--norm", "minmax", "--range", "ref"]) == 0
+    assert capsys.readouterr().err.splitlines() == [lints[0].line()]
+
+
+@pytest.mark.parametrize("mask_mode", ["crop_fraction", "bbox"])
+def test_crop_modes_score_dice_on_the_cropped_pair(small_phantoms, mask_mode):
+    # Stripes only on rows 0 and 190, which both crops remove: the uncropped
+    # test image segments the stripes instead of the tumor.
+    chain = (DistortionSpec("stripes", {"period": 190, "amplitude_rel": 2.0, "axis": 0}),)
+    variant = Variant("cropped", EvalPlan(metrics=("dice", "mae"), chain=chain), mask_mode)
+    rep = run_scenario(Scenario("custom", (variant,)), small_phantoms[:1], CFG)
+    dice_row, mae_row = [r for r in rep.rows if r.case_id != "mean"]
+    ref = small_phantoms[0].image
+    test = apply_chain(chain, ref)
+    if mask_mode == "crop_fraction":
+        ref, test = (crop_fraction(im, harness.CROP_FRACTION) for im in (ref, test))
+    else:
+        rect = bounding_box(small_phantoms[0].foreground_mask)
+        ref, test = crop(ref, rect), crop(test, rect)
+    assert dice_row.score == task_similarity(ref, test, CFG.segmenter).value == 1.0
+    assert mae_row.score == evaluate("mae", ref, test).value == 0.0
+    full = small_phantoms[0].image
+    assert task_similarity(full, apply_chain(chain, full), CFG.segmenter).value == 0.0
+
+
+# --- nested config keys --------------------------------------------------------
+
+@pytest.mark.parametrize("obj, keys", [
+    ({"phantoms": {"cnt": 4}}, ["phantoms.cnt"]),
+    ({"segmenter": {"threshold": 0.9}}, ["segmenter.threshold"]),
+    ({"output": {"format": ["csv"]}}, ["output.format"]),
+    ({"phantoms": {"cnt": 4, "dim": [96, 96]}, "output": {"format": ["csv"]}},
+     ["output.format", "phantoms.cnt", "phantoms.dim"]),
+    ({"phantom": {"count": 4}, "phantoms": {"count": 4}}, ["phantom"]),
+])
+def test_from_json_rejects_unknown_nested_key(obj, keys):
+    with pytest.raises(ConfigError, match=re.escape(f"unknown harness config keys {keys}")):
+        HarnessConfig.from_json(obj)
+
+
+def test_from_json_defaults_are_the_dataclass_defaults():
+    assert HarnessConfig.from_json({}) == HarnessConfig()
+
+
+def test_phantom_params_settable_fields():
+    assert [f.name for f in fields(PhantomParams)] == ["dims", "tumor_half"]

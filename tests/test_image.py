@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,10 @@ def test_image_rejects_1d():
 def test_declared_range_must_cover_data():
     with pytest.raises(RefmetError):
         Image(np.array([[0.0, 300.0]]), declared_range=(0, 255))
+
+
+def test_image_fields():
+    assert [f.name for f in fields(Image)] == ["data", "declared_range"]
 
 
 def test_image_data_is_read_only():
