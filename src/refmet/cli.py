@@ -217,7 +217,7 @@ def _plan_from_json(obj: dict) -> EvalPlan:
         range_policy=DataRangePolicy.parse(get("range", "a string", "joint")),
         prebin=get("prebin", "an integer"),
         nmi_bins=get("nmi_bins", "an integer", 256),
-        chain=tuple(parse_chain(json.dumps(obj.get("chain", [])))),
+        chain=parse_chain(json.dumps(get("chain", "an object or array", []))),
         mask=mask_from_image(load_image(mask)) if mask else None,
     )
 

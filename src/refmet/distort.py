@@ -15,11 +15,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import rng
 from .errors import ConfigError, DegenerateRangeError, RefmetError, check_kind
-from .image import Image
+from .image import Image, correlate_valid
 
 __all__ = [
     "DistortionSpec",
@@ -159,7 +158,9 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     kern = _gauss_kernel(sigma)
     out = img.data
     for ax in range(img.ndim):
-        out = ndimage.correlate1d(out, kern, axis=ax, mode="reflect")
+        pad = [(0, 0)] * img.ndim
+        pad[ax] = (len(kern) // 2,) * 2
+        out = correlate_valid(np.pad(out, pad, mode="symmetric"), kern, ax)
     return Image(out, declared_range=img.declared_range)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, DegenerateRangeError
 from .image import Image, Mask, require_same_shape
@@ -50,19 +49,18 @@ class SegmenterParams:
                            threshold_rel=self.threshold_rel)
 
 
-def _structure(ndim: int, connectivity: str) -> np.ndarray:
-    return ndimage.generate_binary_structure(ndim, 1 if connectivity == "face" else ndim)
-
-
 def threshold_segment(img: Image, params: SegmenterParams | None = None) -> Mask:
     """Pixels above min + threshold_rel * (max - min), size-filtered."""
+    from scipy import ndimage  # refmet's only scipy use; kept off the import path
+
     p = params or SegmenterParams()
     lo = float(img.data.min())
     hi = float(img.data.max())
     if hi == lo:
         raise DegenerateRangeError("cannot segment a constant image")
     raw = img.data > lo + p.threshold_rel * (hi - lo)
-    labels, count = ndimage.label(raw, structure=_structure(img.ndim, p.connectivity))
+    rank = 1 if p.connectivity == "face" else img.ndim
+    labels, count = ndimage.label(raw, ndimage.generate_binary_structure(img.ndim, rank))
     if count == 0:
         return Mask(raw)
     sizes = np.bincount(labels.ravel())

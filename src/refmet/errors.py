@@ -34,6 +34,7 @@ class ConfigError(RefmetError):
 
 JSON_KINDS = {
     "an object": lambda v: type(v) is dict,
+    "an object or array": lambda v: type(v) in (dict, list),
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
     "a number": lambda v: type(v) in (int, float),

@@ -154,6 +154,28 @@ def crop(img: Image, r: Rect) -> Image:
     return Image(img.data[r.slices()], declared_range=img.declared_range)
 
 
+def correlate_valid(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``arr`` with an odd symmetric ``kernel`` along ``axis`` at
+    valid positions only; that axis shrinks by ``len(kernel) - 1``.
+
+    Real or complex input. The additions run in ndimage's order for a
+    symmetric kernel, x0*k_c + (x-r + x+r)*k_0 + ... + (x-1 + x+1)*k_(r-1),
+    so the result is bit-identical to ndimage's correlation at the same
+    positions: the SSIM moments, CW-SSIM box sums and blur that ndimage
+    used to compute keep their bits, and with them every golden value.
+    """
+    a = np.moveaxis(arr, axis, 0)
+    r = (len(kernel) - 1) // 2
+    n = len(a) - 2 * r
+    out = a[r:r + n] * kernel[r]
+    pair = np.empty_like(out)  # one buffer for every tap pair: fewer temporaries
+    for i in range(r):
+        np.add(a[i:i + n], a[2 * r - i:2 * r - i + n], out=pair)
+        pair *= kernel[i]
+        out += pair
+    return np.moveaxis(out, 0, axis)
+
+
 def bounding_box(m: Mask) -> Rect:
     """Minimal Rect containing every true element of the mask."""
     if not m.data.any():

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigError, RefmetError
-from ..image import Image, require_same_shape
+from ..image import Image, correlate_valid, require_same_shape
 from .score import MetricScore, fingerprint
 
 __all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "ssim", "ms_ssim"]
@@ -142,12 +141,9 @@ class MsSsimParams:
 
 def _windowed_mean(arr: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Window-weighted local mean at all valid positions (separable)."""
-    out = arr
     for ax in range(arr.ndim):
-        out = ndimage.correlate1d(out, kern, axis=ax, mode="constant")
-    r = (len(kern) - 1) // 2
-    sl = tuple(slice(r, n - r) for n in arr.shape)
-    return out[sl]
+        arr = correlate_valid(arr, kern, ax)
+    return arr
 
 
 def _check_window_fits(shape: tuple[int, ...], support: int) -> None:

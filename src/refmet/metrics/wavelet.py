@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from ..errors import ConfigError, RefmetError
-from ..image import Image, require_same_shape
+from ..image import Image, correlate_valid, require_same_shape
 from .score import MetricScore, fingerprint
 
 __all__ = ["CwSsimParams", "cw_ssim"]
@@ -91,30 +91,10 @@ def _filter_bank(shape: tuple[int, int], levels: int,
     return tuple(masks)
 
 
-def _box_sum_valid(arr: np.ndarray, axis: int) -> np.ndarray:
-    """7-tap box sum along ``axis`` at valid positions only.
-
-    The additions follow scipy's symmetric-kernel order in
-    ``correlate1d``, x0 + (x-3 + x+3) + (x-2 + x+2) + (x-1 + x+1), so the
-    result is bit-identical to correlating with ones and cropping.
-    """
-    rad = (_NEIGHBORHOOD - 1) // 2
-    n = arr.shape[axis] - 2 * rad
-
-    def tap(offset):
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = slice(rad + offset, rad + offset + n)
-        return arr[tuple(sl)]
-
-    out = tap(0).copy()
-    for d in range(rad, 0, -1):
-        out += tap(-d) + tap(d)
-    return out
-
-
 def _neighborhood_sum(arr: np.ndarray) -> np.ndarray:
     """Plain 7x7 sums at valid positions (no weighting); real or complex."""
-    return _box_sum_valid(_box_sum_valid(arr, 0), 1)
+    ones = np.ones(_NEIGHBORHOOD)
+    return correlate_valid(correlate_valid(arr, ones, 0), ones, 1)
 
 
 def cw_ssim(ref: Image, test: Image, params: CwSsimParams | None = None) -> MetricScore:

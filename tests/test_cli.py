@@ -334,6 +334,29 @@ def test_lint_config_unknown_metric_exits_1(workdir):
     assert "unknown metrics ['bogus']" in res.stderr
 
 
+def test_lint_config_null_chain_is_the_default(workdir):
+    runs = []
+    for name, config in (("lint_empty.json", {}), ("lint_null_chain.json", {"chain": None})):
+        cfg = workdir / name
+        cfg.write_text(json.dumps(config))
+        runs.append(run_cli("lint", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                            "--config", str(cfg)))
+    empty, null = runs
+    assert empty.returncode == 2 and empty.stdout.startswith("W01\twarning\t")
+    assert (null.returncode, null.stdout) == (empty.returncode, empty.stdout)
+
+
+def test_lint_config_non_chain_value_exits_1(workdir):
+    cfg = workdir / "lint_chain_5.json"
+    cfg.write_text(json.dumps({"chain": 5}))
+    res = run_cli("lint", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
+                  "--config", str(cfg))
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet lint: error:")
+    assert "'chain'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_lint_bad_path_exits_1(workdir):
     res = run_cli("lint", str(workdir / "missing.rawf32"), str(workdir / "ref.rawf32"))
     assert res.returncode == 1
