@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the CW-SSIM kernel, SSIM and MS-SSIM, Gaussian blur,
-the joint histogram behind mi/nmi, and one harness scenario run.
+"""Micro-benchmarks of the CW-SSIM kernel, SSIM and MS-SSIM, the other
+registered metrics, one metric panel, Gaussian blur, the joint histogram
+behind mi/nmi, and one harness scenario run.
 
 Outside tier-1 ``testpaths``; run from the repository root with
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from refmet.distort import gamma_transform, gaussian_blur, translate
-from refmet.harness import HarnessConfig, builtin_scenario, generate_phantoms, run_scenario
+from refmet.harness import (PANEL_FULL, EvalPlan, HarnessConfig, builtin_scenario,
+                            generate_phantoms, run_scenario)
 from refmet.image import Image
-from refmet.metrics import MsSsimParams, SsimParams, cw_ssim, ms_ssim, ssim, truncated_weights
+from refmet.metrics import (EvalContext, MsSsimParams, RefWorkspace, SsimParams, cw_ssim,
+                            evaluate, evaluate_panel, ms_ssim, ssim, truncated_weights)
 from refmet.metrics.information import HistogramParams, joint_histogram
 from refmet.phantom import PhantomParams, generate_phantom
 
@@ -62,6 +65,29 @@ def test_ms_ssim(benchmark, size):
     params = MsSsimParams(SsimParams(_data_range(ref, test)), scales, truncated_weights(scales))
     score = benchmark(ms_ssim, ref, test, params)
     assert 0.0 < score.value < 1.0
+
+
+@pytest.mark.parametrize("metric_id", ("mae", "mse", "psnr", "pcc", "mi", "nmi"))
+@pytest.mark.parametrize("size", STRUCTURAL)
+def test_registered_metric(benchmark, size, metric_id):
+    ref, test = STRUCTURAL[size][0]()
+    score = benchmark(evaluate, metric_id, ref, test, EvalContext())
+    assert score.value > 0.0
+
+
+# A cold panel builds the reference's SSIM moments; a warm RefWorkspace
+# already holds them, as for the second and later tests of one reference.
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+def test_evaluate_panel_full(benchmark, warm):
+    ref, test = _pair(192, lambda img: translate(img, (2, 0)))
+    plan = EvalPlan(metrics=PANEL_FULL)
+    if warm:
+        ref_ws = RefWorkspace()
+        list(evaluate_panel(plan, ref, test, ref_ws=ref_ws))
+        scores = benchmark(lambda: list(evaluate_panel(plan, ref, test, ref_ws=ref_ws)))
+    else:
+        scores = benchmark(lambda: list(evaluate_panel(plan, ref, test)))
+    assert [m for m, _ in scores] == list(PANEL_FULL)
 
 
 @pytest.mark.parametrize("n", SIZES)

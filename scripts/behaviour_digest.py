@@ -53,6 +53,9 @@ COMPARE = {
     "prebin": ["--prebin", "256"],
     "mask_pointwise_dice": ["--mask", MASK, "--metrics", "mae,mse,psnr,pcc,nmi,dice"],
     "mask_ssim": ["--mask", MASK, "--metrics", "ssim"],
+    # mae prints its line, then ssim fails on the non-rectangular mask: exit 1
+    # with partial stdout.
+    "mask_fails_after_print": ["--mask", MASK, "--metrics", "mae,ssim"],
     "strict_zscore": ["--strict", "--norm", "zscore"],
     "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
     "unknown_metric": ["--metrics", "lpips,ssim"],

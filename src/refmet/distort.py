@@ -248,11 +248,14 @@ class DistortionSpec:
                 f"crop fraction must lie in (0, 0.5), got {p['fraction']}")
 
     def fingerprint(self) -> str:
-        kv = dict(self.params)
+        """``kind(k=v,...)``, sorted by key. A number parameter prints as a
+        float, so ``{"gamma": 2}`` and ``{"gamma": 2.0}`` share one fingerprint."""
+        kinds = _KINDS[self.kind][1]
+        kv = {k: float(v) if kinds[k] == "a number" else v
+              for k, v in self.params.items()}
         if self.seeded:
             kv["seed"] = self.seed
-        inner = ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
-                         for k, v in sorted(kv.items()))
+        inner = ",".join(f"{k}={v!r}" for k, v in sorted(kv.items()))
         return f"{self.kind}({inner})"
 
     def to_json(self) -> dict:

@@ -16,7 +16,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +24,11 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fracti
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError, config_value
 from .image import Image, Mask, bounding_box, crop
-from .metrics import (EvalContext, evaluate, masked_evaluate, metric_kind,
+from .metrics import (EvalContext, RefWorkspace, evaluate_panel, metric_kind,
                       rect_of_mask, registered_metrics)
+# Not called here (evaluate_panel calls them), but perfbench/tracer.py hooks
+# these names on this module, so they must stay importable from it.
+from .metrics import evaluate, masked_evaluate  # noqa: F401
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -281,19 +284,26 @@ def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[tuple[Image, Imag
     return chained, (ref, test)
 
 
-def _score(phantom: Phantom, variant: Variant, metric_id: str,
-           pair: tuple[Image, Image], segmenter: SegmenterParams) -> tuple[float, str]:
-    """One report cell on a prepared pair: score, fingerprint merged with the pipeline's."""
+def _score(phantom: Phantom, variant: Variant, pair: tuple[Image, Image],
+           segmenter: SegmenterParams,
+           ref_ws: RefWorkspace | None = None) -> Iterator[tuple[float, str]]:
+    """The report cells of a prepared pair, lazily and in panel order: score,
+    and fingerprint merged with the pipeline's. Image metrics are one panel
+    (masked by the foreground in mask mode "foreground"); dice is the proxy
+    task's segmentation overlap."""
     ref, test = pair
-    if metric_id == "dice":
-        score = task_similarity(ref, test, segmenter)
-    elif variant.mask_mode == "foreground":
-        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask,
-                                variant.plan)
-    else:
-        score = evaluate(metric_id, ref, test, variant.plan)
-    return score.value, merge_fingerprints(score.params_fingerprint,
-                                           variant.pipeline_fingerprint(phantom))
+    plan = variant.plan
+    mask = phantom.foreground_mask if variant.mask_mode == "foreground" else None
+    panel = evaluate_panel(replace(plan, metrics=tuple(m for m in plan.metrics
+                                                       if m != "dice")),
+                           ref, test, mask, ref_ws)
+    pipeline = variant.pipeline_fingerprint(phantom)
+    for metric_id in plan.metrics:
+        if metric_id == "dice":
+            score = task_similarity(ref, test, segmenter)
+        else:
+            _, score = next(panel)
+        yield score.value, merge_fingerprints(score.params_fingerprint, pipeline)
 
 
 @contextmanager
@@ -313,38 +323,41 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
                  config: HarnessConfig | None = None) -> Report:
     """Evaluate every variant of ``scenario`` on every phantom.
 
+    Phantoms are the outer loop, so every variant of one phantom scores
+    against one :class:`RefWorkspace`, which holds one reference at a time.
     Each (case, variant) pair is prepared once and scored by the variant's
-    whole panel; the first phantom's chained pair is the one linted. Appends
-    mean rows (case_id ``"mean"``) per (variant, metric). Row order is
-    deterministic: sorted by (case_id, variant, metric_id), means last.
-    A failing evaluation re-raises its error class with the scenario,
-    variant, case and (for a scoring error) metric prepended to the message.
+    whole panel; the first phantom's chained pair is linted, in variant
+    order. Appends mean rows (case_id ``"mean"``) per (variant, metric).
+    Row order is deterministic: sorted by (case_id, variant, metric_id),
+    means last. A failing evaluation re-raises its error class with the
+    scenario, variant, case and (for a scoring error) metric prepended to
+    the message; of several failing cases, the first in phantom order raises.
     """
     if not phantoms:
         raise ConfigError("run_scenario needs a non-empty phantom list")
     config = config or HarnessConfig()
     report = Report()
     scores: dict[tuple[str, str], list[float]] = {}
-    for variant in scenario.variants:
-        lint_pair = None
-        for phantom in phantoms:
+    ref_ws = RefWorkspace()
+    for case, phantom in enumerate(phantoms):
+        for variant in scenario.variants:
             where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
                      f"case {_case_id(phantom)}")
             with _context(where):
                 chained, pair = _prepare_pair(phantom, variant)
-            lint_pair = lint_pair or chained
+            if case == 0:
+                plan = replace(variant.plan, mask=phantom.foreground_mask
+                               if variant.mask_mode == "foreground" else None)
+                for lint in lint_configuration(*chained, plan):
+                    report.lints.append(replace(lint, message=(
+                        f"[{scenario.scenario_id}/{variant.label}] {lint.message}")))
+            cells = _score(phantom, variant, pair, config.segmenter, ref_ws)
             for metric_id in variant.plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
-                    value, fp = _score(phantom, variant, metric_id, pair,
-                                       config.segmenter)
+                    value, fp = next(cells)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, value))
                 scores.setdefault((variant.label, metric_id), []).append(value)
-        plan = replace(variant.plan, mask=phantoms[0].foreground_mask
-                       if variant.mask_mode == "foreground" else None)
-        for lint in lint_configuration(*lint_pair, plan):
-            report.lints.append(replace(
-                lint, message=f"[{scenario.scenario_id}/{variant.label}] {lint.message}"))
     report.rows.sort(key=lambda r: (r.case_id, r.variant, r.metric_id))
     mean_rows = []
     for variant in scenario.variants:
@@ -369,8 +382,9 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
         raise ConfigError(f"cannot re-evaluate aggregate row {row.case_id!r}")
     seed = int(row.case_id[len("case_"):])
     phantom = generate_phantom(seed, config.phantom_params)
-    value, fp = _score(phantom, variant, row.metric_id,
-                       _prepare_pair(phantom, variant)[1], config.segmenter)
+    variant = replace(variant, plan=replace(variant.plan, metrics=(row.metric_id,)))
+    value, fp = next(_score(phantom, variant, _prepare_pair(phantom, variant)[1],
+                            config.segmenter))
     if fp != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "

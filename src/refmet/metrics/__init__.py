@@ -18,6 +18,17 @@ Metrics come in three kinds:
 The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
 ``scales``, ``weights`` and ``nmi_bins``; all else is the direct-API default.
+
+:func:`evaluate_panel` scores a plan's whole metric panel on one pair,
+lazily and in plan order, each metric through :func:`evaluate` or
+:func:`masked_evaluate`; its scores are bit-identical to those calls. It
+only skips recomputing what it already has: ms_ssim takes its scale-0
+(ssim, cs) from ssim's (a :class:`PairWorkspace` that lives for the pair),
+and a :class:`RefWorkspace` passed by the caller keeps one reference's
+SSIM moment pyramid for every test scored against it. That workspace holds
+one reference at most and drops it when given another Image object, so a
+caller scoring many tests per reference (the harness, phantom by phantom)
+keeps one reference live at a time and nothing derived from a test image.
 """
 
 from __future__ import annotations
@@ -35,15 +46,16 @@ from .overlap import dice
 from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
                         psnr, psnr_score)
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
-from .structural import (MsSsimParams, SsimParams, WindowSpec, ms_ssim, ssim,
-                         truncated_weights)
+from .structural import (MsSsimParams, PairWorkspace, RefWorkspace, SsimParams,
+                         WindowSpec, ms_ssim, ssim, truncated_weights)
 from .wavelet import CwSsimParams, cw_ssim
 
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
     "WindowSpec", "SsimParams", "MsSsimParams", "CwSsimParams", "HistogramParams",
     "mae", "mse", "psnr", "pcc", "ssim", "ms_ssim", "cw_ssim", "mi", "nmi", "dice",
-    "EvalContext", "evaluate", "masked_evaluate", "register_metric",
+    "EvalContext", "evaluate", "masked_evaluate", "evaluate_panel", "RefWorkspace",
+    "register_metric",
     "metric_kind", "registered_metrics", "truncated_weights",
 ]
 
@@ -70,14 +82,14 @@ def _ssim_params(ref: Image, test: Image, ctx: EvalContext) -> SsimParams:
     return SsimParams(resolve_data_range_values(ref.data, test.data, ctx.range_policy))
 
 
-def _eval_ssim(ref, test, ctx):
-    return _with_policy(ssim(ref, test, _ssim_params(ref, test, ctx)), ctx)
+def _eval_ssim(ref, test, ctx, ws=None):
+    return _with_policy(ssim(ref, test, _ssim_params(ref, test, ctx), ws), ctx)
 
 
-def _eval_ms_ssim(ref, test, ctx):
+def _eval_ms_ssim(ref, test, ctx, ws=None):
     weights = truncated_weights(ctx.scales) if ctx.weights is None else ctx.weights
     params = MsSsimParams(_ssim_params(ref, test, ctx), ctx.scales, weights)
-    return _with_policy(ms_ssim(ref, test, params), ctx)
+    return _with_policy(ms_ssim(ref, test, params, ws), ctx)
 
 
 def _eval_dice(ref, test, ctx):
@@ -89,6 +101,8 @@ class MetricDef:
     metric_id: str
     kind: str  # pointwise | windowed | mask
     fn: Callable[..., MetricScore]
+    # fn takes the pair's PairWorkspace (or None) as a fourth argument
+    takes_workspace: bool = False
 
 
 _REGISTRY: dict[str, MetricDef] = {}
@@ -127,8 +141,9 @@ register_metric("pcc", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t)),
                 "pointwise")
 register_metric("mi", _histogram_metric("mi", mi_values), "pointwise")
 register_metric("nmi", _histogram_metric("nmi", nmi_values), "pointwise")
-register_metric("ssim", _eval_ssim, "windowed")
-register_metric("ms_ssim", _eval_ms_ssim, "windowed")
+_REGISTRY["ssim"] = MetricDef("ssim", "windowed", _eval_ssim, takes_workspace=True)
+_REGISTRY["ms_ssim"] = MetricDef("ms_ssim", "windowed", _eval_ms_ssim,
+                                 takes_workspace=True)
 register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t), "windowed")
 register_metric("dice", _eval_dice, "mask")
 
@@ -149,13 +164,17 @@ def metric_kind(metric_id: str) -> str:
 
 
 def evaluate(metric_id: str, ref: Image, test: Image,
-             ctx: EvalContext | None = None) -> MetricScore:
-    """Evaluate one registered metric on a full image pair."""
+             ctx: EvalContext | None = None,
+             ws: PairWorkspace | None = None) -> MetricScore:
+    """Evaluate one registered metric on a full image pair. ``ws``, this
+    pair's workspace, lets ssim and ms_ssim reuse each other's work."""
     ctx = ctx or EvalContext()
     mdef = _lookup(metric_id)
     if mdef.kind == "pointwise":
         require_same_shape(ref, test)
         return mdef.fn(ref.data, test.data, ctx)
+    if mdef.takes_workspace:
+        return mdef.fn(ref, test, ctx, ws)
     return mdef.fn(ref, test, ctx)
 
 
@@ -196,3 +215,22 @@ def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
             "are exactly a filled rectangle (evaluated as a crop); "
             "use a pointwise metric or a rectangular mask")
     return mdef.fn(crop(ref, rect), crop(test, rect), ctx)
+
+
+def evaluate_panel(plan, ref: Image, test: Image, mask: Mask | None = None,
+                   ref_ws: RefWorkspace | None = None):
+    """Yield ``(metric_id, MetricScore)`` for every metric of ``plan.metrics``
+    (``plan`` is an :class:`EvalContext` with a ``metrics`` tuple, e.g. a
+    ``harness.EvalPlan``), lazily and in plan order.
+
+    With ``mask``, every metric but a ``mask``-kind one (dice) goes through
+    :func:`masked_evaluate`; all else through :func:`evaluate`. Scores and
+    errors are those of the per-metric calls; a metric's error ends the
+    panel. ``ref_ws`` keeps ``ref``'s SSIM moments for later tests of it.
+    """
+    ws = PairWorkspace(ref, test, ref_ws)
+    for metric_id in plan.metrics:
+        if mask is not None and metric_kind(metric_id) != "mask":
+            yield metric_id, masked_evaluate(metric_id, ref, test, mask, plan)
+        else:
+            yield metric_id, evaluate(metric_id, ref, test, plan, ws)

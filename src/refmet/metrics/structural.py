@@ -16,12 +16,16 @@ combining them as a weighted geometric product. Downsampling halves each
 axis by non-overlapping 2x2 (2x2x2 in 3D) mean pooling; trailing odd rows
 are dropped.
 
-Both metrics accept 2D and 3D grids via separable windows.
+Both metrics accept 2D and 3D grids via separable windows. The reference's
+moments do not depend on L, so a :class:`RefWorkspace` keeps them for every
+test scored against one reference, and a :class:`PairWorkspace` lets ms_ssim
+reuse ssim's scale 0 on one pair; neither moves a bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +33,8 @@ from ..errors import ConfigError, RefmetError
 from ..image import Image, correlate_valid, require_same_shape
 from .score import MetricScore, fingerprint
 
-__all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "ssim", "ms_ssim"]
+__all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "RefWorkspace", "PairWorkspace",
+           "ssim", "ms_ssim"]
 
 # Weights from the standard multi-scale construction.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -152,22 +157,6 @@ def _check_window_fits(shape: tuple[int, ...], support: int) -> None:
             f"window support {support} does not fit image shape {shape}")
 
 
-def ssim_and_cs(ref: np.ndarray, test: np.ndarray, p: SsimParams) -> tuple[float, float]:
-    """(mean lum*cs, mean cs) over valid window positions."""
-    _check_window_fits(ref.shape, p.window.support)
-    kern = p.window.kernel1d()
-    c1 = (p.k1 * p.data_range) ** 2
-    c2 = (p.k2 * p.data_range) ** 2
-    mu_r = _windowed_mean(ref, kern)
-    mu_t = _windowed_mean(test, kern)
-    var_r = _windowed_mean(ref * ref, kern) - mu_r * mu_r
-    var_t = _windowed_mean(test * test, kern) - mu_t * mu_t
-    cov = _windowed_mean(ref * test, kern) - mu_r * mu_t
-    lum = (2.0 * mu_r * mu_t + c1) / (mu_r * mu_r + mu_t * mu_t + c1)
-    cs = (2.0 * cov + c2) / (var_r + var_t + c2)
-    return float(np.mean(lum * cs)), float(np.mean(cs))
-
-
 def _downsample2(arr: np.ndarray) -> np.ndarray:
     """Non-overlapping block-mean pooling by 2 along every axis."""
     halved = tuple(n // 2 for n in arr.shape)
@@ -182,28 +171,118 @@ def _downsample2(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(d, 2, h, 2, w, 2).mean(axis=(1, 3, 5))
 
 
-def ssim(ref: Image, test: Image, params: SsimParams) -> MetricScore:
-    """Single-scale structural similarity; identical images score 1."""
+class RefMoments(NamedTuple):
+    """A reference at one scale with its window-weighted mean and mean of
+    squares; neither depends on the data range L."""
+
+    data: np.ndarray
+    mu: np.ndarray
+    sq: np.ndarray
+
+
+def _ref_moments(ref: np.ndarray, window: WindowSpec) -> RefMoments:
+    _check_window_fits(ref.shape, window.support)
+    kern = window.kernel1d()
+    return RefMoments(ref, _windowed_mean(ref, kern), _windowed_mean(ref * ref, kern))
+
+
+def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float, float]:
+    """(mean lum*cs, mean cs) over valid window positions; ``ref`` carries
+    the reference moments under ``p.window``."""
+    kern = p.window.kernel1d()
+    c1 = (p.k1 * p.data_range) ** 2
+    c2 = (p.k2 * p.data_range) ** 2
+    mu_r = ref.mu
+    mu_t = _windowed_mean(test, kern)
+    var_r = ref.sq - mu_r * mu_r
+    var_t = _windowed_mean(test * test, kern) - mu_t * mu_t
+    cov = _windowed_mean(ref.data * test, kern) - mu_r * mu_t
+    lum = (2.0 * mu_r * mu_t + c1) / (mu_r * mu_r + mu_t * mu_t + c1)
+    cs = (2.0 * cov + c2) / (var_r + var_t + c2)
+    return float(np.mean(lum * cs)), float(np.mean(cs))
+
+
+class RefWorkspace:
+    """Reference-only SSIM inputs of one reference Image, shared by every test
+    scored against it: per window and scale, the downsampled reference and
+    its moments (:class:`RefMoments`), built on first use.
+
+    It holds one reference at most. Given another Image object, even one with
+    equal values, it drops everything it holds and starts over, so it never
+    serves stale moments and keeps nothing derived from a test image.
+    """
+
+    def __init__(self):
+        self._ref: Image | None = None
+        self._pyramids: dict[WindowSpec, list[RefMoments]] = {}
+
+    def moments(self, ref: Image, window: WindowSpec, scale: int) -> RefMoments:
+        if ref is not self._ref:
+            self._ref, self._pyramids = ref, {}
+        levels = self._pyramids.setdefault(window, [])
+        while len(levels) <= scale:
+            data = _downsample2(levels[-1].data) if levels else ref.data
+            levels.append(_ref_moments(data, window))
+        return levels[scale]
+
+
+class PairWorkspace:
+    """What ssim and ms_ssim share while one (ref, test) pair is scored: the
+    reference moments, from a :class:`RefWorkspace` that may outlive the
+    pair, and each scale-0 ``ssim_and_cs`` result by :class:`SsimParams`
+    (MS-SSIM's scale 0 is exactly SSIM's). Scores never depend on it."""
+
+    def __init__(self, ref: Image, test: Image, ref_ws: RefWorkspace | None = None):
+        self.ref, self.test = ref, test
+        self.ref_ws = RefWorkspace() if ref_ws is None else ref_ws
+        self._scale0: dict[SsimParams, tuple[float, float]] = {}
+
+    def ref_moments(self, window: WindowSpec, scale: int) -> RefMoments:
+        return self.ref_ws.moments(self.ref, window, scale)
+
+    def scale0(self, p: SsimParams) -> tuple[float, float]:
+        if p not in self._scale0:
+            self._scale0[p] = ssim_and_cs(self.ref_moments(p.window, 0),
+                                          self.test.data, p)
+        return self._scale0[p]
+
+
+def _pair_workspace(ref: Image, test: Image, ws: PairWorkspace | None) -> PairWorkspace:
     require_same_shape(ref, test)
-    value, _ = ssim_and_cs(ref.data, test.data, params)
+    if ws is None:
+        return PairWorkspace(ref, test)
+    if ws.ref is not ref or ws.test is not test:
+        raise RefmetError("the workspace belongs to another image pair")
+    return ws
+
+
+def ssim(ref: Image, test: Image, params: SsimParams,
+         ws: PairWorkspace | None = None) -> MetricScore:
+    """Single-scale structural similarity; identical images score 1.
+    ``ws``, if given, must be this pair's workspace."""
+    value, _ = _pair_workspace(ref, test, ws).scale0(params)
     return MetricScore("ssim", value, params.fingerprint())
 
 
-def ms_ssim(ref: Image, test: Image, params: MsSsimParams) -> MetricScore:
+def ms_ssim(ref: Image, test: Image, params: MsSsimParams,
+            ws: PairWorkspace | None = None) -> MetricScore:
     """Multi-scale structural similarity.
 
     With a single scale and weight (1.0,) this degenerates to plain SSIM.
-    Negative per-scale terms are clamped to 0 before weighting.
+    Negative per-scale terms are clamped to 0 before weighting. ``ws``, if
+    given, must be this pair's workspace.
     """
-    require_same_shape(ref, test)
-    r, t = ref.data, test.data
+    ws = _pair_workspace(ref, test, ws)
+    t = test.data
     factors = []
     for scale in range(params.scales):
-        if scale > 0:
-            r, t = _downsample2(r), _downsample2(t)
-        last = scale == params.scales - 1
-        full, cs = ssim_and_cs(r, t, params.base)
-        factors.append(full if last else cs)
+        if scale == 0:
+            full, cs = ws.scale0(params.base)
+        else:
+            r = ws.ref_moments(params.base.window, scale)
+            t = _downsample2(t)
+            full, cs = ssim_and_cs(r, t, params.base)
+        factors.append(full if scale == params.scales - 1 else cs)
     value = 1.0
     for f, w in zip(factors, params.weights):
         value *= max(f, 0.0) ** w

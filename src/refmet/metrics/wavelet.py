@@ -97,6 +97,22 @@ def _neighborhood_sum(arr: np.ndarray) -> np.ndarray:
     return correlate_valid(correlate_valid(arr, ones, 0), ones, 1)
 
 
+def _subband_index(fr: np.ndarray, ft: np.ndarray, mask: np.ndarray, k: float) -> float:
+    """Mean CW-SSIM index of one subband, from the two images' spectra."""
+    cr = np.fft.ifft2(fr * mask)
+    ct = np.fft.ifft2(ft * mask)
+    den = _neighborhood_sum(np.abs(cr) ** 2) + _neighborhood_sum(np.abs(ct) ** 2) + k
+    cross = cr * np.conj(ct)
+    # The box sums are cw_ssim's memory peak, so no subband is held through the
+    # cross sum, nor the product through its second pass. A complex box sum
+    # adds the real and imaginary parts separately.
+    del cr, ct
+    ones = np.ones(_NEIGHBORHOOD)
+    cross = correlate_valid(cross, ones, 0)
+    num = 2.0 * np.abs(correlate_valid(cross, ones, 1)) + k
+    return np.mean(num / den)
+
+
 def cw_ssim(ref: Image, test: Image, params: CwSsimParams | None = None) -> MetricScore:
     """Complex-wavelet SSIM; 2D only, identical images score 1."""
     require_same_shape(ref, test)
@@ -110,12 +126,6 @@ def cw_ssim(ref: Image, test: Image, params: CwSsimParams | None = None) -> Metr
             f"(needs >= {min_extent} per axis)")
     fr = np.fft.fft2(ref.data)
     ft = np.fft.fft2(test.data)
-    subband_means = []
-    for mask in _filter_bank(ref.data.shape, p.levels, p.orientations):
-        cr = np.fft.ifft2(fr * mask)
-        ct = np.fft.ifft2(ft * mask)
-        # A complex box sum adds the real and imaginary parts separately.
-        num = 2.0 * np.abs(_neighborhood_sum(cr * np.conj(ct))) + p.k
-        den = _neighborhood_sum(np.abs(cr) ** 2) + _neighborhood_sum(np.abs(ct) ** 2) + p.k
-        subband_means.append(np.mean(num / den))
+    subband_means = [_subband_index(fr, ft, mask, p.k)
+                     for mask in _filter_bank(ref.data.shape, p.levels, p.orientations)]
     return MetricScore("cw_ssim", float(np.mean(subband_means)), p.fingerprint())

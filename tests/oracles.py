@@ -100,3 +100,23 @@ def naive_box_sum(arr, side):
                     total += arr[y + dy, x + dx]
             out[y, x] = total
     return out
+
+
+def naive_cw_ssim_index(ref_subbands, test_subbands, k=0.03, side=7):
+    """CW-SSIM index stage over given complex subbands: at every valid
+    position, (2 |sum c_r conj(c_t)| + k) / (sum |c_r|^2 + sum |c_t|^2 + k)
+    over the side x side neighborhood, averaged over positions, then over
+    subbands."""
+    means = []
+    for cr, ct in zip(ref_subbands, test_subbands):
+        cross = naive_box_sum(cr * np.conj(ct), side)
+        energy_r = naive_box_sum(np.abs(cr) ** 2, side)
+        energy_t = naive_box_sum(np.abs(ct) ** 2, side)
+        h, w = cross.shape
+        total = 0.0
+        for y in range(h):
+            for x in range(w):
+                total += ((2.0 * abs(cross[y, x]) + k)
+                          / (energy_r[y, x] + energy_t[y, x] + k))
+        means.append(total / (h * w))
+    return sum(means) / len(means)

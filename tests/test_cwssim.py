@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oracles import naive_box_sum
+from oracles import naive_box_sum, naive_cw_ssim_index
 from refmet.errors import RefmetError
 from refmet.image import Image
 from refmet.metrics import CwSsimParams, SsimParams, cw_ssim, ssim
@@ -118,3 +118,18 @@ def test_filter_bank_cache_holds_one_bank(rng):
         img = Image(rng.random(shape))
         assert cw_ssim(img, translate(img, (1, 0))).value < 1.0
     assert _filter_bank.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (32, 40)])
+def test_index_stage_matches_naive_loop(shape):
+    # 28 is the smallest extent 2 levels admit. The oracle takes the same
+    # subbands (FFT filter-bank stage) and redoes num/den with explicit loops.
+    g = np.random.default_rng(sum(shape))
+    ref = Image(g.normal(size=shape))
+    test = Image(ref.data + 0.3 * g.normal(size=shape))
+    p = CwSsimParams()
+    fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
+    masks = _filter_bank(shape, p.levels, p.orientations)
+    expected = naive_cw_ssim_index([np.fft.ifft2(fr * m) for m in masks],
+                                   [np.fft.ifft2(ft * m) for m in masks], k=p.k)
+    assert cw_ssim(ref, test, p).value == pytest.approx(expected, rel=1e-12, abs=0)

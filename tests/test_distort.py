@@ -334,13 +334,16 @@ def test_malformed_spec_is_a_named_config_error(obj, message):
 
 
 @pytest.mark.parametrize("kind, params, seed, expected", [
-    ("gamma", {"gamma": 2}, 0, "gamma(gamma=2)"),
+    ("gamma", {"gamma": 2}, 0, "gamma(gamma=2.0)"),
     ("gamma", {"gamma": 0.4}, 5, "gamma(gamma=0.4)"),
     ("translate", {"shift": [2, 0]}, 0, "translate(shift=(2, 0))"),
     ("translate", {"shift": (-1, 3)}, 0, "translate(shift=(-1, 3))"),
     ("stripes", {"period": 8, "amplitude_rel": 0.25, "axis": 1}, 0,
      "stripes(amplitude_rel=0.25,axis=1,period=8)"),
     ("gaussian_noise", {"sigma_rel": 0.05}, 7, "gaussian_noise(seed=7,sigma_rel=0.05)"),
+    # a number prints as a float whether given as an int or a float
+    ("gamma", {"gamma": 2.0}, 0, "gamma(gamma=2.0)"),
+    ("gaussian_blur", {"sigma": 1}, 0, "gaussian_blur(sigma=1.0)"),
 ])
 def test_valid_spec_keeps_its_fingerprint(kind, params, seed, expected):
     spec = DistortionSpec.from_json({"kind": kind, "params": params, "seed": seed})

@@ -222,6 +222,25 @@ def test_scenario_error_keeps_its_class(small_phantoms):
         run_scenario(Scenario("custom", (variant,)), small_phantoms, CFG)
 
 
+def test_first_failing_case_in_phantom_order_raises():
+    # Variant "ms" fails only on the small second phantom, "fg" on every
+    # phantom; scoring phantom by phantom reaches case 1000's "fg" first.
+    phantoms = [generate_phantom(1000, PhantomParams(dims=(192, 192))),
+                generate_phantom(1001, PhantomParams(dims=(64, 64)))]
+    variants = (Variant("ms", EvalPlan(metrics=("ms_ssim",))),
+                Variant("fg", EvalPlan(metrics=("ssim",)), mask_mode="foreground"))
+    with pytest.raises(NonRectangularMaskError,
+                       match=r"^scenario custom, variant 'fg', case case_1000, "):
+        run_scenario(Scenario("custom", variants), phantoms, CFG)
+
+
+def test_lints_once_per_variant_even_for_a_repeated_phantom(small_phantoms):
+    first = small_phantoms[0]
+    once = run_scenario(builtin_scenario("pitfall1"), [first], CFG)
+    twice = run_scenario(builtin_scenario("pitfall1"), [first, first], CFG)
+    assert once.lints and twice.lints == once.lints
+
+
 # --- report serialization ---------------------------------------------------
 
 def test_empty_report_is_header_only(tmp_path):
