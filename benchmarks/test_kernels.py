@@ -1,6 +1,7 @@
 """Micro-benchmarks of the CW-SSIM kernel, SSIM and MS-SSIM, the other
-registered metrics, one metric panel, Gaussian blur, the joint histogram
-behind mi/nmi, and one harness scenario run.
+registered metrics, the full metric panel, Gaussian blur, the joint
+histogram behind mi/nmi, each distortion kind, normalization and binning,
+the lint, report rendering, and one harness scenario run.
 
 Outside tier-1 ``testpaths``; run from the repository root with
 
@@ -10,14 +11,18 @@ Outside tier-1 ``testpaths``; run from the repository root with
 import numpy as np
 import pytest
 
-from refmet.distort import gamma_transform, gaussian_blur, translate
-from refmet.harness import (PANEL_FULL, EvalPlan, HarnessConfig, builtin_scenario,
-                            generate_phantoms, run_scenario)
+from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
+                            linear_scale, translate)
+from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
+                            builtin_scenario, generate_phantoms, lint_configuration,
+                            run_scenario)
 from refmet.image import Image
 from refmet.metrics import (EvalContext, MsSsimParams, RefWorkspace, SsimParams, cw_ssim,
-                            evaluate, evaluate_panel, ms_ssim, ssim, truncated_weights)
+                            evaluate, ms_ssim, ssim, truncated_weights)
 from refmet.metrics.information import HistogramParams, joint_histogram
+from refmet.normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from refmet.phantom import PhantomParams, generate_phantom
+from refmet.report import Report, render_csv, render_markdown
 
 SIZES = (192, 512)
 
@@ -75,19 +80,26 @@ def test_registered_metric(benchmark, size, metric_id):
     assert score.value > 0.0
 
 
-# A cold panel builds the reference's SSIM moments; a warm RefWorkspace
-# already holds them, as for the second and later tests of one reference.
+# Every round scores a fresh test object, so no round reuses an earlier
+# round's scale 0. Cold: a new RefWorkspace per round, as in one
+# ``refmet compare`` (ms_ssim still takes ssim's scale 0). Warm: one
+# RefWorkspace across rounds already holds the reference's SSIM moments, as
+# for the second and later tests of one reference in the harness.
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
-def test_evaluate_panel_full(benchmark, warm):
+def test_evaluate_panel_full_loop(benchmark, warm):
     ref, test = _pair(192, lambda img: translate(img, (2, 0)))
     plan = EvalPlan(metrics=PANEL_FULL)
-    if warm:
-        ref_ws = RefWorkspace()
-        list(evaluate_panel(plan, ref, test, ref_ws=ref_ws))
-        scores = benchmark(lambda: list(evaluate_panel(plan, ref, test, ref_ws=ref_ws)))
-    else:
-        scores = benchmark(lambda: list(evaluate_panel(plan, ref, test)))
-    assert [m for m, _ in scores] == list(PANEL_FULL)
+    shared = RefWorkspace()
+
+    def fresh_test():
+        return (Image(test.data), shared if warm else RefWorkspace()), {}
+
+    def score_panel(t, ws):
+        return [evaluate(m, ref, t, plan, ws) for m in PANEL_FULL]
+
+    score_panel(*fresh_test()[0])  # fills the shared workspace when warm
+    scores = benchmark.pedantic(score_panel, setup=fresh_test, rounds=20)
+    assert [s.metric_id for s in scores] == list(PANEL_FULL)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -109,3 +121,67 @@ def test_run_scenario_pitfall2(benchmark):
     phantoms = generate_phantoms(cfg)
     report = benchmark(run_scenario, builtin_scenario("pitfall2"), phantoms, cfg)
     assert len(report.rows) == 32 * (len(phantoms) + 1)
+
+
+# One spec per distortion kind, as in scripts/behaviour_digest.py.
+DISTORTIONS = {
+    "gamma": DistortionSpec("gamma", {"gamma": 0.4}),
+    "linear_scale": DistortionSpec("linear_scale", {"factor": 1.2}),
+    "translate": DistortionSpec("translate", {"shift": (2, 0)}),
+    "mirror_replace": DistortionSpec("mirror_replace", {"axis": 0}),
+    "gaussian_noise": DistortionSpec("gaussian_noise", {"sigma_rel": 0.05}, seed=7),
+    "stripes": DistortionSpec("stripes", {"period": 8, "amplitude_rel": 0.25, "axis": 0}),
+    "gaussian_blur": DistortionSpec("gaussian_blur", {"sigma": 1.0}),
+    "crop_fraction": DistortionSpec("crop_fraction", {"fraction": 0.03}),
+}
+
+
+@pytest.mark.parametrize("kind", DISTORTIONS)
+def test_apply_chain(benchmark, kind):
+    ref = generate_phantom(1000).image
+    out = benchmark(apply_chain, (DISTORTIONS[kind],), ref)
+    assert out is not ref
+
+
+@pytest.mark.parametrize("method", (NormMethod.minmax(), NormMethod.zscore()),
+                         ids=("minmax", "zscore"))
+def test_normalize(benchmark, method):
+    ref = generate_phantom(1000).image
+    assert benchmark(normalize, ref, method).shape == ref.shape
+
+
+def test_bin_quantize(benchmark):
+    ref = generate_phantom(1000).image
+    assert benchmark(bin_quantize, ref, 256).data.max() == 255.0
+
+
+# Fires W02 to W04 on a 192^2 pair (W01 does not fire with pre-binning):
+# differing ranges under a per-image range policy, a non-rectangular mask
+# with windowed metrics, and prebin != nmi_bins.
+def test_lint_configuration(benchmark):
+    ph = generate_phantom(1000)
+    test = linear_scale(ph.image, 1.2)
+    plan = EvalPlan(metrics=PANEL_FULL, range_policy=DataRangePolicy.ref(), prebin=64,
+                    mask=ph.foreground_mask)
+    lints = benchmark(lint_configuration, ph.image, test, plan)
+    assert [lint.code for lint in lints] == ["W02", "W03", "W04"]
+
+
+@pytest.fixture(scope="module")
+def audit_report():
+    """The report of every scenario on 2 phantoms (``refmet audit``'s rows
+    and lints at a tenth of the default phantom count)."""
+    cfg = HarnessConfig(phantom_count=2)
+    phantoms = generate_phantoms(cfg)
+    report = Report()
+    for sid in SCENARIO_IDS:
+        report.extend(run_scenario(builtin_scenario(sid), phantoms, cfg))
+    return report
+
+
+def test_render_csv(benchmark, audit_report):
+    assert benchmark(render_csv, audit_report).count("\n") == len(audit_report.rows) + 1
+
+
+def test_render_markdown(benchmark, audit_report):
+    assert "## Lints" in benchmark(render_markdown, audit_report)

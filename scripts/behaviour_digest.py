@@ -4,8 +4,9 @@
 Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
 with relative paths and captured stdout/stderr: the phantom and distortion
 runs that make the inputs, ``distort`` once per distortion kind, a set of
-``compare`` flag sets, ``lint`` without a config, with a valid one and with
-one that fires W03, and ``audit --scenario all``. Each line holds the run
+``compare`` flag sets (one under a filled-rectangle mask the script
+writes), ``lint`` without a config, with a valid one and with one that
+fires W03, and ``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -32,6 +33,7 @@ from refmet.cli import main as refmet_main  # noqa: E402
 REF = "in/phantom_1000.rawf32"
 TEST = "test.rawf32"
 MASK = "in/phantom_1000_foreground.pgm"
+RECT_MASK = "rect_mask.pgm"
 
 # One spec per distortion kind, applied to the reference.
 DISTORTIONS = {
@@ -56,18 +58,30 @@ COMPARE = {
     # mae prints its line, then ssim fails on the non-rectangular mask: exit 1
     # with partial stdout.
     "mask_fails_after_print": ["--mask", MASK, "--metrics", "mae,ssim"],
+    # windowed metrics on a rectangular mask score the crop
+    "mask_rect_windowed": ["--mask", RECT_MASK, "--metrics", "mae,ssim,ms_ssim"],
     "strict_zscore": ["--strict", "--norm", "zscore"],
     "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
     "unknown_metric": ["--metrics", "lpips,ssim"],
     "range_test_out": ["--range", "test", "--out", "scores.csv"],
 }
 
-# Lint configs, written before the runs (not counted as run output).
+# Lint configs, written before the runs like the rectangle mask (neither is
+# counted as run output).
 LINT_CONFIGS = {
     "lint_valid.json": {"metrics": ["ssim", "nmi"], "norm": "minmax",
                         "prebin": 64, "nmi_bins": 64},
     "lint_w03.json": {"metrics": ["ssim", "mae"], "mask": MASK},
 }
+
+
+def _rect_mask_pgm(h=192, w=192, rows=(10, 186), cols=(6, 190)) -> bytes:
+    """A binary PGM of the phantoms' shape, 255 inside a 176x184 rectangle
+    (large enough for 5-scale ms_ssim on the crop), 0 elsewhere."""
+    pixels = bytearray(h * w)
+    for y in range(*rows):
+        pixels[y * w + cols[0]:y * w + cols[1]] = b"\xff" * (cols[1] - cols[0])
+    return f"P5\n{w} {h}\n255\n".encode() + bytes(pixels)
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -116,6 +130,7 @@ def digest(phantoms: int) -> list[str]:
             inputs = {**LINT_CONFIGS, "audit.json": {"phantoms": {"count": phantoms}}}
             for name, obj in inputs.items():
                 (root / name).write_text(json.dumps(obj))
+            (root / RECT_MASK).write_bytes(_rect_mask_pgm())
             for name, argv in runs():
                 before = _files(root)
                 code, out, err = _run(argv)

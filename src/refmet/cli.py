@@ -20,12 +20,10 @@ from .errors import RefmetError, config_value
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
 from .image import load_image, mask_from_image, mask_to_image, save_image
-from .metrics import evaluate_panel, format_score
+from .metrics import RefWorkspace, evaluate, format_score, masked_evaluate, metric_kind
 from .normalize import DataRangePolicy, NormMethod
-# Not called here (EvalPlan.prepare and evaluate_panel call them), but
-# perfbench/tracer.py hooks these names on this module, so they must stay
-# importable from it.
-from .metrics import evaluate, masked_evaluate  # noqa: F401
+# Not called here (EvalPlan.prepare calls them), but perfbench/tracer.py
+# hooks these names on this module, so they must stay importable from it.
 from .normalize import bin_quantize, normalize  # noqa: F401
 from .phantom import PhantomParams, generate_phantom
 from .report import Report, Row, write_report
@@ -123,9 +121,14 @@ def _cmd_compare(args) -> int:
         return EXIT_LINT
     ref, test = plan.prepare(ref, test)
     rows = []
-    # Lazy: each line is printed before the next metric runs, so a failing
-    # metric leaves the lines of the ones before it.
-    for _, score in evaluate_panel(plan, ref, test, plan.mask):
+    ws = RefWorkspace()
+    # Each line is printed before the next metric runs, so a failing metric
+    # leaves the lines of the ones before it.
+    for metric_id in plan.metrics:
+        if plan.mask is not None and metric_kind(metric_id) != "mask":
+            score = masked_evaluate(metric_id, ref, test, plan.mask, plan)
+        else:
+            score = evaluate(metric_id, ref, test, plan, ws)
         print(f"{score.metric_id}\t{format_score(score.value)}\t"
               f"{score.params_fingerprint}")
         rows.append(Row("pair", "compare", "direct", score.metric_id,
@@ -148,6 +151,8 @@ def _cmd_distort(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    if args.count < 1:
+        raise RefmetError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = PhantomParams(dims=_parse_dims(args.dims), tumor_half=args.tumor_half)

@@ -16,7 +16,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +24,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fracti
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError, config_value
 from .image import Image, Mask, bounding_box, crop
-from .metrics import (EvalContext, RefWorkspace, evaluate_panel, metric_kind,
+from .metrics import (EvalContext, RefWorkspace, evaluate, masked_evaluate, metric_kind,
                       rect_of_mask, registered_metrics)
-# Not called here (evaluate_panel calls them), but perfbench/tracer.py hooks
-# these names on this module, so they must stay importable from it.
-from .metrics import evaluate, masked_evaluate  # noqa: F401
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -284,26 +281,20 @@ def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[tuple[Image, Imag
     return chained, (ref, test)
 
 
-def _score(phantom: Phantom, variant: Variant, pair: tuple[Image, Image],
-           segmenter: SegmenterParams,
-           ref_ws: RefWorkspace | None = None) -> Iterator[tuple[float, str]]:
-    """The report cells of a prepared pair, lazily and in panel order: score,
-    and fingerprint merged with the pipeline's. Image metrics are one panel
-    (masked by the foreground in mask mode "foreground"); dice is the proxy
-    task's segmentation overlap."""
+def _score(phantom: Phantom, variant: Variant, metric_id: str, pair: tuple[Image, Image],
+           segmenter: SegmenterParams, ws: RefWorkspace | None = None) -> tuple[float, str]:
+    """One report cell on a prepared pair: score, fingerprint merged with the
+    pipeline's. ``ws`` lets ssim and ms_ssim reuse the reference's moments."""
     ref, test = pair
-    plan = variant.plan
-    mask = phantom.foreground_mask if variant.mask_mode == "foreground" else None
-    panel = evaluate_panel(replace(plan, metrics=tuple(m for m in plan.metrics
-                                                       if m != "dice")),
-                           ref, test, mask, ref_ws)
-    pipeline = variant.pipeline_fingerprint(phantom)
-    for metric_id in plan.metrics:
-        if metric_id == "dice":
-            score = task_similarity(ref, test, segmenter)
-        else:
-            _, score = next(panel)
-        yield score.value, merge_fingerprints(score.params_fingerprint, pipeline)
+    if metric_id == "dice":
+        score = task_similarity(ref, test, segmenter)
+    elif variant.mask_mode == "foreground":
+        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask,
+                                variant.plan)
+    else:
+        score = evaluate(metric_id, ref, test, variant.plan, ws)
+    return score.value, merge_fingerprints(score.params_fingerprint,
+                                           variant.pipeline_fingerprint(phantom))
 
 
 @contextmanager
@@ -325,8 +316,8 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
 
     Phantoms are the outer loop, so every variant of one phantom scores
     against one :class:`RefWorkspace`, which holds one reference at a time.
-    Each (case, variant) pair is prepared once and scored by the variant's
-    whole panel; the first phantom's chained pair is linted, in variant
+    Each (case, variant) pair is prepared once and scored by every metric of
+    the variant; the first phantom's chained pair is linted, in variant
     order. Appends mean rows (case_id ``"mean"``) per (variant, metric).
     Row order is deterministic: sorted by (case_id, variant, metric_id),
     means last. A failing evaluation re-raises its error class with the
@@ -338,7 +329,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     config = config or HarnessConfig()
     report = Report()
     scores: dict[tuple[str, str], list[float]] = {}
-    ref_ws = RefWorkspace()
+    ws = RefWorkspace()
     for case, phantom in enumerate(phantoms):
         for variant in scenario.variants:
             where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
@@ -351,10 +342,10 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
                 for lint in lint_configuration(*chained, plan):
                     report.lints.append(replace(lint, message=(
                         f"[{scenario.scenario_id}/{variant.label}] {lint.message}")))
-            cells = _score(phantom, variant, pair, config.segmenter, ref_ws)
             for metric_id in variant.plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
-                    value, fp = next(cells)
+                    value, fp = _score(phantom, variant, metric_id, pair,
+                                       config.segmenter, ws)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, value))
                 scores.setdefault((variant.label, metric_id), []).append(value)
@@ -382,9 +373,10 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
         raise ConfigError(f"cannot re-evaluate aggregate row {row.case_id!r}")
     seed = int(row.case_id[len("case_"):])
     phantom = generate_phantom(seed, config.phantom_params)
+    # The plan rejects an unknown metric id and lists the registered ones.
     variant = replace(variant, plan=replace(variant.plan, metrics=(row.metric_id,)))
-    value, fp = next(_score(phantom, variant, _prepare_pair(phantom, variant)[1],
-                            config.segmenter))
+    value, fp = _score(phantom, variant, row.metric_id,
+                       _prepare_pair(phantom, variant)[1], config.segmenter)
     if fp != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "

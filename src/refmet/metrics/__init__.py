@@ -19,16 +19,11 @@ The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
 ``scales``, ``weights`` and ``nmi_bins``; all else is the direct-API default.
 
-:func:`evaluate_panel` scores a plan's whole metric panel on one pair,
-lazily and in plan order, each metric through :func:`evaluate` or
-:func:`masked_evaluate`; its scores are bit-identical to those calls. It
-only skips recomputing what it already has: ms_ssim takes its scale-0
-(ssim, cs) from ssim's (a :class:`PairWorkspace` that lives for the pair),
-and a :class:`RefWorkspace` passed by the caller keeps one reference's
-SSIM moment pyramid for every test scored against it. That workspace holds
-one reference at most and drops it when given another Image object, so a
-caller scoring many tests per reference (the harness, phantom by phantom)
-keeps one reference live at a time and nothing derived from a test image.
+:func:`evaluate` takes an optional :class:`RefWorkspace` that the caller
+keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
+for all its tests and ms_ssim reuses ssim's scale 0 on one pair, without
+moving a bit. The harness keeps one per scenario run; it holds one
+reference and one test at a time.
 """
 
 from __future__ import annotations
@@ -46,15 +41,15 @@ from .overlap import dice
 from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
                         psnr, psnr_score)
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
-from .structural import (MsSsimParams, PairWorkspace, RefWorkspace, SsimParams,
-                         WindowSpec, ms_ssim, ssim, truncated_weights)
+from .structural import (MsSsimParams, RefWorkspace, SsimParams, WindowSpec, ms_ssim,
+                         ssim, truncated_weights)
 from .wavelet import CwSsimParams, cw_ssim
 
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
     "WindowSpec", "SsimParams", "MsSsimParams", "CwSsimParams", "HistogramParams",
     "mae", "mse", "psnr", "pcc", "ssim", "ms_ssim", "cw_ssim", "mi", "nmi", "dice",
-    "EvalContext", "evaluate", "masked_evaluate", "evaluate_panel", "RefWorkspace",
+    "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
     "register_metric",
     "metric_kind", "registered_metrics", "truncated_weights",
 ]
@@ -101,7 +96,7 @@ class MetricDef:
     metric_id: str
     kind: str  # pointwise | windowed | mask
     fn: Callable[..., MetricScore]
-    # fn takes the pair's PairWorkspace (or None) as a fourth argument
+    # fn takes the caller's RefWorkspace (or None) as a fourth argument
     takes_workspace: bool = False
 
 
@@ -165,9 +160,10 @@ def metric_kind(metric_id: str) -> str:
 
 def evaluate(metric_id: str, ref: Image, test: Image,
              ctx: EvalContext | None = None,
-             ws: PairWorkspace | None = None) -> MetricScore:
-    """Evaluate one registered metric on a full image pair. ``ws``, this
-    pair's workspace, lets ssim and ms_ssim reuse each other's work."""
+             ws: RefWorkspace | None = None) -> MetricScore:
+    """Evaluate one registered metric on a full image pair. ``ws``, a
+    workspace kept across calls, lets ssim and ms_ssim reuse the reference's
+    moments and each other's scale 0; other metrics ignore it."""
     ctx = ctx or EvalContext()
     mdef = _lookup(metric_id)
     if mdef.kind == "pointwise":
@@ -216,21 +212,3 @@ def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
             "use a pointwise metric or a rectangular mask")
     return mdef.fn(crop(ref, rect), crop(test, rect), ctx)
 
-
-def evaluate_panel(plan, ref: Image, test: Image, mask: Mask | None = None,
-                   ref_ws: RefWorkspace | None = None):
-    """Yield ``(metric_id, MetricScore)`` for every metric of ``plan.metrics``
-    (``plan`` is an :class:`EvalContext` with a ``metrics`` tuple, e.g. a
-    ``harness.EvalPlan``), lazily and in plan order.
-
-    With ``mask``, every metric but a ``mask``-kind one (dice) goes through
-    :func:`masked_evaluate`; all else through :func:`evaluate`. Scores and
-    errors are those of the per-metric calls; a metric's error ends the
-    panel. ``ref_ws`` keeps ``ref``'s SSIM moments for later tests of it.
-    """
-    ws = PairWorkspace(ref, test, ref_ws)
-    for metric_id in plan.metrics:
-        if mask is not None and metric_kind(metric_id) != "mask":
-            yield metric_id, masked_evaluate(metric_id, ref, test, mask, plan)
-        else:
-            yield metric_id, evaluate(metric_id, ref, test, plan, ws)

@@ -18,8 +18,8 @@ are dropped.
 
 Both metrics accept 2D and 3D grids via separable windows. The reference's
 moments do not depend on L, so a :class:`RefWorkspace` keeps them for every
-test scored against one reference, and a :class:`PairWorkspace` lets ms_ssim
-reuse ssim's scale 0 on one pair; neither moves a bit.
+test scored against one reference, and keeps a pair's scale-0 result so
+ms_ssim reuses ssim's; it never moves a bit.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from ..errors import ConfigError, RefmetError
 from ..image import Image, correlate_valid, require_same_shape
 from .score import MetricScore, fingerprint
 
-__all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "RefWorkspace", "PairWorkspace",
-           "ssim", "ms_ssim"]
+__all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "RefWorkspace", "ssim", "ms_ssim"]
 
 # Weights from the standard multi-scale construction.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -203,83 +202,67 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float
 
 
 class RefWorkspace:
-    """Reference-only SSIM inputs of one reference Image, shared by every test
-    scored against it: per window and scale, the downsampled reference and
-    its moments (:class:`RefMoments`), built on first use.
+    """What ssim and ms_ssim reuse across calls, built on first use: per
+    window and scale, one reference Image's downsampled data and moments
+    (:class:`RefMoments`), and per :class:`SsimParams`, one (reference, test)
+    pair's scale-0 ``ssim_and_cs`` result (MS-SSIM's scale 0 is SSIM's).
 
-    It holds one reference at most. Given another Image object, even one with
-    equal values, it drops everything it holds and starts over, so it never
-    serves stale moments and keeps nothing derived from a test image.
+    Both are keyed on Image identity: another reference object, even one
+    with equal values, drops everything, and another test drops the scale-0
+    results. So it holds one reference and one test at most, never serves a
+    stale value, and scores never depend on it.
     """
 
     def __init__(self):
         self._ref: Image | None = None
+        self._test: Image | None = None
         self._pyramids: dict[WindowSpec, list[RefMoments]] = {}
+        self._scale0: dict[SsimParams, tuple[float, float]] = {}
 
     def moments(self, ref: Image, window: WindowSpec, scale: int) -> RefMoments:
         if ref is not self._ref:
             self._ref, self._pyramids = ref, {}
+            self._test, self._scale0 = None, {}
         levels = self._pyramids.setdefault(window, [])
         while len(levels) <= scale:
             data = _downsample2(levels[-1].data) if levels else ref.data
             levels.append(_ref_moments(data, window))
         return levels[scale]
 
-
-class PairWorkspace:
-    """What ssim and ms_ssim share while one (ref, test) pair is scored: the
-    reference moments, from a :class:`RefWorkspace` that may outlive the
-    pair, and each scale-0 ``ssim_and_cs`` result by :class:`SsimParams`
-    (MS-SSIM's scale 0 is exactly SSIM's). Scores never depend on it."""
-
-    def __init__(self, ref: Image, test: Image, ref_ws: RefWorkspace | None = None):
-        self.ref, self.test = ref, test
-        self.ref_ws = RefWorkspace() if ref_ws is None else ref_ws
-        self._scale0: dict[SsimParams, tuple[float, float]] = {}
-
-    def ref_moments(self, window: WindowSpec, scale: int) -> RefMoments:
-        return self.ref_ws.moments(self.ref, window, scale)
-
-    def scale0(self, p: SsimParams) -> tuple[float, float]:
+    def scale0(self, ref: Image, test: Image, p: SsimParams) -> tuple[float, float]:
+        require_same_shape(ref, test)
+        r = self.moments(ref, p.window, 0)
+        if test is not self._test:
+            self._test, self._scale0 = test, {}
         if p not in self._scale0:
-            self._scale0[p] = ssim_and_cs(self.ref_moments(p.window, 0),
-                                          self.test.data, p)
+            self._scale0[p] = ssim_and_cs(r, test.data, p)
         return self._scale0[p]
 
 
-def _pair_workspace(ref: Image, test: Image, ws: PairWorkspace | None) -> PairWorkspace:
-    require_same_shape(ref, test)
-    if ws is None:
-        return PairWorkspace(ref, test)
-    if ws.ref is not ref or ws.test is not test:
-        raise RefmetError("the workspace belongs to another image pair")
-    return ws
-
-
 def ssim(ref: Image, test: Image, params: SsimParams,
-         ws: PairWorkspace | None = None) -> MetricScore:
-    """Single-scale structural similarity; identical images score 1.
-    ``ws``, if given, must be this pair's workspace."""
-    value, _ = _pair_workspace(ref, test, ws).scale0(params)
+         ws: RefWorkspace | None = None) -> MetricScore:
+    """Single-scale structural similarity; identical images score 1. ``ws``
+    lets calls share work (see :class:`RefWorkspace`)."""
+    value, _ = (ws or RefWorkspace()).scale0(ref, test, params)
     return MetricScore("ssim", value, params.fingerprint())
 
 
 def ms_ssim(ref: Image, test: Image, params: MsSsimParams,
-            ws: PairWorkspace | None = None) -> MetricScore:
+            ws: RefWorkspace | None = None) -> MetricScore:
     """Multi-scale structural similarity.
 
     With a single scale and weight (1.0,) this degenerates to plain SSIM.
-    Negative per-scale terms are clamped to 0 before weighting. ``ws``, if
-    given, must be this pair's workspace.
+    Negative per-scale terms are clamped to 0 before weighting. ``ws`` lets
+    calls share work (see :class:`RefWorkspace`).
     """
-    ws = _pair_workspace(ref, test, ws)
+    ws = ws or RefWorkspace()
     t = test.data
     factors = []
     for scale in range(params.scales):
         if scale == 0:
-            full, cs = ws.scale0(params.base)
+            full, cs = ws.scale0(ref, test, params.base)
         else:
-            r = ws.ref_moments(params.base.window, scale)
+            r = ws.moments(ref, params.base.window, scale)
             t = _downsample2(t)
             full, cs = ssim_and_cs(r, t, params.base)
         factors.append(full if scale == params.scales - 1 else cs)

@@ -11,7 +11,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "behaviour_digest.py"
 KINDS = ("gamma", "linear_scale", "translate", "mirror_replace", "gaussian_noise",
          "stripes", "gaussian_blur", "crop_fraction")
 COMPARES = ("full_panel", "minmax_fixed_range_bins", "prebin", "mask_pointwise_dice",
-            "mask_ssim", "mask_fails_after_print", "strict_zscore",
+            "mask_ssim", "mask_fails_after_print", "mask_rect_windowed", "strict_zscore",
             "zscore_prebin_range_ref", "unknown_metric", "range_test_out")
 RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
         + [f"compare_{c}" for c in COMPARES]
@@ -44,4 +44,5 @@ def test_digest_is_deterministic_and_lists_every_run():
     # the lines printed before a failing metric stay on stdout
     assert runs["compare_mask_fails_after_print"][0] == "exit=1"
     assert runs["compare_mask_fails_after_print"][1] != f"stdout={EMPTY}"
+    assert runs["compare_mask_rect_windowed"][0] == "exit=0"
     assert runs["lint_w03_config"][0] == "exit=2"

@@ -200,6 +200,15 @@ def test_phantom_bad_dims_exits_1(workdir):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_phantom_count_below_1_exits_1(workdir, count):
+    out = workdir / f"count_{count}"
+    res = run_cli("phantom", str(out), "--count", count)
+    assert res.returncode == 1
+    assert res.stderr == f"refmet phantom: error: --count must be >= 1, got {count}\n"
+    assert res.stdout == "" and not out.exists()
+
+
 # --- audit -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

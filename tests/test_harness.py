@@ -110,6 +110,13 @@ def test_rows_reproducible_from_fingerprint(pitfall1_report):
         assert reevaluate_row(row, CFG) == pytest.approx(row.score, abs=1e-12)
 
 
+def test_reevaluate_row_names_an_unknown_metric_and_the_available_ones(pitfall1_report):
+    row = replace(next(r for r in pitfall1_report.rows if r.case_id != "mean"),
+                  metric_id="x")
+    with pytest.raises(ConfigError, match=r"^unknown metrics \['x'\]; available: mae, "):
+        reevaluate_row(row, CFG)
+
+
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_each_pair_prepared_once(monkeypatch, scenario_id):
     cfg = HarnessConfig(phantom_count=2)

@@ -1,5 +1,7 @@
-"""evaluate_panel must score exactly as the per-metric calls do, and the
-reference workspace must never serve another reference's moments."""
+"""Scoring a plan's metrics over one shared RefWorkspace must give exactly the
+scores and errors of scoring each metric without one, the workspace must
+never serve another image's moments or scale 0, and the harness and
+``refmet compare`` must keep the reuse it gives."""
 
 import gc
 import random
@@ -9,18 +11,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import refmet.metrics.structural as structural
+from refmet.cli import main as refmet_main
+from refmet.distort import translate
 from refmet.errors import RefmetError
-from refmet.harness import SCENARIO_IDS, EvalPlan, builtin_scenario
-from refmet.image import Image, Mask
-from refmet.metrics import (RefWorkspace, evaluate, evaluate_panel, masked_evaluate,
-                            metric_kind, registered_metrics)
-from refmet.metrics.structural import PairWorkspace, WindowSpec
+from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scenario,
+                            generate_phantoms, run_scenario)
+from refmet.image import Image, Mask, save_image
+from refmet.metrics import (RefWorkspace, evaluate, masked_evaluate, metric_kind,
+                            registered_metrics)
+from refmet.metrics.structural import SsimParams, WindowSpec
+from refmet.phantom import generate_phantom
 
 
 def _plans():
     """Every built-in variant's plan, one per distinct set of the fields the
-    panel reads (metrics, range policy, scales, nmi bins), plus one plan with
-    every registered metric."""
+    metrics read (metrics, range policy, scales, nmi bins), plus one plan
+    with every registered metric."""
     plans = {}
     for sid in SCENARIO_IDS:
         for v in builtin_scenario(sid).variants:
@@ -62,27 +69,16 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _per_metric(plan, ref, test, mask):
-    """The panel's routing, one metric at a time."""
+def _outcomes(plan, ref, test, mask, ws=None):
+    """(metric_id, float.hex or error) of every metric of ``plan``, routed as
+    ``refmet compare`` routes them: under a mask through masked_evaluate
+    (mask-kind metrics excepted), else through evaluate with ``ws``.
+    ``ws=None`` gives every metric a workspace of its own."""
     def one(m):
         if mask is not None and metric_kind(m) != "mask":
-            return lambda: masked_evaluate(m, ref, test, mask, plan)
-        return lambda: evaluate(m, ref, test, plan)
-    return [(m, _outcome(one(m))) for m in plan.metrics]
-
-
-def _panel(plan, ref, test, mask, ref_ws=None):
-    """(metric_id, outcome) until the first error, which ends the panel."""
-    out = []
-    panel = evaluate_panel(plan, ref, test, mask, ref_ws)
-    for m in plan.metrics:
-        try:
-            got, score = next(panel)
-        except RefmetError as exc:
-            out.append((m, (type(exc), str(exc))))
-            break
-        out.append((got, score.value.hex()))
-    return out
+            return masked_evaluate(m, ref, test, mask, plan)
+        return evaluate(m, ref, test, plan, ws)
+    return [(m, _outcome(lambda: one(m))) for m in plan.metrics]
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "rect", "nonrect"])
@@ -91,32 +87,31 @@ def _panel(plan, ref, test, mask, ref_ws=None):
 def test_panel_equals_per_metric_calls(name, plan, dim, mask_kind):
     shape, seed = PAIRS[dim]
     ref, test = _pair(shape, seed)
+    other = _pair(shape, seed + 10)[1]
     mask = _mask(shape, mask_kind)
     metrics = list(plan.metrics)
     random.Random(f"{name}/{dim}/{mask_kind}").shuffle(metrics)
     plan = replace(plan, metrics=tuple(metrics))
-    expected = _per_metric(plan, ref, test, mask)
-    got = _panel(plan, ref, test, mask)
-    assert got == expected[:len(got)]
-    assert len(got) == len(expected) or not isinstance(got[-1][1], str)
-    # The metrics that succeed alone also succeed together, with a shared
-    # reference workspace.
-    ok = tuple(m for m, outcome in expected if isinstance(outcome, str))
-    if ok:
-        ok_plan = replace(plan, metrics=ok)
-        assert _panel(ok_plan, ref, test, mask, RefWorkspace()) == \
-            _per_metric(ok_plan, ref, test, mask)
+    expected = {id(t): _outcomes(plan, ref, t, mask) for t in (test, other)}
+    # One workspace, cold, warm, for another test of the reference, and for
+    # an equal-valued but distinct reference; a metric's error leaves it
+    # usable by the next one.
+    ws = RefWorkspace()
+    for r, t in ((ref, test), (ref, test), (ref, other), (Image(ref.data.copy()), other)):
+        assert _outcomes(plan, r, t, mask, ws) == expected[id(t)]
 
 
 def test_shared_workspace_follows_the_reference():
     # one workspace across different and equal-valued-but-distinct references
+    # and tests
     plan = EvalPlan(metrics=("ssim", "ms_ssim", "mae"), scales=3)
     ref_a, test = _pair((96, 100), 3)
-    ref_b, _ = _pair((96, 100), 4)
-    ref_a2 = Image(ref_a.data.copy())
-    ref_ws = RefWorkspace()
-    for ref in (ref_a, ref_b, ref_a2, ref_a, ref_b):
-        assert _panel(plan, ref, test, None, ref_ws) == _per_metric(plan, ref, test, None)
+    ref_b, test_b = _pair((96, 100), 4)
+    ref_a2, test2 = Image(ref_a.data.copy()), Image(test.data.copy())
+    ws = RefWorkspace()
+    for ref, t in ((ref_a, test), (ref_b, test), (ref_a2, test), (ref_a2, test_b),
+                   (ref_a2, test2), (ref_a, test2), (ref_b, test)):
+        assert _outcomes(plan, ref, t, None, ws) == _outcomes(plan, ref, t, None)
 
 
 def test_workspace_rebuilds_for_an_equal_but_distinct_reference():
@@ -143,9 +138,66 @@ def test_workspace_holds_one_reference_at_most():
     assert [r() for r in held] == [None, None, None]
 
 
-def test_pair_workspace_of_another_pair_is_refused():
-    ref, test = _pair((32, 32), 7)
-    other = Image(test.data.copy())
-    with pytest.raises(RefmetError, match="another image pair"):
-        evaluate("ssim", ref, other, EvalPlan(metrics=("ssim",)),
-                 PairWorkspace(ref, test))
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(structural, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(structural, name, counted)
+    return counts
+
+
+def test_workspace_holds_one_test_at_most(monkeypatch):
+    counts = _count_calls(monkeypatch, "ssim_and_cs")
+    ws, p = RefWorkspace(), SsimParams(1.0)
+    g = np.random.default_rng(8)
+    ref, test = Image(g.random((32, 32))), Image(g.random((32, 32)))
+    first = ws.scale0(ref, test, p)
+    assert ws.scale0(ref, test, p) is first and counts["ssim_and_cs"] == 1
+    # an equal-valued but distinct test is scored again, and the old one freed
+    twin = Image(test.data.copy())
+    held = weakref.ref(test)
+    del test
+    assert ws.scale0(ref, twin, p) == first and counts["ssim_and_cs"] == 2
+    gc.collect()
+    assert held() is None
+    # another reference drops the test too
+    held = weakref.ref(twin)
+    del twin
+    ws.moments(Image(g.random((32, 32))), p.window, 0)
+    gc.collect()
+    assert held() is None
+
+
+# (ssim_and_cs, _ref_moments) calls of run_scenario on 2 phantoms: ms_ssim
+# takes ssim's scale 0, and every variant of a phantom shares its reference
+# moments (a crop or a normalization makes a new reference).
+REUSE_COUNTS = {"pitfall1": (44, 40), "pitfall2": (40, 10), "pitfall3": (24, 24),
+                "pitfall4": (160, 10), "pitfall5": (10, 10)}
+
+
+@pytest.fixture(scope="module")
+def two_phantoms():
+    config = HarnessConfig(phantom_count=2)
+    return config, generate_phantoms(config)
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_run_scenario_keeps_the_reuse(monkeypatch, two_phantoms, scenario_id):
+    config, phantoms = two_phantoms
+    counts = _count_calls(monkeypatch, "ssim_and_cs", "_ref_moments")
+    run_scenario(builtin_scenario(scenario_id), phantoms, config)
+    assert (counts["ssim_and_cs"], counts["_ref_moments"]) == REUSE_COUNTS[scenario_id]
+
+
+def test_compare_ssim_and_ms_ssim_score_each_scale_once(monkeypatch, tmp_path, capsys):
+    ref = generate_phantom(1000).image
+    save_image(ref, tmp_path / "ref.rawf32")
+    save_image(translate(ref, (2, 0)), tmp_path / "test.rawf32")
+    counts = _count_calls(monkeypatch, "ssim_and_cs", "_ref_moments")
+    assert refmet_main(["compare", str(tmp_path / "ref.rawf32"),
+                        str(tmp_path / "test.rawf32"), "--metrics", "ssim,ms_ssim"]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == \
+        ["ssim", "ms_ssim"]
+    assert counts == {"ssim_and_cs": 5, "_ref_moments": 5}
