@@ -3,10 +3,11 @@
 
 Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
 with relative paths and captured stdout/stderr: the phantom and distortion
-runs that make the inputs, ``distort`` once per distortion kind, a set of
-``compare`` flag sets (one under a filled-rectangle mask the script
-writes), ``lint`` without a config, with a valid one and with one that
-fires W03, and ``audit --scenario all``. Each line holds the run
+runs that make the inputs, ``distort`` once per distortion kind and once
+on a PGM input (the foreground mask), a set of ``compare`` flag sets (one
+under a filled-rectangle mask the script writes), ``lint`` without a
+config, with a valid one and with one that fires W03, and ``audit
+--scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -91,6 +92,9 @@ def runs() -> list[tuple[str, list[str]]]:
            ("distort_test_pair", ["distort", REF, chain, TEST])]
     out += [(f"distort_{kind}", ["distort", REF, json.dumps(spec), f"d_{kind}.rawf32"])
             for kind, spec in DISTORTIONS.items()]
+    # a PGM input: the only file format that once gave an image a range of its own
+    out.append(("distort_pgm", ["distort", MASK, json.dumps(DISTORTIONS["gaussian_blur"]),
+                                "d_pgm.rawf32"]))
     out += [(f"compare_{name}", ["compare", REF, TEST, *flags])
             for name, flags in COMPARE.items()]
     out += [("lint_no_config", ["lint", REF, TEST]),

@@ -25,7 +25,7 @@ def main() -> int:
         s = ssim(ref, test, SsimParams(L)).value
         p = psnr(ref, test, DataRangePolicy.fixed(L)).value
         print(f"{L:12.4g}  {s:8.4f}  {p:9.3f}")
-    print("\nsame images every row; only the declared range moved the scores")
+    print("\nsame images every row; only the fixed L moved the scores")
     return 0
 
 

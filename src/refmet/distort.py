@@ -36,35 +36,46 @@ def _span(img: Image) -> tuple[float, float]:
     return lo, hi
 
 
+# parameter -> (holds, message): each parameter's bound, checked by its
+# distortion function and by DistortionSpec on the JSON value.
+_BOUNDS = {
+    "gamma": (lambda v: v > 0, "gamma must be > 0, got {}"),
+    "factor": (lambda v: v != 0, "linear scale factor must be nonzero"),
+    "sigma_rel": (lambda v: not v < 0, "sigma_rel must be >= 0, got {}"),
+    "period": (lambda v: not v < 2, "stripe period must be >= 2, got {}"),
+    "sigma": (lambda v: v > 0, "blur sigma must be > 0, got {}"),
+    "fraction": (lambda v: 0.0 < v < 0.5, "crop fraction must lie in (0, 0.5), got {}"),
+}
+
+
+def _bounded(name: str, value):
+    """``value`` if it meets parameter ``name``'s bound, else a ConfigError."""
+    holds, message = _BOUNDS[name]
+    if not holds(value):
+        raise ConfigError(message.format(value))
+    return value
+
+
 def gamma_transform(img: Image, gamma: float) -> Image:
     """Power-law remap of min-max-normalized intensities, range restored.
 
     Endpoints are fixed (min -> min, max -> max) and the map is strictly
     monotone for any gamma > 0.
     """
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    gamma = _bounded("gamma", float(gamma))
     if gamma == 1.0:
         return img
     lo, hi = _span(img)
     unit = (img.data - lo) / (hi - lo)
-    out = lo + (hi - lo) * np.power(unit, gamma)
-    return Image(out, declared_range=img.declared_range)
+    return Image(lo + (hi - lo) * np.power(unit, gamma))
 
 
 def linear_scale(img: Image, factor: float) -> Image:
     """Elementwise multiplication by ``factor`` (any nonzero real)."""
-    factor = float(factor)
-    if factor == 0.0:
-        raise ConfigError("linear scale factor must be nonzero")
+    factor = _bounded("factor", float(factor))
     if factor == 1.0:
         return img
-    declared = None
-    if img.declared_range is not None:
-        lo, hi = img.declared_range
-        declared = tuple(sorted((lo * factor, hi * factor)))
-    return Image(img.data * factor, declared_range=declared)
+    return Image(img.data * factor)
 
 
 def translate(img: Image, shift: tuple[int, ...]) -> Image:
@@ -82,7 +93,7 @@ def translate(img: Image, shift: tuple[int, ...]) -> Image:
     src = tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(shift, img.shape))
     dst = tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(shift, img.shape))
     out[dst] = img.data[src]
-    return Image(out, declared_range=img.declared_range)
+    return Image(out)
 
 
 def mirror_replace(img: Image, axis: int = 0) -> Image:
@@ -105,14 +116,12 @@ def mirror_replace(img: Image, axis: int = 0) -> Image:
     # reversed first rows: out[k] = in[n-1-k] for k in [keep, n)
     idx_src[axis] = slice(n - 1 - keep, None, -1)
     out[tuple(idx_dst)] = img.data[tuple(idx_src)]
-    return Image(out, declared_range=img.declared_range)
+    return Image(out)
 
 
 def add_gaussian_noise(img: Image, sigma_rel: float, seed: int) -> Image:
     """Add N(0, (sigma_rel * (max - min))^2) noise, seeded and portable."""
-    sigma_rel = float(sigma_rel)
-    if sigma_rel < 0:
-        raise ConfigError(f"sigma_rel must be >= 0, got {sigma_rel}")
+    sigma_rel = _bounded("sigma_rel", float(sigma_rel))
     if sigma_rel == 0.0:
         return img
     lo, hi = _span(img)
@@ -123,9 +132,7 @@ def add_gaussian_noise(img: Image, sigma_rel: float, seed: int) -> Image:
 
 def add_stripes(img: Image, period: int, amplitude_rel: float, axis: int = 0) -> Image:
     """Add a constant offset to every period-th line along ``axis``."""
-    period = int(period)
-    if period < 2:
-        raise ConfigError(f"stripe period must be >= 2, got {period}")
+    period = _bounded("period", int(period))
     amplitude_rel = float(amplitude_rel)
     if not 0 <= axis < img.ndim:
         raise ConfigError(f"axis {axis} out of range for rank {img.ndim}")
@@ -152,30 +159,26 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     Boundaries are handled by edge-inclusive mirroring, which conserves
     total intensity for the symmetric kernel.
     """
-    sigma = float(sigma)
-    if not sigma > 0:
-        raise ConfigError(f"blur sigma must be > 0, got {sigma}")
+    sigma = _bounded("sigma", float(sigma))
     kern = _gauss_kernel(sigma)
     out = img.data
     for ax in range(img.ndim):
         pad = [(0, 0)] * img.ndim
         pad[ax] = (len(kern) // 2,) * 2
         out = correlate_valid(np.pad(out, pad, mode="symmetric"), kern, ax)
-    return Image(out, declared_range=img.declared_range)
+    return Image(out)
 
 
 def crop_fraction(img: Image, fraction: float) -> Image:
     """Symmetric crop removing floor(fraction * extent) pixels per side."""
-    fraction = float(fraction)
-    if not 0.0 < fraction < 0.5:
-        raise ConfigError(f"crop fraction must lie in (0, 0.5), got {fraction}")
+    fraction = _bounded("fraction", float(fraction))
     margins = [int(np.floor(fraction * n)) for n in img.shape]
     if any(n - 2 * m < 1 for m, n in zip(margins, img.shape)):
         raise RefmetError(f"crop fraction {fraction} degenerates shape {img.shape}")
     if all(m == 0 for m in margins):
         return img
     sl = tuple(slice(m, n - m) for m, n in zip(margins, img.shape))
-    return Image(img.data[sl], declared_range=img.declared_range)
+    return Image(img.data[sl])
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +228,13 @@ class DistortionSpec:
         check_kind(self.seed, "an integer", f"{self.kind} seed")
         object.__setattr__(self, "params", {k: tuple(v) if k == "shift" else v
                                             for k, v in self.params.items()})
-        self._validate_values()
+        for name, value in self.params.items():
+            if name in _BOUNDS:
+                _bounded(name, value)
 
     @property
     def seeded(self) -> bool:
         return _KINDS[self.kind][2]
-
-    def _validate_values(self):
-        p = self.params
-        if self.kind == "gamma" and not p["gamma"] > 0:
-            raise ConfigError(f"gamma must be > 0, got {p['gamma']}")
-        if self.kind == "linear_scale" and p["factor"] == 0:
-            raise ConfigError("linear scale factor must be nonzero")
-        if self.kind == "gaussian_noise" and p["sigma_rel"] < 0:
-            raise ConfigError(f"sigma_rel must be >= 0, got {p['sigma_rel']}")
-        if self.kind == "stripes" and p["period"] < 2:
-            raise ConfigError(f"stripe period must be >= 2, got {p['period']}")
-        if self.kind == "gaussian_blur" and not p["sigma"] > 0:
-            raise ConfigError(f"blur sigma must be > 0, got {p['sigma']}")
-        if self.kind == "crop_fraction" and not 0.0 < p["fraction"] < 0.5:
-            raise ConfigError(
-                f"crop fraction must lie in (0, 0.5), got {p['fraction']}")
 
     def fingerprint(self) -> str:
         """``kind(k=v,...)``, sorted by key. A number parameter prints as a

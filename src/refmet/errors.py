@@ -1,6 +1,7 @@
 """Exception types shared across the package, and JSON value checks."""
 
 import json
+import sys
 
 
 class RefmetError(ValueError):
@@ -16,7 +17,8 @@ class ShapeMismatchError(RefmetError):
 
 
 class DegenerateRangeError(RefmetError):
-    """An operation hit a zero-width intensity range (constant image)."""
+    """An operation hit a zero-width intensity range (constant image), or a
+    data range too wide for float64."""
 
 
 class NonRectangularMaskError(RefmetError):
@@ -37,7 +39,8 @@ JSON_KINDS = {
     "an object or array": lambda v: type(v) in (dict, list),
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
+    # finite as a float: JSON's NaN and Infinity, and ints beyond float range, are not
+    "a number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
     "a list of integers":
         lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v),

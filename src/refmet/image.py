@@ -1,8 +1,10 @@
 """Image, mask and rectangle types plus file I/O.
 
 Images are dense 2D or 3D float grids. Arrays follow numpy layout:
-``(h, w)`` for 2D and ``(d, h, w)`` for 3D. Two on-disk formats are
-supported:
+``(h, w)`` for 2D and ``(d, h, w)`` for 3D. An image is its data alone: a
+loaded PGM keeps no trace of its maxval, so the data range SSIM and PSNR
+use always comes from an explicit policy (:mod:`refmet.normalize`). Two
+on-disk formats are supported:
 
 * PGM ("P2" ASCII or "P5" binary), maxval 255 or 65535, 16-bit values
   big-endian per the PGM convention. 2D only.
@@ -45,14 +47,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """A 2D/3D intensity grid with an optional declared range.
-
-    ``declared_range`` is advisory metadata (e.g. the nominal range of the
-    file format the image came from); metrics never read it implicitly.
-    """
+    """A finite 2D/3D intensity grid and nothing else: the range a metric
+    uses is always an explicit data-range policy, never the image's."""
 
     data: np.ndarray
-    declared_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -63,14 +61,6 @@ class Image:
         if not np.all(np.isfinite(data)):
             raise RefmetError("image contains non-finite values")
         object.__setattr__(self, "data", _freeze(data))
-        if self.declared_range is not None:
-            lo, hi = (float(self.declared_range[0]), float(self.declared_range[1]))
-            if lo > float(data.min()) or hi < float(data.max()):
-                raise RefmetError(
-                    f"declared_range ({lo}, {hi}) does not cover data range "
-                    f"({data.min()}, {data.max()})"
-                )
-            object.__setattr__(self, "declared_range", (lo, hi))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,13 +135,13 @@ def intensity_stats(img: Image) -> tuple[float, float, float, float]:
 
 
 def crop(img: Image, r: Rect) -> Image:
-    """Sub-image at ``r``; the declared range is propagated."""
+    """Sub-image at ``r``."""
     if len(r.origin) != img.ndim:
         raise RefmetError(f"rect rank {len(r.origin)} != image rank {img.ndim}")
     for o, e, n in zip(r.origin, r.extent, img.shape):
         if o + e > n:
             raise RefmetError(f"rect {r} out of bounds for image shape {img.shape}")
-    return Image(img.data[r.slices()], declared_range=img.declared_range)
+    return Image(img.data[r.slices()])
 
 
 def correlate_valid(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -246,8 +236,7 @@ def _load_pgm(path: Path) -> Image:
         vals = np.frombuffer(payload, dtype=dtype).astype(np.int64)
     if vals.min() < 0 or vals.max() > maxval:
         raise FormatError(f"PGM sample out of range [0, {maxval}]")
-    return Image(vals.reshape(h, w).astype(np.float64),
-                 declared_range=(0.0, float(maxval)))
+    return Image(vals.reshape(h, w).astype(np.float64))
 
 
 def _load_rawf32(path: Path) -> Image:
@@ -321,7 +310,7 @@ def mask_from_image(img: Image, threshold: float = 0.5) -> Mask:
 
 def mask_to_image(m: Mask) -> Image:
     """Boolean mask as a 0/255 image, convenient for PGM export."""
-    return Image(m.data.astype(np.float64) * 255.0, declared_range=(0.0, 255.0))
+    return Image(m.data.astype(np.float64) * 255.0)
 
 
 def require_same_shape(a, b) -> None:

@@ -11,8 +11,8 @@ Binning quantizes intensities into ``bins`` integer levels:
 ``I' = min(bins - 1, floor((I - min) / (max - min) * bins))``.
 
 Data-range resolution produces the parameter L consumed by SSIM and PSNR.
-All degenerate denominators (constant images) are hard errors; nothing
-here silently propagates NaN.
+All degenerate denominators (constant images) and non-finite parameters
+or ranges are hard errors; nothing here silently propagates NaN.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ class NormMethod:
                 raise ConfigError("custom normalization needs both a and b")
             if not self.scale > 0:
                 raise ConfigError(f"custom scale b must be > 0, got {self.scale}")
+            if not (np.isfinite(self.shift) and np.isfinite(self.scale)):
+                raise ConfigError("custom normalization needs finite a and b, "
+                                  f"got a={self.shift}, b={self.scale}")
         elif self.shift is not None or self.scale is not None:
             raise ConfigError(f"{self.kind} normalization takes no parameters")
 
@@ -119,6 +122,8 @@ class DataRangePolicy:
         if self.kind == "fixed":
             if self.value is None or not self.value > 0:
                 raise ConfigError(f"fixed data range needs L > 0, got {self.value}")
+            if self.value == np.inf:
+                raise ConfigError(f"fixed data range needs a finite L, got {self.value}")
         elif self.value is not None:
             raise ConfigError(f"{self.kind} policy takes no value")
 
@@ -148,9 +153,10 @@ class DataRangePolicy:
             if not body.startswith("L="):
                 raise ConfigError(f"fixed policy must look like fixed:L=..., got {text!r}")
             try:
-                return cls.fixed(float(body[2:]))
+                L = float(body[2:])
             except ValueError:
                 raise ConfigError(f"bad number in {text!r}") from None
+            return cls.fixed(L)
         raise ConfigError(f"unknown data-range policy {text!r}")
 
     def spec_string(self) -> str:
@@ -176,12 +182,7 @@ def normalize(img: Image, method: NormMethod) -> Image:
             raise DegenerateRangeError("zscore normalization of a constant image")
     else:
         a, b = float(method.shift), float(method.scale)
-    out = (d - a) / b
-    declared = None
-    if img.declared_range is not None:
-        lo, hi = img.declared_range
-        declared = ((lo - a) / b, (hi - a) / b)
-    return Image(out, declared_range=declared)
+    return Image((d - a) / b)
 
 
 def bin_quantize(img: Image, bins: int) -> Image:
@@ -195,12 +196,11 @@ def bin_quantize(img: Image, bins: int) -> Image:
     if span == 0:
         raise DegenerateRangeError("bin_quantize of a constant image")
     idx = np.floor((d - lo) / span * bins)
-    idx = np.minimum(idx, bins - 1)
-    return Image(idx, declared_range=(0.0, float(bins - 1)))
+    return Image(np.minimum(idx, bins - 1))
 
 
 def resolve_data_range(ref: Image, test: Image, policy: DataRangePolicy) -> float:
-    """The data-range parameter L under ``policy``; L must come out > 0."""
+    """The data-range parameter L under ``policy``; L must be finite and > 0."""
     return resolve_data_range_values(ref.data, test.data, policy)
 
 
@@ -216,7 +216,8 @@ def resolve_data_range_values(ref_vals: np.ndarray, test_vals: np.ndarray,
         L = float(ref_vals.max()) - float(ref_vals.min())
     else:
         L = float(test_vals.max()) - float(test_vals.min())
-    if L <= 0:
+    if not 0 < L < np.inf:
+        why = "constant input" if L <= 0 else "the span overflows float64"
         raise DegenerateRangeError(
-            f"data-range policy {policy.kind!r} resolved to L={L} (constant input)")
+            f"data-range policy {policy.kind!r} resolved to L={L} ({why})")
     return L

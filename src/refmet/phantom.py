@@ -132,7 +132,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> Phantom:
     data[marker] = MARKER_VALUE
 
     return Phantom(
-        image=Image(data, declared_range=(0.0, 1.0)),
+        image=Image(data),
         tumor_mask=Mask(tumor),
         foreground_mask=Mask(brain),
         seed=int(seed),

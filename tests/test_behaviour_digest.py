@@ -14,7 +14,7 @@ COMPARES = ("full_panel", "minmax_fixed_range_bins", "prebin", "mask_pointwise_d
             "mask_ssim", "mask_fails_after_print", "mask_rect_windowed", "strict_zscore",
             "zscore_prebin_range_ref", "unknown_metric", "range_test_out")
 RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
-        + [f"compare_{c}" for c in COMPARES]
+        + ["distort_pgm"] + [f"compare_{c}" for c in COMPARES]
         + ["lint_no_config", "lint_valid_config", "lint_w03_config", "audit_all"])
 
 
@@ -38,6 +38,8 @@ def test_digest_is_deterministic_and_lists_every_run():
     for kind in KINDS:
         assert _written(runs[f"distort_{kind}"]) == [f"d_{kind}.rawf32",
                                                      f"d_{kind}.rawf32.meta"]
+    assert runs["distort_pgm"][0] == "exit=0"
+    assert _written(runs["distort_pgm"]) == ["d_pgm.rawf32", "d_pgm.rawf32.meta"]
     assert _written(runs["audit_all"]) == ["audit_out/report.csv", "audit_out/report.md"]
     assert runs["compare_mask_ssim"][0] == "exit=1"
     assert runs["compare_mask_ssim"][1] == f"stdout={EMPTY}"

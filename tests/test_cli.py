@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from refmet.distort import chain_fingerprint, parse_chain
+from refmet.distort import chain_fingerprint, gaussian_blur, parse_chain
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
 from refmet.phantom import generate_phantom
 
@@ -70,6 +70,18 @@ def test_compare_bin_count_below_2_exits_1(workdir, flags):
     assert res.returncode == 1
     assert res.stderr.startswith("refmet compare: error:")
     assert "must be >= 2" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("flags", [("--range", "fixed:L=inf"),
+                                   ("--norm", "custom:a=0,b=inf")])
+def test_compare_non_finite_parameter_exits_1(workdir, flags):
+    # they scored ssim nan, and mae 0.0 / ssim 1.0 on any pair
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--metrics", "mae,ssim", *flags)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("refmet compare: error:") and "finite" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -163,6 +175,9 @@ def test_distort_spec_file(workdir):
      "gaussian_noise seed"),
     ('{"kind": "translate", "params": {"shift": "ab"}}', "translate param 'shift'"),
     ('{"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "sed": 5}', "['sed']"),
+    # JSON's Infinity used to reach float arithmetic: a raw OverflowError
+    ('{"kind": "gaussian_blur", "params": {"sigma": Infinity}}',
+     "gaussian_blur param 'sigma' must be a number, got Infinity"),
 ])
 def test_distort_malformed_spec_exits_1(workdir, spec, named):
     res = run_cli("distort", str(workdir / "ref.rawf32"), spec, str(workdir / "bad.rawf32"))
@@ -170,6 +185,19 @@ def test_distort_malformed_spec_exits_1(workdir, spec, named):
     assert res.stderr.startswith("refmet distort: error:") and named in res.stderr
     assert "Traceback" not in res.stderr
     assert not (workdir / "bad.rawf32").exists()
+
+
+def test_distort_blurs_a_pgm_mask(workdir):
+    # the blurred 0/255 mask peaks a few ulps above 255, which no longer
+    # collides with a range the loaded PGM carried
+    pgm = workdir / "fg1000.pgm"
+    save_image(mask_to_image(generate_phantom(1000).foreground_mask), pgm)
+    out = workdir / "fg1000_blur.rawf32"
+    res = run_cli("distort", str(pgm), '{"kind":"gaussian_blur","params":{"sigma":2.0}}',
+                  str(out))
+    assert res.returncode == 0, res.stderr
+    expected = gaussian_blur(Image(load_image(pgm).data), 2.0).data.astype(np.float32)
+    assert np.array_equal(load_image(out).data, expected)
 
 
 # --- phantom -----------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from refmet import rng as prng
 from refmet.errors import ConfigError, DegenerateRangeError
-from refmet.image import Image
+from refmet.image import Image, load_image, save_image
+from refmet.normalize import NormMethod, normalize
 from refmet.distort import (DistortionSpec, add_gaussian_noise, add_stripes,
                             apply, apply_chain, chain_fingerprint, crop_fraction,
                             gamma_transform, gaussian_blur, linear_scale,
@@ -253,6 +254,17 @@ def test_unknown_param_rejected():
         DistortionSpec("gamma", {"gamma": 1.0, "exponent": 2.0})
 
 
+# kind -> (function, its bound's message, formatted with the first parameter)
+BOUNDS = {
+    "gamma": (gamma_transform, "gamma must be > 0, got {}"),
+    "linear_scale": (linear_scale, "linear scale factor must be nonzero"),
+    "gaussian_noise": (add_gaussian_noise, "sigma_rel must be >= 0, got {}"),
+    "stripes": (add_stripes, "stripe period must be >= 2, got {}"),
+    "gaussian_blur": (gaussian_blur, "blur sigma must be > 0, got {}"),
+    "crop_fraction": (crop_fraction, "crop fraction must lie in (0, 0.5), got {}"),
+}
+
+
 @pytest.mark.parametrize("kind,params", [
     ("gamma", {"gamma": -0.4}),
     ("linear_scale", {"factor": 0.0}),
@@ -260,10 +272,20 @@ def test_unknown_param_rejected():
     ("stripes", {"period": 1, "amplitude_rel": 0.1, "axis": 0}),
     ("gaussian_blur", {"sigma": 0.0}),
     ("crop_fraction", {"fraction": 0.6}),
+    # the edges of the open bounds
+    ("gamma", {"gamma": 0.0}),
+    ("crop_fraction", {"fraction": 0.5}),
+    ("crop_fraction", {"fraction": 0.0}),
 ])
-def test_bad_param_values_rejected_at_spec_time(kind, params):
-    with pytest.raises(ConfigError):
+def test_bad_param_values_rejected_at_spec_time(kind, params, rng):
+    # the same bound and message whether the spec or the function checks it
+    fn, message = BOUNDS[kind]
+    with pytest.raises(ConfigError) as at_spec:
         DistortionSpec(kind, params)
+    with pytest.raises(ConfigError) as at_call:
+        fn(_phantom_like(rng), *params.values(), *([0] if kind == "gaussian_noise" else []))
+    expected = message.format(*params.values())
+    assert str(at_spec.value) == str(at_call.value) == expected
 
 
 def test_spec_json_roundtrip():
@@ -281,6 +303,17 @@ def test_determinism_repeated_application(rng):
     img = _phantom_like(rng)
     spec = DistortionSpec("gaussian_noise", {"sigma_rel": 0.2}, seed=3)
     assert np.array_equal(apply(spec, img).data, apply(spec, img).data)
+
+
+def test_loaded_pgm_survives_zscore_gamma_and_blur(tmp_path):
+    # full-range 8-bit PGMs: gamma and blur round a few ulps past the
+    # z-scored extremes, which a loaded image must not forbid
+    for seed in range(40):
+        data = np.random.default_rng(seed).integers(0, 256, (24, 24)).astype(np.float64)
+        data[0, 0], data[-1, -1] = 0.0, 255.0
+        save_image(Image(data), tmp_path / "x.pgm")
+        img = normalize(load_image(tmp_path / "x.pgm"), NormMethod.zscore())
+        assert gaussian_blur(gamma_transform(img, 0.5), 2.0).shape == (24, 24)
 
 
 def test_apply_returns_the_kind_functions_image(rng):
@@ -326,6 +359,17 @@ def test_only_gaussian_noise_is_seeded():
     ({"kind": ["gamma"], "params": {}}, "unknown distortion kind ['gamma']"),
     ({"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "sed": 5},
      "unknown distortion spec keys ['sed']"),
+    # a number is finite: JSON's Infinity and NaN parse as floats, and an
+    # int beyond float range cannot become one
+    ({"kind": "gaussian_blur", "params": {"sigma": float("inf")}},
+     "gaussian_blur param 'sigma' must be a number, got Infinity"),
+    ({"kind": "linear_scale", "params": {"factor": -float("inf")}},
+     "linear_scale param 'factor' must be a number, got -Infinity"),
+    ({"kind": "gamma", "params": {"gamma": float("nan")}},
+     "gamma param 'gamma' must be a number, got NaN"),
+    pytest.param({"kind": "linear_scale", "params": {"factor": 10 ** 400}},
+                 f"linear_scale param 'factor' must be a number, got {10 ** 400}",
+                 id="int-beyond-float-range"),
 ])
 def test_malformed_spec_is_a_named_config_error(obj, message):
     with pytest.raises(ConfigError) as info:

@@ -24,13 +24,8 @@ def test_image_rejects_1d():
         Image(np.arange(4.0))
 
 
-def test_declared_range_must_cover_data():
-    with pytest.raises(RefmetError):
-        Image(np.array([[0.0, 300.0]]), declared_range=(0, 255))
-
-
 def test_image_fields():
-    assert [f.name for f in fields(Image)] == ["data", "declared_range"]
+    assert [f.name for f in fields(Image)] == ["data"]
 
 
 def test_image_data_is_read_only():
@@ -134,7 +129,6 @@ def test_pgm_ascii_roundtrip_contract(tmp_path):
     img = load_image(path, "pgm")
     assert img.shape == (2, 2)
     assert img.data.ravel().tolist() == [0, 10, 20, 30]
-    assert img.declared_range == (0.0, 255.0)
 
 
 def test_pgm_binary_roundtrip(tmp_path):
@@ -143,7 +137,6 @@ def test_pgm_binary_roundtrip(tmp_path):
     save_image(img, tmp_path / "x.pgm")
     back = load_image(tmp_path / "x.pgm")
     assert np.array_equal(back.data, data)
-    assert back.declared_range == (0.0, 255.0)
 
 
 def test_pgm_16bit(tmp_path):
@@ -151,7 +144,6 @@ def test_pgm_16bit(tmp_path):
     save_image(Image(data), tmp_path / "w.pgm")
     back = load_image(tmp_path / "w.pgm")
     assert np.array_equal(back.data, data)
-    assert back.declared_range == (0.0, 65535.0)
 
 
 def test_pgm_rejects_fractional(tmp_path):

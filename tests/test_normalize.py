@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from refmet.errors import ConfigError, DegenerateRangeError
 from refmet.image import Image
+from refmet.metrics import evaluate
 from refmet.normalize import (DataRangePolicy, NormMethod, bin_quantize,
                               normalize, resolve_data_range)
 
@@ -50,6 +51,14 @@ def test_custom_requires_positive_scale():
         NormMethod.custom(0.0, -1.0)
 
 
+@pytest.mark.parametrize("text", ["custom:a=0,b=inf", "custom:a=inf,b=1",
+                                  "custom:a=-inf,b=1", "custom:a=nan,b=1"])
+def test_custom_requires_finite_shift_and_scale(text):
+    # b=inf would map every image to 0; a non-finite a to non-finite data
+    with pytest.raises(ConfigError, match="needs finite a and b"):
+        NormMethod.parse(text)
+
+
 @given(nonconstant)
 @settings(max_examples=50, deadline=None)
 def test_minmax_bounds_property(data):
@@ -89,7 +98,6 @@ def test_norm_parse_rejects_garbage():
 def test_bin_quantize_two_bins():
     out = bin_quantize(Image(np.array([[0.0, 10.0]])), 2)
     assert out.data.tolist() == [[0.0, 1.0]]
-    assert out.declared_range == (0.0, 1.0)
 
 
 def test_bin_quantize_max_clamps():
@@ -162,6 +170,31 @@ def test_per_reference_constant_errors():
     with pytest.raises(DegenerateRangeError):
         resolve_data_range(Image(np.full((1, 2), 3.0)), _img(0, 1),
                            DataRangePolicy.ref())
+
+
+def test_fixed_range_requires_finite_L():
+    for make in (lambda: DataRangePolicy.fixed(float("inf")),
+                 lambda: DataRangePolicy.parse("fixed:L=inf")):
+        with pytest.raises(ConfigError, match="needs a finite L, got inf"):
+            make()
+
+
+def test_overflowing_joint_range_errors():
+    # each image alone spans 1e308; only their joint span overflows
+    ref, test = (Image(np.resize([lo, hi], (16, 16)))
+                 for lo, hi in ((0.0, 1e308), (-1e308, 0.0)))
+    with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
+        resolve_data_range(ref, test, DataRangePolicy.joint())
+    for metric in ("psnr", "ssim"):  # both scored nan on an infinite L
+        with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
+            evaluate(metric, ref, test)
+
+
+@pytest.mark.parametrize("policy", ["ref", "test"])
+def test_overflowing_own_range_errors(policy):
+    wide = _img(-1e308, 1e308)
+    with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
+        resolve_data_range(wide, wide, DataRangePolicy.parse(policy))
 
 
 @given(nonconstant, nonconstant)

@@ -68,8 +68,3 @@ def test_dims_knob():
 def test_dims_too_small_rejected():
     with pytest.raises(ConfigError):
         PhantomParams(dims=(32, 192))
-
-
-def test_declared_range():
-    p = generate_phantom(9)
-    assert p.image.declared_range == (0.0, 1.0)
