@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DegenerateRangeError, RefmetError, check_kind
-from .image import Image, correlate_valid
+from .image import Image, correlate_valid, gaussian_kernel
 
 __all__ = [
     "DistortionSpec",
@@ -146,13 +146,6 @@ def add_stripes(img: Image, period: int, amplitude_rel: float, axis: int = 0) ->
     return Image(out)
 
 
-def _gauss_kernel(sigma: float) -> np.ndarray:
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
 def gaussian_blur(img: Image, sigma: float) -> Image:
     """Separable Gaussian blur, kernel truncated at radius ceil(3 sigma).
 
@@ -160,7 +153,7 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     total intensity for the symmetric kernel.
     """
     sigma = _bounded("sigma", float(sigma))
-    kern = _gauss_kernel(sigma)
+    kern = gaussian_kernel(sigma)
     out = img.data
     for ax in range(img.ndim):
         pad = [(0, 0)] * img.ndim

@@ -33,7 +33,6 @@ __all__ = [
     "Rect",
     "load_image",
     "save_image",
-    "intensity_stats",
     "crop",
     "bounding_box",
 ]
@@ -69,18 +68,6 @@ class Image:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[-1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[-2]
-
-    @property
-    def depth(self) -> int | None:
-        return self.data.shape[0] if self.data.ndim == 3 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +115,6 @@ class Rect:
         return tuple(slice(o, o + e) for o, e in zip(self.origin, self.extent))
 
 
-def intensity_stats(img: Image) -> tuple[float, float, float, float]:
-    """(min, max, mean, std) over all elements; std uses population divisor N."""
-    d = img.data
-    return float(d.min()), float(d.max()), float(d.mean()), float(d.std(ddof=0))
-
-
 def crop(img: Image, r: Rect) -> Image:
     """Sub-image at ``r``."""
     if len(r.origin) != img.ndim:
@@ -164,6 +145,14 @@ def correlate_valid(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
         pair *= kernel[i]
         out += pair
     return np.moveaxis(out, 0, axis)
+
+
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian taps, truncated at radius ceil(3 sigma)."""
+    radius = int(np.ceil(3.0 * sigma))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    return k / k.sum()
 
 
 def bounding_box(m: Mask) -> Rect:
@@ -264,24 +253,19 @@ def _load_rawf32(path: Path) -> Image:
     return Image(vals.astype(np.float64))
 
 
-def load_image(path, format: str | None = None) -> Image:
-    """Load an image; format inferred from the extension when omitted."""
+def load_image(path) -> Image:
+    """Load an image: PGM for a ``.pgm`` extension, rawf32 otherwise."""
     path = Path(path)
-    fmt = format or ("pgm" if path.suffix.lower() == ".pgm" else "rawf32")
     if not path.exists():
         raise FormatError(f"no such file: {path}")
-    if fmt == "pgm":
-        return _load_pgm(path)
-    if fmt == "rawf32":
-        return _load_rawf32(path)
-    raise FormatError(f"unknown format {fmt!r}")
+    return _load_pgm(path) if path.suffix.lower() == ".pgm" else _load_rawf32(path)
 
 
-def save_image(img: Image, path, format: str | None = None) -> None:
-    """Write ``img``; pgm requires integer values in [0, 65535] and 2D data."""
+def save_image(img: Image, path) -> None:
+    """Write ``img`` as PGM for a ``.pgm`` extension, rawf32 otherwise; pgm
+    requires integer values in [0, 65535] and 2D data."""
     path = Path(path)
-    fmt = format or ("pgm" if path.suffix.lower() == ".pgm" else "rawf32")
-    if fmt == "pgm":
+    if path.suffix.lower() == ".pgm":
         if img.ndim != 2:
             raise FormatError("PGM only stores 2D images")
         d = img.data
@@ -294,13 +278,11 @@ def save_image(img: Image, path, format: str | None = None) -> None:
         header = f"P5\n{w} {h}\n{maxval}\n".encode()
         dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
         path.write_bytes(header + d.astype(dtype).tobytes())
-    elif fmt == "rawf32":
+    else:
         payload = img.data.astype("<f4").tobytes(order="C")
         path.write_bytes(payload)
         meta = {"dims": [int(v) for v in img.shape], "dtype": "f32le"}
         Path(str(path) + ".meta").write_text(json.dumps(meta) + "\n")
-    else:
-        raise FormatError(f"unknown format {fmt!r}")
 
 
 def mask_from_image(img: Image, threshold: float = 0.5) -> Mask:

@@ -17,7 +17,10 @@ Metrics come in three kinds:
 
 The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
-``scales``, ``weights`` and ``nmi_bins``; all else is the direct-API default.
+``scales``, ``weights`` and ``nmi_bins``. Nothing else about them is
+settable: the SSIM window and constants, the CW-SSIM filter bank and the
+per-image histogram range are fixed, and each score's fingerprint prints
+them.
 
 :func:`evaluate` takes an optional :class:`RefWorkspace` that the caller
 keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
@@ -41,13 +44,13 @@ from .overlap import dice
 from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
                         psnr, psnr_score)
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
-from .structural import (MsSsimParams, RefWorkspace, SsimParams, WindowSpec, ms_ssim,
-                         ssim, truncated_weights)
-from .wavelet import CwSsimParams, cw_ssim
+from .structural import (MsSsimParams, RefWorkspace, SsimParams, ms_ssim, ssim,
+                         truncated_weights)
+from .wavelet import cw_ssim
 
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
-    "WindowSpec", "SsimParams", "MsSsimParams", "CwSsimParams", "HistogramParams",
+    "SsimParams", "MsSsimParams", "HistogramParams",
     "mae", "mse", "psnr", "pcc", "ssim", "ms_ssim", "cw_ssim", "mi", "nmi", "dice",
     "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
     "register_metric",

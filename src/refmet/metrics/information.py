@@ -1,8 +1,8 @@
 """Mutual information metrics from joint intensity histograms.
 
 Entropies use the natural logarithm. The joint histogram has ``bins``
-equal-width bins per axis; bin edges cover each image's own range by
-default (``per_image``) or the joint min/max of both images (``joint``).
+equal-width bins per axis, the one setting; each axis's bin edges cover
+that image's own min/max (``hist_range=per_image`` in the fingerprint).
 Marginal entropies are derived from the same joint histogram, so
 mi(R, R) = H(R) holds exactly.
 """
@@ -23,28 +23,22 @@ __all__ = ["HistogramParams", "mi", "nmi"]
 @dataclass(frozen=True)
 class HistogramParams:
     bins: int = 256
-    range_policy: str = "per_image"
 
     def __post_init__(self):
         if self.bins < 2:
             raise ConfigError(f"histogram bins must be >= 2, got {self.bins}")
-        if self.range_policy not in ("per_image", "joint"):
-            raise ConfigError(f"unknown histogram range policy {self.range_policy!r}")
 
     def fingerprint(self) -> str:
-        return fingerprint(bins=self.bins, hist_range=self.range_policy)
+        return fingerprint(bins=self.bins, hist_range="per_image")
 
 
-def _edges(vals: np.ndarray, other: np.ndarray, h: HistogramParams) -> np.ndarray:
-    if h.range_policy == "joint":
-        lo = min(float(vals.min()), float(other.min()))
-        hi = max(float(vals.max()), float(other.max()))
-    else:
-        lo, hi = float(vals.min()), float(vals.max())
+def _edges(vals: np.ndarray, bins: int) -> np.ndarray:
+    """``bins + 1`` uniform edges over the values' own min/max."""
+    lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         # Constant axis: a single occupied bin, entropy 0.
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, h.bins + 1)
+    return np.linspace(lo, hi, bins + 1)
 
 
 def _bin_index(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -65,8 +59,8 @@ def _bin_index(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def joint_histogram(ref_vals: np.ndarray, test_vals: np.ndarray,
                     h: HistogramParams) -> np.ndarray:
     """Float64 counts, rows binned on ``ref_vals``, columns on ``test_vals``."""
-    flat = (_bin_index(ref_vals.ravel(), _edges(ref_vals, test_vals, h)) * h.bins
-            + _bin_index(test_vals.ravel(), _edges(test_vals, ref_vals, h)))
+    flat = (_bin_index(ref_vals.ravel(), _edges(ref_vals, h.bins)) * h.bins
+            + _bin_index(test_vals.ravel(), _edges(test_vals, h.bins)))
     counts = np.bincount(flat, minlength=h.bins * h.bins)
     return counts.reshape(h.bins, h.bins).astype(np.float64)
 

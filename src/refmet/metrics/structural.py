@@ -7,9 +7,11 @@ intensity and local contrast/structure:
     lum = (2 mu_r mu_t + C1) / (mu_r^2 + mu_t^2 + C1)
     cs  = (2 cov_rt + C2)  / (var_r + var_t + C2)
 
-with C1 = (k1 L)^2, C2 = (k2 L)^2 and L the data-range parameter. The
-score is the mean of lum*cs over all valid positions. Local moments are
-window-weighted without bias correction.
+with C1 = (K1 L)^2, C2 = (K2 L)^2 and L the data-range parameter, the one
+setting. The window and constants are the standard ones of Wang et al.
+(IEEE TIP 2004): an 11-tap Gaussian with sigma 1.5, K1 = 0.01 and
+K2 = 0.03. The score is the mean of lum*cs over all valid positions. Local
+moments are window-weighted without bias correction.
 
 MS-SSIM evaluates cs at every scale and luminance only at the coarsest,
 combining them as a weighted geometric product. Downsampling halves each
@@ -24,16 +26,24 @@ ms_ssim reuses ssim's; it never moves a bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, RefmetError
-from ..image import Image, correlate_valid, require_same_shape
+from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape
 from .score import MetricScore, fingerprint
 
-__all__ = ["WindowSpec", "SsimParams", "MsSsimParams", "RefWorkspace", "ssim", "ms_ssim"]
+__all__ = ["SsimParams", "MsSsimParams", "RefWorkspace", "ssim", "ms_ssim"]
+
+K1 = 0.01
+K2 = 0.03
+_SIGMA = 1.5
+# Read-only: every SSIM and MS-SSIM call shares this one array.
+_WINDOW = gaussian_kernel(_SIGMA)
+_WINDOW.flags.writeable = False
+_WINDOW_NAME = f"gaussian(radius={len(_WINDOW) // 2},sigma={_SIGMA!r})"
 
 # Weights from the standard multi-scale construction.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -55,65 +65,16 @@ def truncated_weights(scales: int) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """Sliding-window weighting: gaussian(sigma, radius) or uniform(side)."""
-
-    kind: str = "gaussian"
-    sigma: float = 1.5
-    radius: int = 5
-    side: int = 11
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform"):
-            raise ConfigError(f"unknown window kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if not self.sigma > 0 or self.radius < 1:
-                raise ConfigError("gaussian window needs sigma > 0 and radius >= 1")
-        else:
-            if self.side < 3 or self.side % 2 == 0:
-                raise ConfigError("uniform window side must be odd and >= 3")
-
-    @classmethod
-    def gaussian(cls, sigma: float = 1.5, radius: int = 5) -> "WindowSpec":
-        return cls("gaussian", sigma=float(sigma), radius=int(radius))
-
-    @classmethod
-    def uniform(cls, side: int) -> "WindowSpec":
-        return cls("uniform", side=int(side))
-
-    @property
-    def support(self) -> int:
-        return 2 * self.radius + 1 if self.kind == "gaussian" else self.side
-
-    def kernel1d(self) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.full(self.side, 1.0 / self.side)
-        x = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
-        k = np.exp(-(x * x) / (2.0 * self.sigma * self.sigma))
-        return k / k.sum()
-
-    def describe(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform(side={self.side})"
-        return f"gaussian(radius={self.radius},sigma={self.sigma!r})"
-
-
-@dataclass(frozen=True)
 class SsimParams:
     data_range: float
-    window: WindowSpec = field(default_factory=WindowSpec)
-    k1: float = 0.01
-    k2: float = 0.03
 
     def __post_init__(self):
         if not self.data_range > 0:
             raise ConfigError(f"data_range must be > 0, got {self.data_range}")
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ConfigError("k1 and k2 must be > 0")
 
     def fingerprint(self) -> str:
-        return fingerprint(data_range=float(self.data_range), k1=self.k1, k2=self.k2,
-                           window=self.window.describe())
+        return fingerprint(data_range=float(self.data_range), k1=K1, k2=K2,
+                           window=_WINDOW_NAME)
 
 
 @dataclass(frozen=True)
@@ -138,22 +99,16 @@ class MsSsimParams:
 
     def fingerprint(self) -> str:
         return fingerprint(data_range=float(self.base.data_range),
-                           downsample="mean2", k1=self.base.k1, k2=self.base.k2,
+                           downsample="mean2", k1=K1, k2=K2,
                            scales=self.scales, weights=self.weights,
-                           window=self.base.window.describe())
+                           window=_WINDOW_NAME)
 
 
-def _windowed_mean(arr: np.ndarray, kern: np.ndarray) -> np.ndarray:
+def _windowed_mean(arr: np.ndarray) -> np.ndarray:
     """Window-weighted local mean at all valid positions (separable)."""
     for ax in range(arr.ndim):
-        arr = correlate_valid(arr, kern, ax)
+        arr = correlate_valid(arr, _WINDOW, ax)
     return arr
-
-
-def _check_window_fits(shape: tuple[int, ...], support: int) -> None:
-    if any(n < support for n in shape):
-        raise RefmetError(
-            f"window support {support} does not fit image shape {shape}")
 
 
 def _downsample2(arr: np.ndarray) -> np.ndarray:
@@ -179,23 +134,23 @@ class RefMoments(NamedTuple):
     sq: np.ndarray
 
 
-def _ref_moments(ref: np.ndarray, window: WindowSpec) -> RefMoments:
-    _check_window_fits(ref.shape, window.support)
-    kern = window.kernel1d()
-    return RefMoments(ref, _windowed_mean(ref, kern), _windowed_mean(ref * ref, kern))
+def _ref_moments(ref: np.ndarray) -> RefMoments:
+    if any(n < len(_WINDOW) for n in ref.shape):
+        raise RefmetError(
+            f"window support {len(_WINDOW)} does not fit image shape {ref.shape}")
+    return RefMoments(ref, _windowed_mean(ref), _windowed_mean(ref * ref))
 
 
 def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float, float]:
     """(mean lum*cs, mean cs) over valid window positions; ``ref`` carries
-    the reference moments under ``p.window``."""
-    kern = p.window.kernel1d()
-    c1 = (p.k1 * p.data_range) ** 2
-    c2 = (p.k2 * p.data_range) ** 2
+    the reference moments."""
+    c1 = (K1 * p.data_range) ** 2
+    c2 = (K2 * p.data_range) ** 2
     mu_r = ref.mu
-    mu_t = _windowed_mean(test, kern)
+    mu_t = _windowed_mean(test)
     var_r = ref.sq - mu_r * mu_r
-    var_t = _windowed_mean(test * test, kern) - mu_t * mu_t
-    cov = _windowed_mean(ref.data * test, kern) - mu_r * mu_t
+    var_t = _windowed_mean(test * test) - mu_t * mu_t
+    cov = _windowed_mean(ref.data * test) - mu_r * mu_t
     lum = (2.0 * mu_r * mu_t + c1) / (mu_r * mu_r + mu_t * mu_t + c1)
     cs = (2.0 * cov + c2) / (var_r + var_t + c2)
     return float(np.mean(lum * cs)), float(np.mean(cs))
@@ -203,7 +158,7 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float
 
 class RefWorkspace:
     """What ssim and ms_ssim reuse across calls, built on first use: per
-    window and scale, one reference Image's downsampled data and moments
+    scale, one reference Image's downsampled data and moments
     (:class:`RefMoments`), and per :class:`SsimParams`, one (reference, test)
     pair's scale-0 ``ssim_and_cs`` result (MS-SSIM's scale 0 is SSIM's).
 
@@ -216,22 +171,22 @@ class RefWorkspace:
     def __init__(self):
         self._ref: Image | None = None
         self._test: Image | None = None
-        self._pyramids: dict[WindowSpec, list[RefMoments]] = {}
+        self._pyramid: list[RefMoments] = []
         self._scale0: dict[SsimParams, tuple[float, float]] = {}
 
-    def moments(self, ref: Image, window: WindowSpec, scale: int) -> RefMoments:
+    def moments(self, ref: Image, scale: int) -> RefMoments:
         if ref is not self._ref:
-            self._ref, self._pyramids = ref, {}
+            self._ref, self._pyramid = ref, []
             self._test, self._scale0 = None, {}
-        levels = self._pyramids.setdefault(window, [])
+        levels = self._pyramid
         while len(levels) <= scale:
             data = _downsample2(levels[-1].data) if levels else ref.data
-            levels.append(_ref_moments(data, window))
+            levels.append(_ref_moments(data))
         return levels[scale]
 
     def scale0(self, ref: Image, test: Image, p: SsimParams) -> tuple[float, float]:
         require_same_shape(ref, test)
-        r = self.moments(ref, p.window, 0)
+        r = self.moments(ref, 0)
         if test is not self._test:
             self._test, self._scale0 = test, {}
         if p not in self._scale0:
@@ -262,7 +217,7 @@ def ms_ssim(ref: Image, test: Image, params: MsSsimParams,
         if scale == 0:
             full, cs = ws.scale0(ref, test, params.base)
         else:
-            r = ws.moments(ref, params.base.window, scale)
+            r = ws.moments(ref, scale)
             t = _downsample2(t)
             full, cs = ssim_and_cs(r, t, params.base)
         factors.append(full if scale == params.scales - 1 else cs)

@@ -21,10 +21,6 @@ def gaussian_kernel2d(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def uniform_kernel2d(side: int) -> np.ndarray:
-    return np.full((side, side), 1.0 / (side * side))
-
-
 def naive_ssim_and_cs(ref, test, data_range, k1=0.01, k2=0.03, kernel=None):
     """Double-loop SSIM: weighted window moments at every valid position."""
     if kernel is None:

@@ -8,8 +8,8 @@ from scipy import ndimage
 from oracles import naive_box_sum, naive_cw_ssim_index
 from refmet.errors import RefmetError
 from refmet.image import Image
-from refmet.metrics import CwSsimParams, SsimParams, cw_ssim, ssim
-from refmet.metrics.wavelet import _filter_bank, _neighborhood_sum
+from refmet.metrics import SsimParams, cw_ssim, ssim
+from refmet.metrics.wavelet import _K, _filter_bank, _neighborhood_sum
 from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
 from refmet.normalize import DataRangePolicy, resolve_data_range
 from refmet.phantom import generate_phantom
@@ -31,13 +31,14 @@ def test_rejects_3d():
 def test_rejects_too_small():
     img = Image(np.zeros((20, 20)))
     with pytest.raises(RefmetError):
-        cw_ssim(img, img, CwSsimParams(levels=2))
+        cw_ssim(img, img)
 
 
-def test_no_data_range_parameter():
+def test_no_data_range_parameter(rng):
     # the fingerprint carries no L; scaling both images jointly is a no-op
     # on SSIM-with-L but cw_ssim has no such knob at all
-    fp = CwSsimParams().fingerprint()
+    img = Image(rng.random((28, 28)))
+    fp = cw_ssim(img, img).params_fingerprint
     assert "data_range" not in fp
     assert fp == "k=0.03;levels=2;neighborhood=7;orientations=6"
 
@@ -105,7 +106,7 @@ def test_neighborhood_sum_complex_sums_parts_separately():
 
 
 def test_filter_bank_masks_are_read_only():
-    masks = _filter_bank((64, 64), 2, 6)
+    masks = _filter_bank((64, 64))
     assert len(masks) == 12
     with pytest.raises(ValueError):
         masks[0][0, 0] = 1.0
@@ -127,9 +128,8 @@ def test_index_stage_matches_naive_loop(shape):
     g = np.random.default_rng(sum(shape))
     ref = Image(g.normal(size=shape))
     test = Image(ref.data + 0.3 * g.normal(size=shape))
-    p = CwSsimParams()
     fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
-    masks = _filter_bank(shape, p.levels, p.orientations)
+    masks = _filter_bank(shape)
     expected = naive_cw_ssim_index([np.fft.ifft2(fr * m) for m in masks],
-                                   [np.fft.ifft2(ft * m) for m in masks], k=p.k)
-    assert cw_ssim(ref, test, p).value == pytest.approx(expected, rel=1e-12, abs=0)
+                                   [np.fft.ifft2(ft * m) for m in masks], k=_K)
+    assert cw_ssim(ref, test).value == pytest.approx(expected, rel=1e-12, abs=0)

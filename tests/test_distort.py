@@ -195,9 +195,9 @@ def test_blur_reduces_variance(rng):
 
 
 def test_blur_kernel_normalized():
-    from refmet.distort import _gauss_kernel
+    from refmet.image import gaussian_kernel
     for sigma in (0.4, 1.0, 2.7):
-        k = _gauss_kernel(sigma)
+        k = gaussian_kernel(sigma)
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(k) == 2 * int(np.ceil(3 * sigma)) + 1
 

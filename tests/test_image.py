@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from refmet.errors import FormatError, RefmetError
-from refmet.image import (Image, Mask, Rect, bounding_box, crop,
-                          intensity_stats, load_image, save_image)
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
-                   allow_infinity=False, width=32)
+from refmet.image import Image, Mask, Rect, bounding_box, crop, load_image, save_image
 
 
 def test_image_rejects_nan():
@@ -36,38 +32,9 @@ def test_image_data_is_read_only():
 
 def test_dims_properties():
     img = Image(np.zeros((3, 4)))
-    assert (img.height, img.width, img.depth) == (3, 4, None)
+    assert (img.shape, img.ndim) == ((3, 4), 2)
     vol = Image(np.zeros((2, 3, 4)))
-    assert (vol.depth, vol.height, vol.width) == (2, 3, 4)
-
-
-# --- intensity stats ------------------------------------------------------
-
-def test_stats_constant():
-    assert intensity_stats(Image(np.full((2, 2), 5.0))) == (5, 5, 5, 0)
-
-
-def test_stats_hand_computed():
-    mn, mx, mean, std = intensity_stats(Image(np.array([[0.0, 1.0], [2.0, 3.0]])))
-    assert (mn, mx, mean) == (0, 3, 1.5)
-    assert std == pytest.approx(np.sqrt(1.25), abs=0)
-
-
-def test_stats_two_values():
-    assert intensity_stats(Image(np.array([[-1.0, 1.0]]))) == (-1, 1, 0, 1)
-
-
-@given(arrays(np.float64, (5, 7), elements=finite),
-       st.floats(min_value=-100, max_value=100, allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_stats_shift_property(data, c):
-    mn, mx, mean, std = intensity_stats(Image(data))
-    mn2, mx2, mean2, std2 = intensity_stats(Image(data + c))
-    tol = 1e-12 * max(1.0, float(np.abs(data).max()), abs(c))
-    assert mn2 == pytest.approx(mn + c, abs=tol)
-    assert mx2 == pytest.approx(mx + c, abs=tol)
-    assert mean2 == pytest.approx(mean + c, abs=tol)
-    assert std2 == pytest.approx(std, rel=1e-9, abs=1e-9)
+    assert (vol.shape, vol.ndim) == ((2, 3, 4), 3)
 
 
 # --- crop / bounding box --------------------------------------------------
@@ -126,7 +93,7 @@ def test_crop_of_bbox_has_bbox_extent(mask_data):
 def test_pgm_ascii_roundtrip_contract(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_text("P2\n# comment\n2 2\n255\n0 10 20 30\n")
-    img = load_image(path, "pgm")
+    img = load_image(path)
     assert img.shape == (2, 2)
     assert img.data.ravel().tolist() == [0, 10, 20, 30]
 
@@ -168,7 +135,7 @@ def test_rawf32_dims_orientation(tmp_path):
     (tmp_path / "a.rawf32").write_bytes(vals.tobytes())
     (tmp_path / "a.rawf32.meta").write_text('{"dims": [3, 4], "dtype": "f32le"}')
     img = load_image(tmp_path / "a.rawf32")
-    assert (img.height, img.width) == (3, 4)
+    assert img.shape == (3, 4)
     assert img.data[0].tolist() == [0, 1, 2, 3]
 
 

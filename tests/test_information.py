@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from refmet.errors import DegenerateRangeError
 from refmet.image import Image
 from refmet.metrics import HistogramParams, mi, nmi
 from refmet.metrics.information import _edges, joint_histogram
+
+
+def test_histogram_params_fields():
+    assert [f.name for f in fields(HistogramParams)] == ["bins"]
 
 
 def _img(vals):
@@ -93,14 +98,6 @@ def test_nmi_monotone_relabel_invariant(seed, bins):
             == pytest.approx(nmi(Image(data), Image(other), h).value, abs=1e-12))
 
 
-def test_joint_range_policy_differs_from_per_image(rng):
-    a = Image(rng.random((32, 32)))
-    b = Image(rng.random((32, 32)) * 10.0)
-    per = nmi(a, b, HistogramParams(bins=16, range_policy="per_image")).value
-    joint = nmi(a, b, HistogramParams(bins=16, range_policy="joint")).value
-    assert per != joint
-
-
 def test_symmetry(rng):
     a = Image(rng.random((20, 20)))
     b = Image(rng.random((20, 20)))
@@ -116,12 +113,11 @@ def test_fingerprint_contains_bins():
 
 
 @given(seed=st.integers(0, 2**32 - 1), bins=st.sampled_from([2, 3, 7, 256, 512]),
-       policy=st.sampled_from(["per_image", "joint"]),
        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
        on_edges=st.integers(0, 64), constant=st.sampled_from([None, "ref", "test"]),
        log_scale=st.floats(-6, 6), offset=st.floats(-1e4, 1e4), masked=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_joint_histogram_equals_histogram2d(seed, bins, policy, shape, on_edges,
+def test_joint_histogram_equals_histogram2d(seed, bins, shape, on_edges,
                                             constant, log_scale, offset, masked):
     g = np.random.default_rng(seed)
     size = shape[0] * shape[1]
@@ -132,10 +128,10 @@ def test_joint_histogram_equals_histogram2d(seed, bins, policy, shape, on_edges,
         r[:] = r[0]
     elif constant == "test":
         t[:] = t[0]
-    h = HistogramParams(bins=bins, range_policy=policy)
+    h = HistogramParams(bins=bins)
     # Values exactly on bin edges: the edges lie inside the range, so adding
     # them leaves the edges unchanged. A constant axis stays constant.
-    er, et = _edges(r, t, h), _edges(t, r, h)
+    er, et = _edges(r, bins), _edges(t, bins)
     r = np.concatenate([r, np.full(k, r[0]) if constant == "ref" else g.choice(er, k)])
     t = np.concatenate([t, np.full(k, t[0]) if constant == "test" else g.choice(et, k)])
     r = g.permutation(r).reshape(shape)
@@ -145,7 +141,7 @@ def test_joint_histogram_equals_histogram2d(seed, bins, policy, shape, on_edges,
         sel.flat[g.integers(size)] = True
         r, t = r[sel], t[sel]
     expected, _, _ = np.histogram2d(r.ravel(), t.ravel(),
-                                    bins=[_edges(r, t, h), _edges(t, r, h)])
+                                    bins=[_edges(r, bins), _edges(t, bins)])
     got = joint_histogram(r, t, h)
     assert got.dtype == expected.dtype == np.float64
     assert np.array_equal(got, expected)

@@ -20,7 +20,7 @@ from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scena
 from refmet.image import Image, Mask, save_image
 from refmet.metrics import (RefWorkspace, evaluate, masked_evaluate, metric_kind,
                             registered_metrics)
-from refmet.metrics.structural import SsimParams, WindowSpec
+from refmet.metrics.structural import SsimParams
 from refmet.phantom import generate_phantom
 
 
@@ -115,25 +115,25 @@ def test_shared_workspace_follows_the_reference():
 
 
 def test_workspace_rebuilds_for_an_equal_but_distinct_reference():
-    ws, window = RefWorkspace(), WindowSpec()
+    ws = RefWorkspace()
     ref = Image(np.random.default_rng(5).random((40, 40)))
     twin = Image(ref.data.copy())
-    first = ws.moments(ref, window, 1)
-    assert ws.moments(ref, window, 1) is first
-    again = ws.moments(twin, window, 1)
+    first = ws.moments(ref, 1)
+    assert ws.moments(ref, 1) is first
+    again = ws.moments(twin, 1)
     assert again is not first and again.mu is not first.mu
     assert np.array_equal(again.mu, first.mu) and np.array_equal(again.sq, first.sq)
-    assert ws.moments(twin, window, 0).data is twin.data
+    assert ws.moments(twin, 0).data is twin.data
 
 
 def test_workspace_holds_one_reference_at_most():
-    ws, window = RefWorkspace(), WindowSpec()
+    ws = RefWorkspace()
     g = np.random.default_rng(6)
     ref = Image(g.random((48, 48)))
-    moments = ws.moments(ref, window, 2)
+    moments = ws.moments(ref, 2)
     held = [weakref.ref(ref), weakref.ref(moments.mu), weakref.ref(moments.data)]
     del ref, moments
-    ws.moments(Image(g.random((48, 48))), window, 0)
+    ws.moments(Image(g.random((48, 48))), 0)
     gc.collect()
     assert [r() for r in held] == [None, None, None]
 
@@ -165,7 +165,7 @@ def test_workspace_holds_one_test_at_most(monkeypatch):
     # another reference drops the test too
     held = weakref.ref(twin)
     del twin
-    ws.moments(Image(g.random((32, 32))), p.window, 0)
+    ws.moments(Image(g.random((32, 32))), 0)
     gc.collect()
     assert held() is None
 
