@@ -240,11 +240,6 @@ class DistortionSpec:
         inner = ",".join(f"{k}={v!r}" for k, v in sorted(kv.items()))
         return f"{self.kind}({inner})"
 
-    def to_json(self) -> dict:
-        params = {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in self.params.items()}
-        return {"kind": self.kind, "params": params, "seed": self.seed}
-
     @classmethod
     def from_json(cls, obj) -> "DistortionSpec":
         if not isinstance(obj, dict) or "kind" not in obj:

@@ -24,8 +24,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fracti
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError, config_value
 from .image import Image, Mask, bounding_box, crop
-from .metrics import (EvalContext, RefWorkspace, evaluate, masked_evaluate, metric_kind,
-                      rect_of_mask, registered_metrics)
+from .metrics import (METRIC_IDS, EvalContext, RefWorkspace, evaluate, masked_evaluate,
+                      metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -63,10 +63,10 @@ class EvalPlan(EvalContext):
     mask: Mask | None = None
 
     def __post_init__(self):
-        unknown = [m for m in self.metrics if m not in registered_metrics()]
+        unknown = [m for m in self.metrics if m not in METRIC_IDS]
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; available: "
-                              f"{', '.join(registered_metrics())}")
+                              f"{', '.join(METRIC_IDS)}")
         if self.prebin is not None and self.prebin < 2:
             raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
         if self.nmi_bins < 2:

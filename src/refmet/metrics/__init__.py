@@ -1,7 +1,6 @@
-"""Reference-metric registry and masked/cropped evaluation semantics.
+"""Reference-metric table and masked/cropped evaluation semantics.
 
-Metric identifiers (exact strings): ``mae``, ``mse``, ``psnr``, ``ssim``,
-``ms_ssim``, ``cw_ssim``, ``pcc``, ``mi``, ``nmi``, ``dice``.
+Metric identifiers (exact strings) are ``METRIC_IDS``.
 
 Metrics come in three kinds:
 
@@ -12,8 +11,8 @@ Metrics come in three kinds:
   bit-identical to evaluating on the cropped images.
 * ``mask`` metrics (dice) compare boolean grids directly.
 
-``register_metric`` is the extension point for attaching additional
-(e.g. learned) metrics under the same evaluation semantics.
+Scores are made by id through :func:`evaluate` or :func:`masked_evaluate`;
+``ssim``, ``ms_ssim``, ``cw_ssim`` and ``dice`` are the kernels they call.
 
 The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
@@ -39,10 +38,9 @@ import numpy as np
 from ..errors import ConfigError, NonRectangularMaskError, RefmetError
 from ..image import Image, Mask, bounding_box, crop, mask_from_image, require_same_shape
 from ..normalize import DataRangePolicy, resolve_data_range_values
-from .information import HistogramParams, mi, mi_values, nmi, nmi_values
+from .information import HistogramParams, mi_values, nmi_values
 from .overlap import dice
-from .pointwise import (mae, mae_values, mse, mse_values, pcc, pcc_values,
-                        psnr, psnr_score)
+from .pointwise import mae_values, mse_values, pcc_values, psnr_score
 from .score import MetricScore, fingerprint, format_score, merge_fingerprints
 from .structural import (MsSsimParams, RefWorkspace, SsimParams, ms_ssim, ssim,
                          truncated_weights)
@@ -51,10 +49,9 @@ from .wavelet import cw_ssim
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
     "SsimParams", "MsSsimParams", "HistogramParams",
-    "mae", "mse", "psnr", "pcc", "ssim", "ms_ssim", "cw_ssim", "mi", "nmi", "dice",
+    "ssim", "ms_ssim", "cw_ssim", "dice",
     "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
-    "register_metric",
-    "metric_kind", "registered_metrics", "truncated_weights",
+    "METRIC_IDS", "metric_kind", "truncated_weights",
 ]
 
 
@@ -90,36 +87,8 @@ def _eval_ms_ssim(ref, test, ctx, ws=None):
     return _with_policy(ms_ssim(ref, test, params, ws), ctx)
 
 
-def _eval_dice(ref, test, ctx):
+def _eval_dice(ref, test, ctx, ws=None):
     return dice(mask_from_image(ref), mask_from_image(test))
-
-
-@dataclass(frozen=True)
-class MetricDef:
-    metric_id: str
-    kind: str  # pointwise | windowed | mask
-    fn: Callable[..., MetricScore]
-    # fn takes the caller's RefWorkspace (or None) as a fourth argument
-    takes_workspace: bool = False
-
-
-_REGISTRY: dict[str, MetricDef] = {}
-
-
-def register_metric(metric_id: str, fn, kind: str) -> None:
-    """Attach a metric under the standard evaluation/masking semantics.
-
-    A ``pointwise`` metric is ``fn(ref_vals, test_vals, ctx)`` over two
-    equal-shape value arrays: :func:`evaluate` passes ``ref.data`` and
-    ``test.data``, :func:`masked_evaluate` passes the 1-D arrays of masked
-    values. ``windowed`` and ``mask`` metrics are ``fn(ref, test, ctx)``
-    over :class:`~refmet.image.Image` objects. ``ctx`` is the
-    :class:`EvalContext` given to :func:`evaluate` or
-    :func:`masked_evaluate`, often a ``harness.EvalPlan``.
-    """
-    if kind not in ("pointwise", "windowed", "mask"):
-        raise ConfigError(f"unknown metric kind {kind!r}")
-    _REGISTRY[metric_id] = MetricDef(metric_id, kind, fn)
 
 
 def _histogram_metric(metric_id, values_fn):
@@ -129,52 +98,48 @@ def _histogram_metric(metric_id, values_fn):
     return fn
 
 
-register_metric("mae", lambda r, t, ctx: MetricScore("mae", mae_values(r, t)),
-                "pointwise")
-register_metric("mse", lambda r, t, ctx: MetricScore("mse", mse_values(r, t)),
-                "pointwise")
-register_metric("psnr", lambda r, t, ctx: psnr_score(r, t, ctx.range_policy),
-                "pointwise")
-register_metric("pcc", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t)),
-                "pointwise")
-register_metric("mi", _histogram_metric("mi", mi_values), "pointwise")
-register_metric("nmi", _histogram_metric("nmi", nmi_values), "pointwise")
-_REGISTRY["ssim"] = MetricDef("ssim", "windowed", _eval_ssim, takes_workspace=True)
-_REGISTRY["ms_ssim"] = MetricDef("ms_ssim", "windowed", _eval_ms_ssim,
-                                 takes_workspace=True)
-register_metric("cw_ssim", lambda r, t, ctx: cw_ssim(r, t), "windowed")
-register_metric("dice", _eval_dice, "mask")
+# id -> (kind, fn). A pointwise fn is fn(ref_vals, test_vals, ctx) over two
+# equal-shape value arrays (the full data, or the masked values); windowed
+# and mask fns are fn(ref, test, ctx, ws=None) over Images. METRIC_IDS and
+# the unknown-metric error print this order.
+_METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
+    "mae": ("pointwise", lambda r, t, ctx: MetricScore("mae", mae_values(r, t))),
+    "mse": ("pointwise", lambda r, t, ctx: MetricScore("mse", mse_values(r, t))),
+    "psnr": ("pointwise", lambda r, t, ctx: psnr_score(r, t, ctx.range_policy)),
+    "pcc": ("pointwise", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t))),
+    "mi": ("pointwise", _histogram_metric("mi", mi_values)),
+    "nmi": ("pointwise", _histogram_metric("nmi", nmi_values)),
+    "ssim": ("windowed", _eval_ssim),
+    "ms_ssim": ("windowed", _eval_ms_ssim),
+    "cw_ssim": ("windowed", lambda r, t, ctx, ws=None: cw_ssim(r, t)),
+    "dice": ("mask", _eval_dice),
+}
+METRIC_IDS = tuple(_METRICS)
 
 
-def registered_metrics() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def _lookup(metric_id: str) -> MetricDef:
+def _lookup(metric_id: str) -> tuple[str, Callable[..., MetricScore]]:
     try:
-        return _REGISTRY[metric_id]
+        return _METRICS[metric_id]
     except KeyError:
         raise ConfigError(f"unknown metric {metric_id!r}") from None
 
 
 def metric_kind(metric_id: str) -> str:
-    return _lookup(metric_id).kind
+    return _lookup(metric_id)[0]
 
 
 def evaluate(metric_id: str, ref: Image, test: Image,
              ctx: EvalContext | None = None,
              ws: RefWorkspace | None = None) -> MetricScore:
-    """Evaluate one registered metric on a full image pair. ``ws``, a
+    """Evaluate one metric on a full image pair. ``ws``, a
     workspace kept across calls, lets ssim and ms_ssim reuse the reference's
     moments and each other's scale 0; other metrics ignore it."""
     ctx = ctx or EvalContext()
-    mdef = _lookup(metric_id)
-    if mdef.kind == "pointwise":
+    kind, fn = _lookup(metric_id)
+    if kind == "pointwise":
         require_same_shape(ref, test)
-        return mdef.fn(ref.data, test.data, ctx)
-    if mdef.takes_workspace:
-        return mdef.fn(ref, test, ctx, ws)
-    return mdef.fn(ref, test, ctx)
+        return fn(ref.data, test.data, ctx)
+    return fn(ref, test, ctx, ws)
 
 
 def rect_of_mask(m: Mask):
@@ -196,22 +161,22 @@ def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
     evaluate on the cropped images, bit-identical to cropping explicitly.
     """
     ctx = ctx or EvalContext()
-    mdef = _lookup(metric_id)
+    kind, fn = _lookup(metric_id)
     require_same_shape(ref, test)
     require_same_shape(ref, m)
     if not m.data.any():
         raise RefmetError("evaluation mask is empty")
-    if mdef.kind == "mask":
+    if kind == "mask":
         raise ConfigError(f"metric {metric_id!r} compares masks; "
                           "masked image evaluation does not apply")
-    if mdef.kind == "pointwise":
+    if kind == "pointwise":
         sel = m.data
-        return mdef.fn(ref.data[sel], test.data[sel], ctx)
+        return fn(ref.data[sel], test.data[sel], ctx)
     rect = rect_of_mask(m)
     if rect is None:
         raise NonRectangularMaskError(
             f"{metric_id} combines neighboring pixels and supports only masks that "
             "are exactly a filled rectangle (evaluated as a crop); "
             "use a pointwise metric or a rectangular mask")
-    return mdef.fn(crop(ref, rect), crop(test, rect), ctx)
+    return fn(crop(ref, rect), crop(test, rect), ctx)
 

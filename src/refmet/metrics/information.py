@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DegenerateRangeError
-from ..image import Image, require_same_shape
-from .score import MetricScore, fingerprint
+from .score import fingerprint
 
-__all__ = ["HistogramParams", "mi", "nmi"]
+__all__ = ["HistogramParams", "joint_histogram", "entropies", "mi_values", "nmi_values"]
 
 
 @dataclass(frozen=True)
@@ -84,21 +83,8 @@ def mi_values(ref_vals: np.ndarray, test_vals: np.ndarray, h: HistogramParams) -
 
 
 def nmi_values(ref_vals: np.ndarray, test_vals: np.ndarray, h: HistogramParams) -> float:
+    """Normalized mutual information (H(R) + H(I)) / H(R,I), in [1, 2]."""
     hr, ht, hrt = entropies(ref_vals, test_vals, h)
     if hrt == 0.0:
         raise DegenerateRangeError("nmi undefined: joint entropy is 0 (constant images)")
     return (hr + ht) / hrt
-
-
-def mi(ref: Image, test: Image, params: HistogramParams | None = None) -> MetricScore:
-    """Mutual information H(R) + H(I) - H(R,I) in nats."""
-    require_same_shape(ref, test)
-    h = params or HistogramParams()
-    return MetricScore("mi", mi_values(ref.data, test.data, h), h.fingerprint())
-
-
-def nmi(ref: Image, test: Image, params: HistogramParams | None = None) -> MetricScore:
-    """Normalized mutual information (H(R) + H(I)) / H(R,I), in [1, 2]."""
-    require_same_shape(ref, test)
-    h = params or HistogramParams()
-    return MetricScore("nmi", nmi_values(ref.data, test.data, h), h.fingerprint())

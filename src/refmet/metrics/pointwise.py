@@ -11,11 +11,10 @@ import math
 import numpy as np
 
 from ..errors import DegenerateRangeError
-from ..image import Image, require_same_shape
 from ..normalize import DataRangePolicy, resolve_data_range_values
 from .score import MetricScore, fingerprint
 
-__all__ = ["mae", "mse", "psnr", "pcc"]
+__all__ = ["mae_values", "mse_values", "psnr_values", "psnr_score", "pcc_values"]
 
 
 def mae_values(ref: np.ndarray, test: np.ndarray) -> float:
@@ -28,6 +27,8 @@ def mse_values(ref: np.ndarray, test: np.ndarray) -> float:
 
 
 def psnr_values(ref: np.ndarray, test: np.ndarray, data_range: float) -> float:
+    """10 log10(L^2 / MSE) in dB; identical inputs score +inf (a legitimate
+    best case, not an error)."""
     err = mse_values(ref, test)
     if err == 0.0:
         return math.inf
@@ -35,6 +36,7 @@ def psnr_values(ref: np.ndarray, test: np.ndarray, data_range: float) -> float:
 
 
 def pcc_values(ref: np.ndarray, test: np.ndarray) -> float:
+    """Pearson correlation of co-located intensities; errors on constant input."""
     r = ref.ravel() - ref.mean()
     t = test.ravel() - test.mean()
     denom = math.sqrt(float(r @ r) * float(t @ t))
@@ -43,37 +45,8 @@ def pcc_values(ref: np.ndarray, test: np.ndarray) -> float:
     return float(np.clip(float(r @ t) / denom, -1.0, 1.0))
 
 
-def mae(ref: Image, test: Image) -> MetricScore:
-    """Mean absolute error (1/N) sum |R - I|."""
-    require_same_shape(ref, test)
-    return MetricScore("mae", mae_values(ref.data, test.data))
-
-
-def mse(ref: Image, test: Image) -> MetricScore:
-    """Mean squared error (1/N) sum (R - I)^2."""
-    require_same_shape(ref, test)
-    return MetricScore("mse", mse_values(ref.data, test.data))
-
-
 def psnr_score(ref: np.ndarray, test: np.ndarray,
                policy: DataRangePolicy) -> MetricScore:
     L = resolve_data_range_values(ref, test, policy)
     return MetricScore("psnr", psnr_values(ref, test, L),
                        fingerprint(data_range=L, range_policy=policy.spec_string()))
-
-
-def psnr(ref: Image, test: Image,
-         range_policy: DataRangePolicy | None = None) -> MetricScore:
-    """Peak signal-to-noise ratio 10 log10(L^2 / MSE) in dB.
-
-    Identical images score +inf (a legitimate best case, not an error).
-    L comes from ``range_policy`` (default: joint range of both images).
-    """
-    require_same_shape(ref, test)
-    return psnr_score(ref.data, test.data, range_policy or DataRangePolicy.joint())
-
-
-def pcc(ref: Image, test: Image) -> MetricScore:
-    """Pearson correlation of co-located intensities; errors on constant input."""
-    require_same_shape(ref, test)
-    return MetricScore("pcc", pcc_values(ref.data, test.data))

@@ -46,6 +46,3 @@ class MetricScore:
     metric_id: str
     value: float
     params_fingerprint: str = ""
-
-    def __float__(self) -> float:
-        return self.value

@@ -17,6 +17,7 @@ or ranges are hard errors; nothing here silently propagates NaN.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
     "DataRangePolicy",
     "normalize",
     "bin_quantize",
-    "resolve_data_range",
+    "resolve_data_range_values",
 ]
 
 
@@ -199,25 +200,24 @@ def bin_quantize(img: Image, bins: int) -> Image:
     return Image(np.minimum(idx, bins - 1))
 
 
-def resolve_data_range(ref: Image, test: Image, policy: DataRangePolicy) -> float:
-    """The data-range parameter L under ``policy``; L must be finite and > 0."""
-    return resolve_data_range_values(ref.data, test.data, policy)
-
-
 def resolve_data_range_values(ref_vals: np.ndarray, test_vals: np.ndarray,
                               policy: DataRangePolicy) -> float:
-    """Value-array variant of :func:`resolve_data_range` (used for masked eval)."""
+    """The data-range parameter L under ``policy`` from two value arrays (full
+    images or masked values). L must be > 0 and L^2, which PSNR and SSIM's
+    constants use, a normal float64."""
     if policy.kind == "fixed":
-        return float(policy.value)
-    if policy.kind == "joint":
+        L = float(policy.value)
+    elif policy.kind == "joint":
         L = max(float(ref_vals.max()), float(test_vals.max())) - \
             min(float(ref_vals.min()), float(test_vals.min()))
     elif policy.kind == "ref":
         L = float(ref_vals.max()) - float(ref_vals.min())
     else:
         L = float(test_vals.max()) - float(test_vals.min())
-    if not 0 < L < np.inf:
-        why = "constant input" if L <= 0 else "the span overflows float64"
+    if not sys.float_info.min <= L * L <= sys.float_info.max:
+        why = ("constant input" if L <= 0 else
+               "the span overflows float64" if L == np.inf else
+               "its square leaves float64's range")
         raise DegenerateRangeError(
             f"data-range policy {policy.kind!r} resolved to L={L} ({why})")
     return L

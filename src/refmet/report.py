@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .metrics.score import format_score
 
-__all__ = ["Row", "Lint", "Report", "write_report", "read_report_csv"]
+__all__ = ["Row", "Lint", "Report", "write_report"]
 
 CSV_COLUMNS = ("case_id", "scenario", "variant", "metric_id",
                "params_fingerprint", "score")
@@ -47,14 +47,6 @@ class Report:
         self.lints.extend(other.lints)
 
 
-def _parse_score(text: str) -> float:
-    if text == "inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    return float(text)
-
-
 def render_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -63,18 +55,6 @@ def render_csv(report: Report) -> str:
         writer.writerow([r.case_id, r.scenario, r.variant, r.metric_id,
                          r.params_fingerprint, format_score(r.score)])
     return buf.getvalue()
-
-
-def read_report_csv(path) -> Report:
-    """Parse a report CSV back into rows (fingerprints kept verbatim)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected report header {header}")
-        rows = [Row(c, s, v, m, fp, _parse_score(score))
-                for c, s, v, m, fp, score in reader]
-    return Report(rows=rows)
 
 
 def render_markdown(report: Report) -> str:

@@ -22,12 +22,11 @@ from refmet.distort import (DistortionSpec, add_gaussian_noise, add_stripes,
 from refmet.downstream import task_similarity
 from refmet.harness import EvalPlan, lint_configuration
 from refmet.image import Image, Mask, Rect, bounding_box, crop
-from refmet.metrics import (HistogramParams, MsSsimParams,
-                            SsimParams, cw_ssim, dice, mae, mi, ms_ssim, mse,
-                            nmi, pcc, psnr, ssim, masked_evaluate, evaluate)
+from refmet.metrics import (EvalContext, MsSsimParams, SsimParams, cw_ssim, dice,
+                            ms_ssim, ssim, masked_evaluate, evaluate)
 from refmet.metrics.structural import truncated_weights
 from refmet.normalize import (DataRangePolicy, NormMethod, bin_quantize,
-                              normalize, resolve_data_range)
+                              normalize, resolve_data_range_values)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "golden.json").read_text())
 
@@ -38,7 +37,7 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _joint(r, t):
-    return resolve_data_range(r, t, DataRangePolicy.joint())
+    return resolve_data_range_values(r.data, t.data, DataRangePolicy.joint())
 
 
 def _gamma_linear(img):
@@ -75,8 +74,8 @@ def test_criterion_02_psnr_range_identity(phantoms):
         r = p.image
         t = _gamma_linear(r)
         L = _joint(r, t)
-        lo = psnr(r, t, DataRangePolicy.fixed(L)).value
-        hi = psnr(r, t, DataRangePolicy.fixed(2 * L)).value
+        lo, hi = (evaluate("psnr", r, t, EvalContext(range_policy=DataRangePolicy.fixed(x)))
+                  .value for x in (L, 2 * L))
         worst = max(worst, abs(hi - lo - shift))
     _verdict(2, worst <= 1e-9,
              f"psnr(2L) - psnr(L) == 20 log10 2: max |d| = {worst:.2e} (<= 1e-9)")
@@ -90,8 +89,8 @@ def test_criterion_03_ssim_range_direction(phantoms):
         r = p.image
         t = _gamma_linear(r)
         L = _joint(r, t)
-        l_ref = resolve_data_range(r, t, DataRangePolicy.ref())
-        l_test = resolve_data_range(r, t, DataRangePolicy.test())
+        l_ref = resolve_data_range_values(r.data, t.data, DataRangePolicy.ref())
+        l_test = resolve_data_range_values(r.data, t.data, DataRangePolicy.test())
         s_joint = ssim(r, t, SsimParams(L)).value
         up += ssim(r, t, SsimParams(10 * L)).value > s_joint
         order += s_joint >= ssim(r, t, SsimParams(min(l_ref, l_test))).value
@@ -106,23 +105,24 @@ def test_criterion_03_ssim_range_direction(phantoms):
 def test_criterion_04_pcc_nmi_insensitivity(phantoms):
     n = len(phantoms)
     pcc_ok = nmi_ok = 0
-    h512 = HistogramParams(bins=512)
+    bins512 = EvalContext(nmi_bins=512)
     gamma_min, noise_max = math.inf, -math.inf
     for p in phantoms:
         r = p.image
         t = _gamma_linear(r)
-        base = pcc(r, t).value
+        base = evaluate("pcc", r, t).value
         stable = all(
-            abs(pcc(a, b).value - base) <= 1e-12
+            abs(evaluate("pcc", a, b).value - base) <= 1e-12
             for a, b in ((normalize(r, m), t) for m in (NormMethod.minmax(),
                                                         NormMethod.zscore()))
         ) and all(
-            abs(pcc(r, normalize(t, m)).value - base) <= 1e-12
+            abs(evaluate("pcc", r, normalize(t, m)).value - base) <= 1e-12
             for m in (NormMethod.minmax(), NormMethod.zscore())
         )
         pcc_ok += stable
-        g = nmi(r, gamma_transform(r, 0.4), h512).value
-        z = nmi(r, add_gaussian_noise(r, 0.1, seed=p.seed * 13 + 3), h512).value
+        g = evaluate("nmi", r, gamma_transform(r, 0.4), bins512).value
+        z = evaluate("nmi", r, add_gaussian_noise(r, 0.1, seed=p.seed * 13 + 3),
+                     bins512).value
         nmi_ok += g > z
         gamma_min, noise_max = min(gamma_min, g), max(noise_max, z)
     golden_ok = (gamma_min >= GOLDEN["nmi_gamma512_min"] - 1e-9
@@ -156,8 +156,8 @@ def test_criterion_06_background_inflation(phantoms):
         t = mirror_replace(r, 0)
         rect = bounding_box(p.foreground_mask)
         fg = p.foreground_mask.data
-        mae_full = mae(r, t).value
-        mae_bbox = mae(crop(r, rect), crop(t, rect)).value
+        mae_full = evaluate("mae", r, t).value
+        mae_bbox = evaluate("mae", crop(r, rect), crop(t, rect)).value
         mae_fg = float(np.abs(r.data[fg] - t.data[fg]).mean())
         mae_order += mae_full < mae_bbox < mae_fg
         s_full = ssim(r, t, SsimParams(_joint(r, t))).value
@@ -185,8 +185,9 @@ def test_criterion_07_blur_preference(phantoms):
         blurred = gaussian_blur(noisy, 1.0)
         s_noisy = ssim(r, noisy, SsimParams(_joint(r, noisy))).value
         s_blur = ssim(r, blurred, SsimParams(_joint(r, blurred))).value
-        prefer += (s_blur > s_noisy) and (mse(r, blurred).value < mse(r, noisy).value)
-        gap_min = min(gap_min, 2.0 - nmi(r, gaussian_blur(r, 1.0)).value)
+        prefer += (s_blur > s_noisy) and (evaluate("mse", r, blurred).value
+                                          < evaluate("mse", r, noisy).value)
+        gap_min = min(gap_min, 2.0 - evaluate("nmi", r, gaussian_blur(r, 1.0)).value)
     golden_margin = GOLDEN["nmi_blur_gap_min"]
     ok = prefer >= 0.9 * n and gap_min >= golden_margin - 1e-9
     _verdict(7, ok, f"blur improves ssim&mse {prefer}/{n} (>= 90%), "
@@ -209,11 +210,11 @@ def test_criterion_08_task_divergence(phantoms):
 def test_criterion_09_identity_and_determinism(phantoms, tmp_path):
     img = phantoms[0].image
     checks = {
-        "mae": mae(img, img).value == 0.0,
-        "mse": mse(img, img).value == 0.0,
-        "psnr": psnr(img, img).value == math.inf,
-        "pcc": abs(pcc(img, img).value - 1.0) <= 1e-12,
-        "nmi": abs(nmi(img, img).value - 2.0) <= 1e-12,
+        "mae": evaluate("mae", img, img).value == 0.0,
+        "mse": evaluate("mse", img, img).value == 0.0,
+        "psnr": evaluate("psnr", img, img).value == math.inf,
+        "pcc": abs(evaluate("pcc", img, img).value - 1.0) <= 1e-12,
+        "nmi": abs(evaluate("nmi", img, img).value - 2.0) <= 1e-12,
         "dice": dice(phantoms[0].tumor_mask, phantoms[0].tumor_mask).value == 1.0,
         "ssim": abs(ssim(img, img, SsimParams(1.0)).value - 1.0) <= 1e-9,
         "ms_ssim": abs(ms_ssim(img, img, MsSsimParams(SsimParams(1.0))).value
@@ -221,10 +222,9 @@ def test_criterion_09_identity_and_determinism(phantoms, tmp_path):
         "cw_ssim": abs(cw_ssim(img, img).value - 1.0) <= 1e-9,
         "task": task_similarity(img, img).value == 1.0,
     }
-    h = HistogramParams()
     d = img.data
     checks["mi"] = abs(
-        mi(img, img, h).value
+        evaluate("mi", img, img).value
         - naive_entropy_bits(d.ravel().tolist(), 256, d.min(), d.max())) <= 1e-9
     idents = {
         "gamma": gamma_transform(img, 1.0) is img,

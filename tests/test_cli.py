@@ -85,6 +85,20 @@ def test_compare_non_finite_parameter_exits_1(workdir, flags):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("L", ["1e-200", "1e200"])
+def test_compare_range_whose_square_leaves_float64_exits_1(workdir, L):
+    # 1e-200 died in psnr with a raw math domain error and printed ssim nan;
+    # 1e200 printed psnr inf, then died in ssim with a raw OverflowError
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--metrics", "psnr,ssim", "--range", f"fixed:L={L}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == (
+        f"refmet compare: error: data-range policy 'fixed' resolved to L={float(L)} "
+        "(its square leaves float64's range)")
+    assert "Traceback" not in res.stderr
+
+
 def test_compare_unknown_metric_exits_1(workdir):
     res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
                   "--metrics", "lpips")

@@ -11,7 +11,7 @@ from refmet.image import Image
 from refmet.metrics import SsimParams, cw_ssim, ssim
 from refmet.metrics.wavelet import _K, _filter_bank, _neighborhood_sum
 from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
-from refmet.normalize import DataRangePolicy, resolve_data_range
+from refmet.normalize import DataRangePolicy, resolve_data_range_values
 from refmet.phantom import generate_phantom
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "golden.json").read_text())
@@ -54,7 +54,7 @@ def test_translation_tolerance_vs_ssim(phantoms):
     wins = 0
     for p in phantoms:
         shifted = translate(p.image, (2, 0))
-        L = resolve_data_range(p.image, shifted, DataRangePolicy.joint())
+        L = resolve_data_range_values(p.image.data, shifted.data, DataRangePolicy.joint())
         drop_ssim = 1.0 - ssim(p.image, shifted, SsimParams(L)).value
         drop_cw = 1.0 - cw_ssim(p.image, shifted).value
         wins += drop_cw < drop_ssim

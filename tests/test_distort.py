@@ -289,8 +289,9 @@ def test_bad_param_values_rejected_at_spec_time(kind, params, rng):
 
 
 def test_spec_json_roundtrip():
-    spec = DistortionSpec("gaussian_noise", {"sigma_rel": 0.1}, seed=7)
-    assert DistortionSpec.from_json(spec.to_json()) == spec
+    spec = DistortionSpec.from_json(
+        {"kind": "gaussian_noise", "params": {"sigma_rel": 0.1}, "seed": 7})
+    assert spec == DistortionSpec("gaussian_noise", {"sigma_rel": 0.1}, seed=7)
     assert "seed=7" in spec.fingerprint()
 
 

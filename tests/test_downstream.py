@@ -7,7 +7,7 @@ from refmet.image import Image
 from refmet.downstream import SegmenterParams, task_similarity, threshold_segment
 from refmet.distort import mirror_replace
 from refmet.metrics import SsimParams, ssim
-from refmet.normalize import DataRangePolicy, resolve_data_range
+from refmet.normalize import DataRangePolicy, resolve_data_range_values
 
 
 def test_threshold_above_everything_gives_empty():
@@ -89,7 +89,7 @@ def test_tumor_free_test_scores_zero(phantoms):
 def test_mirror_dice_zero_while_ssim_high(phantoms):
     p = phantoms[0]
     test = mirror_replace(p.image, 0)
-    L = resolve_data_range(p.image, test, DataRangePolicy.joint())
+    L = resolve_data_range_values(p.image.data, test.data, DataRangePolicy.joint())
     assert task_similarity(p.image, test).value == 0.0
     assert ssim(p.image, test, SsimParams(L)).value > 0.7
 

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -19,8 +20,8 @@ from refmet.image import Image, Mask, bounding_box, crop
 from refmet.metrics import EvalContext, evaluate
 from refmet.normalize import DataRangePolicy, NormMethod
 from refmet.phantom import PhantomParams, generate_phantom
-from refmet.report import (Report, Row, read_report_csv, render_csv,
-                           render_markdown, write_report)
+from refmet.report import (CSV_COLUMNS, Report, Row, render_csv, render_markdown,
+                           write_report)
 
 CFG = HarnessConfig(phantom_count=3)
 
@@ -262,10 +263,16 @@ def test_single_row_report(tmp_path):
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 2
 
 
+def _read_csv_rows(path) -> list[Row]:
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    assert tuple(header) == CSV_COLUMNS
+    return [Row(*fields[:-1], float(fields[-1])) for fields in body]
+
+
 def test_csv_roundtrip(tmp_path, pitfall1_report):
     write_report(pitfall1_report, tmp_path / "r.csv", "csv")
-    back = read_report_csv(tmp_path / "r.csv")
-    assert back.rows == pitfall1_report.rows
+    assert _read_csv_rows(tmp_path / "r.csv") == pitfall1_report.rows
 
 
 def test_psnr_inf_serialized_as_inf(tmp_path):
@@ -273,7 +280,7 @@ def test_psnr_inf_serialized_as_inf(tmp_path):
     text = render_csv(rep)
     assert text.splitlines()[1].endswith(",inf")
     write_report(rep, tmp_path / "r.csv", "csv")
-    assert read_report_csv(tmp_path / "r.csv").rows[0].score == math.inf
+    assert _read_csv_rows(tmp_path / "r.csv")[0].score == math.inf
 
 
 def test_markdown_one_table_per_scenario(small_phantoms):
@@ -378,7 +385,8 @@ def test_w05_silent_with_dependency_metric():
 # --- evaluation spec ---------------------------------------------------------
 
 def test_plan_rejects_unknown_metric():
-    with pytest.raises(ConfigError, match=r"unknown metrics \['bogus'\]; available: mae"):
+    with pytest.raises(ConfigError, match=r"^unknown metrics \['bogus'\]; available: "
+                       "mae, mse, psnr, pcc, mi, nmi, ssim, ms_ssim, cw_ssim, dice$"):
         EvalPlan(metrics=("bogus",))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import naive_entropy_bits
 from refmet.errors import DegenerateRangeError
 from refmet.image import Image
-from refmet.metrics import HistogramParams, mi, nmi
+from refmet.metrics import EvalContext, HistogramParams, evaluate
 from refmet.metrics.information import _edges, joint_histogram
 
 
@@ -24,62 +24,63 @@ def _img(vals):
 def test_mi_self_equals_entropy(rng):
     data = np.floor(rng.random((32, 32)) * 16)
     img = Image(data)
-    h = HistogramParams(bins=16)
+    ctx = EvalContext(nmi_bins=16)
     expected = naive_entropy_bits(data.ravel().tolist(), 16, data.min(), data.max())
-    assert mi(img, img, h).value == pytest.approx(expected, abs=1e-12)
+    assert evaluate("mi", img, img, ctx).value == pytest.approx(expected, abs=1e-12)
 
 
 def test_mi_two_bin_permutation():
     # uniform over two levels; the other image swaps the levels
     r = _img([[0.0, 1.0] * 8] * 4)
     t = _img([[1.0, 0.0] * 8] * 4)
-    score = mi(r, t, HistogramParams(bins=2))
+    score = evaluate("mi", r, t, EvalContext(nmi_bins=2))
     assert score.value == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_mi_independent_uniform_small(rng):
     # plug-in MI of independent data concentrates on the estimator bias
     # (B-1)^2 / (2N) nats; tolerance frozen from a 10-seed sampling run
-    h = HistogramParams(bins=64)
+    ctx = EvalContext(nmi_bins=64)
     bias = 63 * 63 / (2 * 256 * 256)
     for seed in range(5):
         g = np.random.default_rng(seed)
         a = Image(g.random((256, 256)))
         b = Image(g.random((256, 256)))
-        v = mi(a, b, h).value
+        v = evaluate("mi", a, b, ctx).value
         assert 0.0 <= v < 0.04
         assert v == pytest.approx(bias, abs=0.005)
 
 
 def test_nmi_self_is_two(rng):
     img = Image(rng.random((16, 16)))
-    assert nmi(img, img).value == pytest.approx(2.0, abs=1e-12)
+    assert evaluate("nmi", img, img).value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_nmi_independent_approaches_one():
     g = np.random.default_rng(123)
     a = Image(g.random((256, 256)))
     b = Image(g.random((256, 256)))
-    assert nmi(a, b, HistogramParams(bins=64)).value == pytest.approx(1.0, abs=0.01)
+    assert (evaluate("nmi", a, b, EvalContext(nmi_bins=64)).value
+            == pytest.approx(1.0, abs=0.01))
 
 
 def test_nmi_constant_pair_errors():
     img = Image(np.full((4, 4), 2.0))
     with pytest.raises(DegenerateRangeError):
-        nmi(img, img)
+        evaluate("nmi", img, img)
 
 
 def test_nmi_bin_permutation_invariant(rng):
     bins = 8
     data = np.floor(rng.random((24, 24)) * bins)
     data.ravel()[:bins] = np.arange(bins)  # every level present => stable edges
-    h = HistogramParams(bins=bins)
+    ctx = EvalContext(nmi_bins=bins)
     perm = rng.permutation(bins).astype(float)
     # make the relabeled values hit the same per-image bin layout: indices
     # 0..bins-1 bin to themselves under any bijection of that value set
     relabeled = perm[data.astype(int)]
-    base = nmi(Image(data), Image(data * 3.0 + 1.0), h).value
-    swapped = nmi(Image(relabeled), Image(data * 3.0 + 1.0), h).value
+    base = evaluate("nmi", Image(data), Image(data * 3.0 + 1.0), ctx).value
+    swapped = evaluate("nmi", Image(relabeled), Image(data * 3.0 + 1.0), ctx).value
     assert swapped == pytest.approx(base, abs=1e-12)
 
 
@@ -92,23 +93,24 @@ def test_nmi_monotone_relabel_invariant(seed, bins):
     assume(data.max() > data.min())
     other = np.floor(g.random((12, 12)) * bins)
     assume(other.max() > other.min())
-    h = HistogramParams(bins=bins)
+    ctx = EvalContext(nmi_bins=bins)
     mapped = 2.0 * data + 6.0  # affine with b > 0 preserves assignments exactly
-    assert (nmi(Image(mapped), Image(other), h).value
-            == pytest.approx(nmi(Image(data), Image(other), h).value, abs=1e-12))
+    assert (evaluate("nmi", Image(mapped), Image(other), ctx).value
+            == pytest.approx(evaluate("nmi", Image(data), Image(other), ctx).value, abs=1e-12))
 
 
 def test_symmetry(rng):
     a = Image(rng.random((20, 20)))
     b = Image(rng.random((20, 20)))
-    h = HistogramParams(bins=32)
-    assert mi(a, b, h).value == pytest.approx(mi(b, a, h).value, abs=1e-12)
-    assert nmi(a, b, h).value == pytest.approx(nmi(b, a, h).value, abs=1e-12)
+    ctx = EvalContext(nmi_bins=32)
+    for metric_id in ("mi", "nmi"):
+        assert (evaluate(metric_id, a, b, ctx).value
+                == pytest.approx(evaluate(metric_id, b, a, ctx).value, abs=1e-12))
 
 
 def test_fingerprint_contains_bins():
     img = Image(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert nmi(img, img, HistogramParams(bins=128)).params_fingerprint == \
+    assert evaluate("nmi", img, img, EvalContext(nmi_bins=128)).params_fingerprint == \
         "bins=128;hist_range=per_image"
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from refmet.errors import ConfigError, DegenerateRangeError
 from refmet.image import Image
-from refmet.metrics import evaluate
+from refmet.metrics import EvalContext, evaluate
 from refmet.normalize import (DataRangePolicy, NormMethod, bin_quantize,
-                              normalize, resolve_data_range)
+                              normalize, resolve_data_range_values)
 
 nonconstant = arrays(np.float64, (4, 5),
                      elements=st.floats(min_value=-1e3, max_value=1e3,
@@ -157,19 +159,19 @@ def _img(lo, hi):
 
 
 def test_joint_range_example():
-    assert resolve_data_range(_img(0, 100), _img(-20, 80),
-                              DataRangePolicy.joint()) == 120
+    assert resolve_data_range_values(_img(0, 100).data, _img(-20, 80).data,
+                                     DataRangePolicy.joint()) == 120
 
 
 def test_fixed_range_ignores_inputs():
-    assert resolve_data_range(_img(0, 1), _img(0, 1),
-                              DataRangePolicy.fixed(255)) == 255
+    assert resolve_data_range_values(_img(0, 1).data, _img(0, 1).data,
+                                     DataRangePolicy.fixed(255)) == 255
 
 
 def test_per_reference_constant_errors():
     with pytest.raises(DegenerateRangeError):
-        resolve_data_range(Image(np.full((1, 2), 3.0)), _img(0, 1),
-                           DataRangePolicy.ref())
+        resolve_data_range_values(np.full((1, 2), 3.0), _img(0, 1).data,
+                                  DataRangePolicy.ref())
 
 
 def test_fixed_range_requires_finite_L():
@@ -184,7 +186,7 @@ def test_overflowing_joint_range_errors():
     ref, test = (Image(np.resize([lo, hi], (16, 16)))
                  for lo, hi in ((0.0, 1e308), (-1e308, 0.0)))
     with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
-        resolve_data_range(ref, test, DataRangePolicy.joint())
+        resolve_data_range_values(ref.data, test.data, DataRangePolicy.joint())
     for metric in ("psnr", "ssim"):  # both scored nan on an infinite L
         with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
             evaluate(metric, ref, test)
@@ -194,16 +196,43 @@ def test_overflowing_joint_range_errors():
 def test_overflowing_own_range_errors(policy):
     wide = _img(-1e308, 1e308)
     with pytest.raises(DegenerateRangeError, match="the span overflows float64"):
-        resolve_data_range(wide, wide, DataRangePolicy.parse(policy))
+        resolve_data_range_values(wide.data, wide.data, DataRangePolicy.parse(policy))
+
+
+@pytest.mark.parametrize("metric", ["psnr", "ssim", "ms_ssim"])
+@pytest.mark.parametrize("policy, L", [("fixed:L=1e-200", "1e-200"),
+                                       ("fixed:L=1e200", "1e+200"),
+                                       ("joint", "1e+200")])
+def test_range_whose_square_leaves_float64_errors(metric, policy, L):
+    # L = 1e-200 raised a math domain error in psnr and scored ssim nan (C1
+    # underflowed to 0); L = 1e200 scored psnr inf and raised a raw
+    # OverflowError in ssim. The joint pair alternates 0 and 1e200.
+    if policy == "joint":
+        ref, test = (Image(np.resize(v, (16, 16))) for v in ([0.0, 1e200], [1e200, 0.0]))
+    else:
+        ref, test = _img(0, 1), _img(0.5, 2)
+    ctx = EvalContext(range_policy=DataRangePolicy.parse(policy))
+    kind = policy.split(":")[0]
+    with pytest.raises(DegenerateRangeError, match=re.escape(
+            f"data-range policy {kind!r} resolved to L={L} "
+            "(its square leaves float64's range)")):
+        evaluate(metric, ref, test, ctx)
+
+
+@pytest.mark.parametrize("metric", ["psnr", "ssim"])
+def test_small_range_with_a_normal_square_scores(metric):
+    ref, test = (Image(np.linspace(lo, hi, 256).reshape(16, 16)) for lo, hi in ((0, 1), (0, 2)))
+    ctx = EvalContext(range_policy=DataRangePolicy.fixed(1e-150))
+    assert np.isfinite(evaluate(metric, ref, test, ctx).value)
 
 
 @given(nonconstant, nonconstant)
 @settings(max_examples=50, deadline=None)
 def test_joint_dominates_per_image(a, b):
     ref, test = Image(a), Image(b)
-    joint = resolve_data_range(ref, test, DataRangePolicy.joint())
-    assert joint >= resolve_data_range(ref, test, DataRangePolicy.ref())
-    assert joint >= resolve_data_range(ref, test, DataRangePolicy.test())
+    joint = resolve_data_range_values(ref.data, test.data, DataRangePolicy.joint())
+    assert joint >= resolve_data_range_values(ref.data, test.data, DataRangePolicy.ref())
+    assert joint >= resolve_data_range_values(ref.data, test.data, DataRangePolicy.test())
 
 
 def test_policy_parse_roundtrip():

@@ -18,8 +18,8 @@ from refmet.errors import RefmetError
 from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scenario,
                             generate_phantoms, run_scenario)
 from refmet.image import Image, Mask, save_image
-from refmet.metrics import (RefWorkspace, evaluate, masked_evaluate, metric_kind,
-                            registered_metrics)
+from refmet.metrics import (METRIC_IDS, RefWorkspace, evaluate, masked_evaluate,
+                            metric_kind)
 from refmet.metrics.structural import SsimParams
 from refmet.phantom import generate_phantom
 
@@ -34,7 +34,7 @@ def _plans():
             p = v.plan
             key = (p.metrics, p.range_policy.spec_string(), p.scales, p.nmi_bins)
             plans.setdefault(key, (f"{sid}/{v.label}", p))
-    plans["all"] = ("all_registered", EvalPlan(metrics=registered_metrics()))
+    plans["all"] = ("all_registered", EvalPlan(metrics=METRIC_IDS))
     return list(plans.values())
 
 

@@ -9,59 +9,64 @@ from hypothesis.extra.numpy import arrays
 from refmet.errors import DegenerateRangeError, ShapeMismatchError
 from refmet.image import Image
 from refmet.normalize import DataRangePolicy, NormMethod, normalize
-from refmet.metrics import mae, mse, pcc, psnr
+from refmet.metrics import EvalContext, evaluate
 
 pair_elems = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 img_pair = st.tuples(arrays(np.float64, (4, 6), elements=pair_elems),
                      arrays(np.float64, (4, 6), elements=pair_elems))
 
 
+def _fixed(L):
+    return EvalContext(range_policy=DataRangePolicy.fixed(L))
+
+
 def test_mae_identical_zero():
     img = Image(np.arange(6.0).reshape(2, 3))
-    assert mae(img, img).value == 0.0
+    assert evaluate("mae", img, img).value == 0.0
 
 
 def test_mae_constants():
-    assert mae(Image(np.full((2, 2), 10.0)), Image(np.full((2, 2), 13.0))).value == 3.0
+    r, t = Image(np.full((2, 2), 10.0)), Image(np.full((2, 2), 13.0))
+    assert evaluate("mae", r, t).value == 3.0
 
 
 def test_mae_hand_computed():
     r = Image(np.array([[0.0, 1.0, 2.0, 3.0]]))
     t = Image(np.array([[1.0, 1.0, 2.0, 7.0]]))
-    assert mae(r, t).value == 1.25
+    assert evaluate("mae", r, t).value == 1.25
 
 
 def test_mse_identical_zero():
     img = Image(np.ones((3, 3)))
-    assert mse(img, img).value == 0.0
+    assert evaluate("mse", img, img).value == 0.0
 
 
 def test_mse_hand_computed():
     r = Image(np.array([[0.0, 0.0]]))
     t = Image(np.array([[3.0, 4.0]]))
-    assert mse(r, t).value == 12.5
+    assert evaluate("mse", r, t).value == 12.5
 
 
 def test_mse_constant_offset():
     img = Image(np.arange(9.0).reshape(3, 3))
     shifted = Image(img.data + 2.0)
-    assert mse(img, shifted).value == pytest.approx(4.0)
+    assert evaluate("mse", img, shifted).value == pytest.approx(4.0)
 
 
 def test_dims_mismatch():
     with pytest.raises(ShapeMismatchError):
-        mae(Image(np.zeros((2, 2))), Image(np.zeros((2, 3))))
+        evaluate("mae", Image(np.zeros((2, 2))), Image(np.zeros((2, 3))))
 
 
 def test_psnr_identical_is_inf():
     img = Image(np.arange(4.0).reshape(2, 2))
-    assert psnr(img, img).value == math.inf
+    assert evaluate("psnr", img, img).value == math.inf
 
 
 def test_psnr_zero_db_when_mse_equals_l_squared():
     r = Image(np.array([[0.0, 0.0]]))
     t = Image(np.array([[2.0, 2.0]]))
-    score = psnr(r, t, DataRangePolicy.fixed(2.0))
+    score = evaluate("psnr", r, t, _fixed(2.0))
     assert score.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -70,13 +75,13 @@ def test_psnr_30db_case():
     err = math.sqrt(65.025)
     r = Image(np.zeros((10, 10)))
     t = Image(np.full((10, 10), err))
-    score = psnr(r, t, DataRangePolicy.fixed(255.0))
+    score = evaluate("psnr", r, t, _fixed(255.0))
     assert score.value == pytest.approx(30.0, abs=1e-9)
 
 
 def test_psnr_fingerprint_mentions_policy():
     img = Image(np.array([[0.0, 1.0]]))
-    score = psnr(img, Image(np.array([[0.0, 2.0]])), DataRangePolicy.fixed(255))
+    score = evaluate("psnr", img, Image(np.array([[0.0, 2.0]])), _fixed(255))
     assert "range_policy=fixed:L=255.0" in score.params_fingerprint
     assert "data_range=255.0" in score.params_fingerprint
 
@@ -86,29 +91,29 @@ def test_psnr_fingerprint_mentions_policy():
 def test_psnr_range_identity(pair, L):
     a, b = pair
     r, t = Image(a), Image(b)
-    if mse(r, t).value == 0:
+    if evaluate("mse", r, t).value == 0:
         return
-    p1 = psnr(r, t, DataRangePolicy.fixed(L)).value
-    p2 = psnr(r, t, DataRangePolicy.fixed(2 * L)).value
+    p1 = evaluate("psnr", r, t, _fixed(L)).value
+    p2 = evaluate("psnr", r, t, _fixed(2 * L)).value
     assert p2 - p1 == pytest.approx(20 * math.log10(2), abs=1e-9)
 
 
 def test_pcc_self_is_one():
     img = Image(np.arange(6.0).reshape(2, 3))
-    assert pcc(img, img).value == pytest.approx(1.0, abs=1e-12)
+    assert evaluate("pcc", img, img).value == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("a,expected", [(2.5, 1.0), (-0.5, -1.0)])
 def test_pcc_affine(a, expected):
     img = Image(np.arange(12.0).reshape(3, 4))
     other = Image(a * img.data + 3.0)
-    assert pcc(img, other).value == pytest.approx(expected, abs=1e-12)
+    assert evaluate("pcc", img, other).value == pytest.approx(expected, abs=1e-12)
 
 
 def test_pcc_constant_errors():
     img = Image(np.arange(4.0).reshape(2, 2))
     with pytest.raises(DegenerateRangeError):
-        pcc(img, Image(np.full((2, 2), 1.0)))
+        evaluate("pcc", img, Image(np.full((2, 2), 1.0)))
 
 
 @given(img_pair)
@@ -116,16 +121,16 @@ def test_pcc_constant_errors():
 def test_error_metrics_symmetric(pair):
     a, b = pair
     r, t = Image(a), Image(b)
-    assert mae(r, t).value == mae(t, r).value
-    assert mse(r, t).value == mse(t, r).value
+    assert evaluate("mae", r, t).value == evaluate("mae", t, r).value
+    assert evaluate("mse", r, t).value == evaluate("mse", t, r).value
     if a.max() > a.min() and b.max() > b.min():
-        assert pcc(r, t).value == pcc(t, r).value
+        assert evaluate("pcc", r, t).value == evaluate("pcc", t, r).value
 
 
 def test_pcc_invariant_under_normalization(phantoms):
     ref = phantoms[0].image
     test = Image(ref.data ** 1.3 + 0.05)
-    base = pcc(ref, test).value
+    base = evaluate("pcc", ref, test).value
     for method in (NormMethod.minmax(), NormMethod.zscore()):
-        assert pcc(normalize(ref, method), test).value == pytest.approx(base, abs=1e-12)
-        assert pcc(ref, normalize(test, method)).value == pytest.approx(base, abs=1e-12)
+        for r, t in ((normalize(ref, method), test), (ref, normalize(test, method))):
+            assert evaluate("pcc", r, t).value == pytest.approx(base, abs=1e-12)

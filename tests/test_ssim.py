@@ -73,10 +73,10 @@ def test_monotone_in_data_range():
 
 def test_huge_range_saturates_toward_one(phantoms):
     # a large enough L makes any fixed non-identical pair look near-perfect
-    from refmet.normalize import DataRangePolicy, resolve_data_range
+    from refmet.normalize import DataRangePolicy, resolve_data_range_values
     for p in phantoms[:5]:
         t = Image(p.image.data ** 0.4 * 1.2)
-        joint = resolve_data_range(p.image, t, DataRangePolicy.joint())
+        joint = resolve_data_range_values(p.image.data, t.data, DataRangePolicy.joint())
         assert ssim(p.image, t, SsimParams(1e6 * joint)).value > 0.999
 
 
