@@ -1,7 +1,8 @@
 """Micro-benchmarks of the CW-SSIM kernel, SSIM and MS-SSIM, the other
 registered metrics, the full metric panel, Gaussian blur, the joint
-histogram behind mi/nmi, each distortion kind, normalization and binning,
-the lint, report rendering, and one harness scenario run.
+histogram behind mi/nmi, the proxy-task segmenter, each distortion kind,
+normalization and binning, the lint, report rendering, and one harness
+scenario run.
 
 Outside tier-1 ``testpaths``; run from the repository root with
 
@@ -11,6 +12,7 @@ Outside tier-1 ``testpaths``; run from the repository root with
 import numpy as np
 import pytest
 
+from refmet.downstream import SegmenterParams, threshold_segment
 from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
                             linear_scale, translate)
 from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
@@ -114,6 +116,33 @@ def test_joint_histogram(benchmark, n):
     ref, test = _pair(n, lambda img: gamma_transform(img, 0.4))
     hist = benchmark(joint_histogram, ref.data, test.data, HistogramParams())
     assert hist.sum() == n * n
+
+
+def _serpentine(n):
+    """One n x n component whose path runs through every even row."""
+    grid = np.zeros((n, n))
+    grid[::2] = 1.0
+    grid[1::4, -1] = 1.0
+    grid[3::4, 0] = 1.0
+    return Image(grid)
+
+
+# The audit's input (a 192^2 phantom: a few small blobs), one component with
+# the longest path a 512^2 grid holds, and a 64^3 volume at half density,
+# above the face-connected percolation threshold: many short runs and edges.
+SEGMENTER_INPUTS = {
+    "phantom_192": lambda: (generate_phantom(1000).image, SegmenterParams()),
+    "serpentine_512": lambda: (_serpentine(512), SegmenterParams()),
+    "random_64^3": lambda: (Image(np.random.default_rng(64).random((64, 64, 64))),
+                            SegmenterParams(threshold_rel=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", SEGMENTER_INPUTS)
+def test_threshold_segment(benchmark, case):
+    img, params = SEGMENTER_INPUTS[case]()
+    seg = benchmark(threshold_segment, img, params)
+    assert 0 < seg.count() < img.data.size
 
 
 def test_run_scenario_pitfall2(benchmark):

@@ -32,7 +32,13 @@ def psnr_values(ref: np.ndarray, test: np.ndarray, data_range: float) -> float:
     err = mse_values(ref, test)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range * data_range / err)
+    if math.isinf(err):
+        raise DegenerateRangeError("psnr undefined: the mean squared error overflows float64")
+    ratio = data_range * data_range / err
+    if ratio == 0.0 or math.isinf(ratio):
+        # L^2 / MSE leaves float64's range although both logs are finite.
+        return 20.0 * math.log10(data_range) - 10.0 * math.log10(err)
+    return 10.0 * math.log10(ratio)
 
 
 def pcc_values(ref: np.ndarray, test: np.ndarray) -> float:

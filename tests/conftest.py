@@ -17,3 +17,10 @@ def phantoms():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture(scope="session")
+def ndimage():
+    """``scipy.ndimage``, an independent oracle for refmet's own kernels.
+    refmet needs only numpy, so tests that use it skip without scipy."""
+    return pytest.importorskip("scipy.ndimage")

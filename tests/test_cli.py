@@ -251,6 +251,18 @@ def test_phantom_count_below_1_exits_1(workdir, count):
     assert res.stdout == "" and not out.exists()
 
 
+def test_compare_psnr_whose_ratio_underflows_scores(tmp_path):
+    # L^2 / mse = 1e-300 / 1e40 rounds to 0; this died with a raw math
+    # domain error. mse itself cannot overflow from float32 files.
+    save_image(Image(np.zeros((16, 16))), tmp_path / "z.rawf32")
+    save_image(Image(np.full((16, 16), 1e20)), tmp_path / "b.rawf32")
+    res = run_cli("compare", str(tmp_path / "z.rawf32"), str(tmp_path / "b.rawf32"),
+                  "--metrics", "psnr", "--range", "fixed:L=1e-150")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert float(res.stdout.split("\t")[1]) == pytest.approx(-3400.0, rel=1e-6)
+
+
 # --- audit -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -271,6 +283,33 @@ def test_audit_single_scenario(workdir, audit_config):
     assert (out / "report.csv").exists() and (out / "report.md").exists()
     text = (out / "report.csv").read_text()
     assert "proxy_task" in text and "image_metrics" in text
+
+
+# Runs the CLI after a finder that makes every ``import scipy...`` fail.
+NO_SCIPY_CLI = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import refmet.cli
+sys.exit(refmet.cli.main(sys.argv[1:]))
+"""
+
+
+def test_audit_runs_without_scipy(workdir, audit_config):
+    args = ["audit", "--scenario", "pitfall5", "--config", str(audit_config), "--out"]
+    free = run_cli(*args, str(workdir / "audit_with_scipy"))
+    blocked = subprocess.run([sys.executable, "-c", NO_SCIPY_CLI, *args,
+                              str(workdir / "audit_no_scipy")], capture_output=True, text=True)
+    assert free.returncode == 0, free.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == free.stdout
+    assert ((workdir / "audit_no_scipy" / "report.csv").read_bytes()
+            == (workdir / "audit_with_scipy" / "report.csv").read_bytes())
 
 
 def test_audit_all_from_config(workdir, audit_config):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy import ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from refmet.errors import ConfigError, DegenerateRangeError
 from refmet.image import Image
-from refmet.downstream import SegmenterParams, task_similarity, threshold_segment
+from refmet.downstream import SegmenterParams, _label, task_similarity, threshold_segment
 from refmet.distort import mirror_replace
 from refmet.metrics import SsimParams, ssim
 from refmet.normalize import DataRangePolicy, resolve_data_range_values
@@ -43,11 +45,63 @@ def test_connectivity_modes():
     assert corner.count() == 2    # one 2-px component survives
 
 
-def test_phantom_tumor_single_component(phantoms):
+def test_phantom_tumor_single_component(phantoms, ndimage):
     for p in phantoms[:5]:
         seg = threshold_segment(p.image)
         _, count = ndimage.label(seg.data)
         assert count == 1
+
+
+def serpentine(n):
+    """One n x n component: full even rows, joined at alternate ends."""
+    grid = np.zeros((n, n), dtype=bool)
+    grid[::2] = True
+    grid[1::4, -1] = True
+    grid[3::4, 0] = True
+    return grid
+
+
+def assert_same_partition(ndimage, raw, connectivity):
+    """``_label`` splits ``raw`` into the components ``ndimage.label`` finds;
+    ids may differ, so the pairs of ids must map one to one."""
+    rank = 1 if connectivity == "face" else raw.ndim
+    want, count = ndimage.label(raw, ndimage.generate_binary_structure(raw.ndim, rank))
+    got = _label(raw, connectivity)
+    assert np.array_equal(got > 0, raw)
+    pairs = {(int(a), int(b)) for a, b in zip(want[raw], got[raw])}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) == count
+
+
+@given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9),
+              elements=st.booleans()),
+       st.sampled_from(["face", "face+corner"]))
+@settings(max_examples=200, deadline=None)
+def test_label_partition_equals_ndimage(ndimage, raw, connectivity):
+    assert_same_partition(ndimage, raw, connectivity)
+
+
+def diagonal_chain(n):
+    """The main diagonal of an n^3 volume: consecutive voxels share a corner only."""
+    grid = np.zeros((n, n, n), dtype=bool)
+    grid[np.arange(n), np.arange(n), np.arange(n)] = True
+    return grid
+
+
+LABEL_CASES = {
+    "all_false": np.zeros((5, 7), dtype=bool),
+    "all_true": np.ones((5, 7), dtype=bool),
+    "single_pixel": np.ones((1, 1), dtype=bool),
+    "one_row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+    "one_column": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool).T,
+    "serpentine_192": serpentine(192),
+    "diagonal_chain_3d": diagonal_chain(6),
+}
+
+
+@pytest.mark.parametrize("connectivity", ["face", "face+corner"])
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_label_edge_cases_equal_ndimage(ndimage, case, connectivity):
+    assert_same_partition(ndimage, LABEL_CASES[case], connectivity)
 
 
 def test_segmenter_affine_invariance(phantoms):

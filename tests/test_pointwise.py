@@ -79,6 +79,26 @@ def test_psnr_30db_case():
     assert score.value == pytest.approx(30.0, abs=1e-9)
 
 
+# L^2 and mse are normal floats but L^2 / mse is not: it rounds to 0 (a raw
+# math domain error before) or overflows to inf (psnr read inf, the score of
+# identical images). The score is 20 log10 L - 10 log10 mse.
+@pytest.mark.parametrize("value, L, expected", [(1e20, 1e-150, -3400.0),
+                                                (1e-5, 1e150, 3100.0)])
+def test_psnr_ratio_outside_float64_scores_from_logs(value, L, expected):
+    r, t = Image(np.zeros((16, 16))), Image(np.full((16, 16), value))
+    assert evaluate("psnr", r, t, _fixed(L)).value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("L", [1.0, 1e-150, 1e150])
+def test_psnr_mse_overflow_errors(L):
+    # rows of 0 and 1e200: every squared difference overflows, so mse is inf
+    test = np.zeros((16, 16))
+    test[::2] = 1e200
+    with pytest.raises(DegenerateRangeError, match="mean squared error overflows"):
+        evaluate("psnr", Image(np.zeros((16, 16))), Image(test), _fixed(L))
+
+
 def test_psnr_fingerprint_mentions_policy():
     img = Image(np.array([[0.0, 1.0]]))
     score = evaluate("psnr", img, Image(np.array([[0.0, 2.0]])), _fixed(255))
