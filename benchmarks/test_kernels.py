@@ -19,9 +19,8 @@ from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
                             builtin_scenario, generate_phantoms, lint_configuration,
                             run_scenario)
 from refmet.image import Image
-from refmet.metrics import (EvalContext, MsSsimParams, RefWorkspace, SsimParams, cw_ssim,
-                            evaluate, ms_ssim, ssim, truncated_weights)
-from refmet.metrics.information import HistogramParams, joint_histogram
+from refmet.metrics import EvalContext, RefWorkspace, cw_ssim, evaluate, ms_ssim, ssim
+from refmet.metrics.information import joint_histogram
 from refmet.normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from refmet.phantom import PhantomParams, generate_phantom
 from refmet.report import Report, render_csv, render_markdown
@@ -54,14 +53,10 @@ STRUCTURAL = {"192": (lambda: _pair(192, lambda img: translate(img, (2, 0))), 5)
               "64^3": (lambda: _volume(64), 3)}
 
 
-def _data_range(ref, test):
-    return float(max(ref.data.max(), test.data.max()) - min(ref.data.min(), test.data.min()))
-
-
 @pytest.mark.parametrize("size", STRUCTURAL)
 def test_ssim(benchmark, size):
     ref, test = STRUCTURAL[size][0]()
-    score = benchmark(ssim, ref, test, SsimParams(_data_range(ref, test)))
+    score = benchmark(ssim, ref, test, EvalContext())
     assert 0.0 < score.value < 1.0
 
 
@@ -69,8 +64,7 @@ def test_ssim(benchmark, size):
 def test_ms_ssim(benchmark, size):
     make, scales = STRUCTURAL[size]
     ref, test = make()
-    params = MsSsimParams(SsimParams(_data_range(ref, test)), scales, truncated_weights(scales))
-    score = benchmark(ms_ssim, ref, test, params)
+    score = benchmark(ms_ssim, ref, test, EvalContext(scales=scales))
     assert 0.0 < score.value < 1.0
 
 
@@ -114,7 +108,7 @@ def test_gaussian_blur(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_joint_histogram(benchmark, n):
     ref, test = _pair(n, lambda img: gamma_transform(img, 0.4))
-    hist = benchmark(joint_histogram, ref.data, test.data, HistogramParams())
+    hist = benchmark(joint_histogram, ref.data, test.data, 256)
     assert hist.sum() == n * n
 
 

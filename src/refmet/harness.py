@@ -69,8 +69,7 @@ class EvalPlan(EvalContext):
                               f"{', '.join(METRIC_IDS)}")
         if self.prebin is not None and self.prebin < 2:
             raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
-        if self.nmi_bins < 2:
-            raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
+        super().__post_init__()
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
         """Normalize, then pre-bin, both images of a pair."""
@@ -147,6 +146,10 @@ class HarnessConfig:
     def __post_init__(self):
         if self.phantom_count < 1:
             raise ConfigError("phantom count must be >= 1")
+        if not self.scenarios:
+            raise ConfigError("config key 'scenarios' must be a non-empty list")
+        if not self.out_formats:
+            raise ConfigError("config key 'output.formats' must be a non-empty list")
         bad = [s for s in self.scenarios if s not in SCENARIO_IDS]
         if bad:
             raise ConfigError(f"unknown scenario ids {bad}")

@@ -19,6 +19,7 @@ is pure.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,6 +215,8 @@ def _load_pgm(path: Path) -> Image:
             vals = np.array([int(t) for t in toks], dtype=np.int64)
         except ValueError as exc:
             raise FormatError(f"bad PGM sample: {exc}") from None
+        except OverflowError:
+            raise FormatError(f"PGM sample out of range [0, {maxval}]") from None
     else:
         pos += 1  # single whitespace byte after maxval
         itemsize = 1 if maxval < 256 else 2
@@ -236,14 +239,16 @@ def _load_rawf32(path: Path) -> Image:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad rawf32 sidecar JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError("rawf32 sidecar must be a JSON object")
     dims = meta.get("dims")
     dtype = meta.get("dtype")
     if dtype != "f32le":
         raise FormatError(f"unsupported rawf32 dtype {dtype!r}")
     if not isinstance(dims, list) or len(dims) not in (2, 3) or \
-            not all(isinstance(v, int) and v >= 1 for v in dims):
+            not all(type(v) is int and v >= 1 for v in dims):
         raise FormatError(f"bad rawf32 dims {dims!r}")
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     payload = path.read_bytes()
     if len(payload) != 4 * n:
         raise FormatError(f"rawf32 payload has {len(payload)} bytes, expected {4 * n}")

@@ -11,15 +11,18 @@ Metrics come in three kinds:
   bit-identical to evaluating on the cropped images.
 * ``mask`` metrics (dice) compare boolean grids directly.
 
-Scores are made by id through :func:`evaluate` or :func:`masked_evaluate`;
-``ssim``, ``ms_ssim``, ``cw_ssim`` and ``dice`` are the kernels they call.
+Scores are made by id through :func:`evaluate` or :func:`masked_evaluate`.
+The metric table lists the kernels themselves: ``ssim`` and ``ms_ssim``
+take ``(ref, test, ctx, ws=None)``, ``information.mi`` and ``nmi`` take
+``(ref_vals, test_vals, ctx)``, and each resolves what it needs from
+``ctx`` (the data range L from ``ctx.range_policy``, as psnr does).
 
 The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
-``scales``, ``weights`` and ``nmi_bins``. Nothing else about them is
-settable: the SSIM window and constants, the CW-SSIM filter bank and the
-per-image histogram range are fixed, and each score's fingerprint prints
-them.
+``scales``, ``weights`` and ``nmi_bins``, and ``EvalContext`` checks the
+last three once, when it is built. Nothing else about them is settable:
+the SSIM window and constants, the CW-SSIM filter bank and the per-image
+histogram range are fixed, and each score's fingerprint prints them.
 
 :func:`evaluate` takes an optional :class:`RefWorkspace` that the caller
 keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
@@ -30,25 +33,23 @@ reference and one test at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigError, NonRectangularMaskError, RefmetError
 from ..image import Image, Mask, bounding_box, crop, mask_from_image, require_same_shape
-from ..normalize import DataRangePolicy, resolve_data_range_values
-from .information import HistogramParams, mi_values, nmi_values
+from ..normalize import DataRangePolicy
+from .information import mi, nmi
 from .overlap import dice
 from .pointwise import mae_values, mse_values, pcc_values, psnr_score
-from .score import MetricScore, fingerprint, format_score, merge_fingerprints
-from .structural import (MsSsimParams, RefWorkspace, SsimParams, ms_ssim, ssim,
-                         truncated_weights)
+from .score import MetricScore, fingerprint, format_score
+from .structural import DEFAULT_MSSSIM_WEIGHTS, RefWorkspace, ms_ssim, ssim, truncated_weights
 from .wavelet import cw_ssim
 
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
-    "SsimParams", "MsSsimParams", "HistogramParams",
     "ssim", "ms_ssim", "cw_ssim", "dice",
     "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
     "METRIC_IDS", "metric_kind", "truncated_weights",
@@ -57,45 +58,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """The knobs a string-keyed evaluation reads. ``weights=None`` means the
-    standard MS-SSIM weights truncated to ``scales``; ``nmi_bins`` is the
-    mi/nmi joint-histogram bin count."""
+    """The knobs a string-keyed evaluation reads, each checked here once.
+    ``weights=None`` means the standard MS-SSIM weights truncated to
+    ``scales``; ``nmi_bins`` is the mi/nmi joint-histogram bin count."""
 
     range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
     scales: int = 5
     weights: tuple[float, ...] | None = None
     nmi_bins: int = 256
 
-
-def _with_policy(score: MetricScore, ctx: EvalContext) -> MetricScore:
-    return replace(score, params_fingerprint=merge_fingerprints(
-        score.params_fingerprint,
-        fingerprint(range_policy=ctx.range_policy.spec_string())))
-
-
-def _ssim_params(ref: Image, test: Image, ctx: EvalContext) -> SsimParams:
-    return SsimParams(resolve_data_range_values(ref.data, test.data, ctx.range_policy))
-
-
-def _eval_ssim(ref, test, ctx, ws=None):
-    return _with_policy(ssim(ref, test, _ssim_params(ref, test, ctx), ws), ctx)
-
-
-def _eval_ms_ssim(ref, test, ctx, ws=None):
-    weights = truncated_weights(ctx.scales) if ctx.weights is None else ctx.weights
-    params = MsSsimParams(_ssim_params(ref, test, ctx), ctx.scales, weights)
-    return _with_policy(ms_ssim(ref, test, params, ws), ctx)
+    def __post_init__(self):
+        if self.nmi_bins < 2:
+            raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
+        if self.weights is None:
+            if not 1 <= self.scales <= len(DEFAULT_MSSSIM_WEIGHTS):
+                raise ConfigError(f"scales must be in 1..{len(DEFAULT_MSSSIM_WEIGHTS)}")
+            return
+        if self.scales < 1:
+            raise ConfigError("scales must be >= 1")
+        if len(self.weights) != self.scales:
+            raise ConfigError(f"need one weight per scale: {len(self.weights)} weights, "
+                              f"{self.scales} scales")
+        if any(w <= 0 for w in self.weights):
+            raise ConfigError("weights must be positive")
+        # 1e-3 slack: the standard published weights sum to 1.0001.
+        if abs(sum(self.weights) - 1.0) > 1e-3:
+            raise ConfigError(f"weights must sum to 1, got {sum(self.weights)}")
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
 def _eval_dice(ref, test, ctx, ws=None):
     return dice(mask_from_image(ref), mask_from_image(test))
-
-
-def _histogram_metric(metric_id, values_fn):
-    def fn(r, t, ctx):
-        hist = HistogramParams(bins=ctx.nmi_bins)
-        return MetricScore(metric_id, values_fn(r, t, hist), hist.fingerprint())
-    return fn
 
 
 # id -> (kind, fn). A pointwise fn is fn(ref_vals, test_vals, ctx) over two
@@ -107,10 +100,10 @@ _METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
     "mse": ("pointwise", lambda r, t, ctx: MetricScore("mse", mse_values(r, t))),
     "psnr": ("pointwise", lambda r, t, ctx: psnr_score(r, t, ctx.range_policy)),
     "pcc": ("pointwise", lambda r, t, ctx: MetricScore("pcc", pcc_values(r, t))),
-    "mi": ("pointwise", _histogram_metric("mi", mi_values)),
-    "nmi": ("pointwise", _histogram_metric("nmi", nmi_values)),
-    "ssim": ("windowed", _eval_ssim),
-    "ms_ssim": ("windowed", _eval_ms_ssim),
+    "mi": ("pointwise", mi),
+    "nmi": ("pointwise", nmi),
+    "ssim": ("windowed", ssim),
+    "ms_ssim": ("windowed", ms_ssim),
     "cw_ssim": ("windowed", lambda r, t, ctx, ws=None: cw_ssim(r, t)),
     "dice": ("mask", _eval_dice),
 }

@@ -1,34 +1,26 @@
 """Mutual information metrics from joint intensity histograms.
 
-Entropies use the natural logarithm. The joint histogram has ``bins``
-equal-width bins per axis, the one setting; each axis's bin edges cover
-that image's own min/max (``hist_range=per_image`` in the fingerprint).
-Marginal entropies are derived from the same joint histogram, so
-mi(R, R) = H(R) holds exactly.
+Entropies use the natural logarithm. The joint histogram has
+``ctx.nmi_bins`` equal-width bins per axis, the one setting; each axis's
+bin edges cover that image's own min/max (``hist_range=per_image`` in the
+fingerprint). Marginal entropies are derived from the same joint
+histogram, so mi(R, R) = H(R) holds exactly. :func:`mi` and :func:`nmi`
+take two equal-shape value arrays: full images or masked values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateRangeError
-from .score import fingerprint
+from ..errors import DegenerateRangeError
+from .score import MetricScore, fingerprint
 
-__all__ = ["HistogramParams", "joint_histogram", "entropies", "mi_values", "nmi_values"]
+if TYPE_CHECKING:
+    from . import EvalContext
 
-
-@dataclass(frozen=True)
-class HistogramParams:
-    bins: int = 256
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ConfigError(f"histogram bins must be >= 2, got {self.bins}")
-
-    def fingerprint(self) -> str:
-        return fingerprint(bins=self.bins, hist_range="per_image")
+__all__ = ["joint_histogram", "entropies", "mi", "nmi"]
 
 
 def _edges(vals: np.ndarray, bins: int) -> np.ndarray:
@@ -55,13 +47,12 @@ def _bin_index(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def joint_histogram(ref_vals: np.ndarray, test_vals: np.ndarray,
-                    h: HistogramParams) -> np.ndarray:
+def joint_histogram(ref_vals: np.ndarray, test_vals: np.ndarray, bins: int) -> np.ndarray:
     """Float64 counts, rows binned on ``ref_vals``, columns on ``test_vals``."""
-    flat = (_bin_index(ref_vals.ravel(), _edges(ref_vals, h.bins)) * h.bins
-            + _bin_index(test_vals.ravel(), _edges(test_vals, h.bins)))
-    counts = np.bincount(flat, minlength=h.bins * h.bins)
-    return counts.reshape(h.bins, h.bins).astype(np.float64)
+    flat = (_bin_index(ref_vals.ravel(), _edges(ref_vals, bins)) * bins
+            + _bin_index(test_vals.ravel(), _edges(test_vals, bins)))
+    counts = np.bincount(flat, minlength=bins * bins)
+    return counts.reshape(bins, bins).astype(np.float64)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -70,21 +61,23 @@ def _entropy(p: np.ndarray) -> float:
 
 
 def entropies(ref_vals: np.ndarray, test_vals: np.ndarray,
-              h: HistogramParams) -> tuple[float, float, float]:
+              bins: int) -> tuple[float, float, float]:
     """(H(R), H(I), H(R,I)) from one shared joint histogram."""
-    hist = joint_histogram(ref_vals, test_vals, h)
+    hist = joint_histogram(ref_vals, test_vals, bins)
     p = hist / hist.sum()
     return _entropy(p.sum(axis=1)), _entropy(p.sum(axis=0)), _entropy(p.ravel())
 
 
-def mi_values(ref_vals: np.ndarray, test_vals: np.ndarray, h: HistogramParams) -> float:
-    hr, ht, hrt = entropies(ref_vals, test_vals, h)
-    return hr + ht - hrt
+def mi(ref_vals: np.ndarray, test_vals: np.ndarray, ctx: EvalContext) -> MetricScore:
+    hr, ht, hrt = entropies(ref_vals, test_vals, ctx.nmi_bins)
+    return MetricScore("mi", hr + ht - hrt,
+                       fingerprint(bins=ctx.nmi_bins, hist_range="per_image"))
 
 
-def nmi_values(ref_vals: np.ndarray, test_vals: np.ndarray, h: HistogramParams) -> float:
+def nmi(ref_vals: np.ndarray, test_vals: np.ndarray, ctx: EvalContext) -> MetricScore:
     """Normalized mutual information (H(R) + H(I)) / H(R,I), in [1, 2]."""
-    hr, ht, hrt = entropies(ref_vals, test_vals, h)
+    hr, ht, hrt = entropies(ref_vals, test_vals, ctx.nmi_bins)
     if hrt == 0.0:
         raise DegenerateRangeError("nmi undefined: joint entropy is 0 (constant images)")
-    return (hr + ht) / hrt
+    return MetricScore("nmi", (hr + ht) / hrt,
+                       fingerprint(bins=ctx.nmi_bins, hist_range="per_image"))

@@ -7,11 +7,12 @@ intensity and local contrast/structure:
     lum = (2 mu_r mu_t + C1) / (mu_r^2 + mu_t^2 + C1)
     cs  = (2 cov_rt + C2)  / (var_r + var_t + C2)
 
-with C1 = (K1 L)^2, C2 = (K2 L)^2 and L the data-range parameter, the one
-setting. The window and constants are the standard ones of Wang et al.
-(IEEE TIP 2004): an 11-tap Gaussian with sigma 1.5, K1 = 0.01 and
-K2 = 0.03. The score is the mean of lum*cs over all valid positions. Local
-moments are window-weighted without bias correction.
+with C1 = (K1 L)^2, C2 = (K2 L)^2 and L the data-range parameter, which
+each call resolves from ``ctx.range_policy``. The window and constants are
+the standard ones of Wang et al. (IEEE TIP 2004): an 11-tap Gaussian with
+sigma 1.5, K1 = 0.01 and K2 = 0.03. The score is the mean of lum*cs over
+all valid positions. Local moments are window-weighted without bias
+correction.
 
 MS-SSIM evaluates cs at every scale and luminance only at the coarsest,
 combining them as a weighted geometric product. Downsampling halves each
@@ -20,22 +21,25 @@ are dropped.
 
 Both metrics accept 2D and 3D grids via separable windows. The reference's
 moments do not depend on L, so a :class:`RefWorkspace` keeps them for every
-test scored against one reference, and keeps a pair's scale-0 result so
-ms_ssim reuses ssim's; it never moves a bit.
+test scored against one reference, and keeps a pair's scale-0 result per
+L so ms_ssim reuses ssim's; it never moves a bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, RefmetError
 from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape
+from ..normalize import resolve_data_range_values
 from .score import MetricScore, fingerprint
 
-__all__ = ["SsimParams", "MsSsimParams", "RefWorkspace", "ssim", "ms_ssim"]
+if TYPE_CHECKING:
+    from . import EvalContext
+
+__all__ = ["RefWorkspace", "ssim", "ms_ssim"]
 
 K1 = 0.01
 K2 = 0.03
@@ -62,46 +66,6 @@ def truncated_weights(scales: int) -> tuple[float, ...]:
     w = DEFAULT_MSSSIM_WEIGHTS[:scales]
     total = sum(w)
     return tuple(x / total for x in w)
-
-
-@dataclass(frozen=True)
-class SsimParams:
-    data_range: float
-
-    def __post_init__(self):
-        if not self.data_range > 0:
-            raise ConfigError(f"data_range must be > 0, got {self.data_range}")
-
-    def fingerprint(self) -> str:
-        return fingerprint(data_range=float(self.data_range), k1=K1, k2=K2,
-                           window=_WINDOW_NAME)
-
-
-@dataclass(frozen=True)
-class MsSsimParams:
-    base: SsimParams
-    scales: int = 5
-    weights: tuple[float, ...] = DEFAULT_MSSSIM_WEIGHTS
-
-    def __post_init__(self):
-        if self.scales < 1:
-            raise ConfigError("scales must be >= 1")
-        if len(self.weights) != self.scales:
-            raise ConfigError(
-                f"need one weight per scale: {len(self.weights)} weights, "
-                f"{self.scales} scales")
-        if any(w <= 0 for w in self.weights):
-            raise ConfigError("weights must be positive")
-        # 1e-3 slack: the standard published weights sum to 1.0001.
-        if abs(sum(self.weights) - 1.0) > 1e-3:
-            raise ConfigError(f"weights must sum to 1, got {sum(self.weights)}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-    def fingerprint(self) -> str:
-        return fingerprint(data_range=float(self.base.data_range),
-                           downsample="mean2", k1=K1, k2=K2,
-                           scales=self.scales, weights=self.weights,
-                           window=_WINDOW_NAME)
 
 
 def _windowed_mean(arr: np.ndarray) -> np.ndarray:
@@ -141,11 +105,11 @@ def _ref_moments(ref: np.ndarray) -> RefMoments:
     return RefMoments(ref, _windowed_mean(ref), _windowed_mean(ref * ref))
 
 
-def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float, float]:
-    """(mean lum*cs, mean cs) over valid window positions; ``ref`` carries
-    the reference moments."""
-    c1 = (K1 * p.data_range) ** 2
-    c2 = (K2 * p.data_range) ** 2
+def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[float, float]:
+    """(mean lum*cs, mean cs) over valid window positions at data range L;
+    ``ref`` carries the reference moments."""
+    c1 = (K1 * data_range) ** 2
+    c2 = (K2 * data_range) ** 2
     mu_r = ref.mu
     mu_t = _windowed_mean(test)
     var_r = ref.sq - mu_r * mu_r
@@ -159,7 +123,7 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, p: SsimParams) -> tuple[float
 class RefWorkspace:
     """What ssim and ms_ssim reuse across calls, built on first use: per
     scale, one reference Image's downsampled data and moments
-    (:class:`RefMoments`), and per :class:`SsimParams`, one (reference, test)
+    (:class:`RefMoments`), and per data range L, one (reference, test)
     pair's scale-0 ``ssim_and_cs`` result (MS-SSIM's scale 0 is SSIM's).
 
     Both are keyed on Image identity: another reference object, even one
@@ -172,7 +136,7 @@ class RefWorkspace:
         self._ref: Image | None = None
         self._test: Image | None = None
         self._pyramid: list[RefMoments] = []
-        self._scale0: dict[SsimParams, tuple[float, float]] = {}
+        self._scale0: dict[float, tuple[float, float]] = {}
 
     def moments(self, ref: Image, scale: int) -> RefMoments:
         if ref is not self._ref:
@@ -184,44 +148,55 @@ class RefWorkspace:
             levels.append(_ref_moments(data))
         return levels[scale]
 
-    def scale0(self, ref: Image, test: Image, p: SsimParams) -> tuple[float, float]:
+    def scale0(self, ref: Image, test: Image, data_range: float) -> tuple[float, float]:
         require_same_shape(ref, test)
         r = self.moments(ref, 0)
         if test is not self._test:
             self._test, self._scale0 = test, {}
-        if p not in self._scale0:
-            self._scale0[p] = ssim_and_cs(r, test.data, p)
-        return self._scale0[p]
+        if data_range not in self._scale0:
+            self._scale0[data_range] = ssim_and_cs(r, test.data, data_range)
+        return self._scale0[data_range]
 
 
-def ssim(ref: Image, test: Image, params: SsimParams,
+def ssim(ref: Image, test: Image, ctx: EvalContext,
          ws: RefWorkspace | None = None) -> MetricScore:
-    """Single-scale structural similarity; identical images score 1. ``ws``
-    lets calls share work (see :class:`RefWorkspace`)."""
-    value, _ = (ws or RefWorkspace()).scale0(ref, test, params)
-    return MetricScore("ssim", value, params.fingerprint())
+    """Single-scale structural similarity at the L ``ctx.range_policy``
+    resolves; identical images score 1. ``ws`` lets calls share work (see
+    :class:`RefWorkspace`)."""
+    L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
+    value, _ = (ws or RefWorkspace()).scale0(ref, test, L)
+    return MetricScore("ssim", value, fingerprint(
+        data_range=L, k1=K1, k2=K2, range_policy=ctx.range_policy.spec_string(),
+        window=_WINDOW_NAME))
 
 
-def ms_ssim(ref: Image, test: Image, params: MsSsimParams,
+def ms_ssim(ref: Image, test: Image, ctx: EvalContext,
             ws: RefWorkspace | None = None) -> MetricScore:
-    """Multi-scale structural similarity.
+    """Multi-scale structural similarity over ``ctx.scales`` scales with
+    ``ctx.weights`` (default: the standard weights cut to ``scales``).
 
     With a single scale and weight (1.0,) this degenerates to plain SSIM.
     Negative per-scale terms are clamped to 0 before weighting. ``ws`` lets
     calls share work (see :class:`RefWorkspace`).
     """
+    L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
+    scales = ctx.scales
+    weights = truncated_weights(scales) if ctx.weights is None else ctx.weights
     ws = ws or RefWorkspace()
     t = test.data
     factors = []
-    for scale in range(params.scales):
+    for scale in range(scales):
         if scale == 0:
-            full, cs = ws.scale0(ref, test, params.base)
+            full, cs = ws.scale0(ref, test, L)
         else:
             r = ws.moments(ref, scale)
             t = _downsample2(t)
-            full, cs = ssim_and_cs(r, t, params.base)
-        factors.append(full if scale == params.scales - 1 else cs)
+            full, cs = ssim_and_cs(r, t, L)
+        factors.append(full if scale == scales - 1 else cs)
     value = 1.0
-    for f, w in zip(factors, params.weights):
+    for f, w in zip(factors, weights):
         value *= max(f, 0.0) ** w
-    return MetricScore("ms_ssim", float(value), params.fingerprint())
+    return MetricScore("ms_ssim", float(value), fingerprint(
+        data_range=L, downsample="mean2", k1=K1, k2=K2,
+        range_policy=ctx.range_policy.spec_string(), scales=scales, weights=weights,
+        window=_WINDOW_NAME))

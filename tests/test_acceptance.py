@@ -22,8 +22,8 @@ from refmet.distort import (DistortionSpec, add_gaussian_noise, add_stripes,
 from refmet.downstream import task_similarity
 from refmet.harness import EvalPlan, lint_configuration
 from refmet.image import Image, Mask, Rect, bounding_box, crop
-from refmet.metrics import (EvalContext, MsSsimParams, SsimParams, cw_ssim, dice,
-                            ms_ssim, ssim, masked_evaluate, evaluate)
+from refmet.metrics import (EvalContext, cw_ssim, dice, ms_ssim, ssim, masked_evaluate,
+                            evaluate)
 from refmet.metrics.structural import truncated_weights
 from refmet.normalize import (DataRangePolicy, NormMethod, bin_quantize,
                               normalize, resolve_data_range_values)
@@ -40,6 +40,10 @@ def _joint(r, t):
     return resolve_data_range_values(r.data, t.data, DataRangePolicy.joint())
 
 
+def _fixed(L, **knobs):
+    return EvalContext(range_policy=DataRangePolicy.fixed(L), **knobs)
+
+
 def _gamma_linear(img):
     return linear_scale(gamma_transform(img, 0.4), 1.2)
 
@@ -49,7 +53,7 @@ def test_criterion_01_oracle_equivalence():
     for seed in range(10):
         g = np.random.default_rng(10_000 + seed)
         r, t = Image(g.random((32, 32))), Image(g.random((32, 32)))
-        got = ssim(r, t, SsimParams(1.0)).value
+        got = ssim(r, t, _fixed(1.0)).value
         want = naive_ssim(r.data, t.data, 1.0, kernel=gaussian_kernel2d(1.5, 5))
         worst_ssim = max(worst_ssim, abs(got - want))
     weights = truncated_weights(5)
@@ -58,7 +62,7 @@ def test_criterion_01_oracle_equivalence():
         base = g.random((192, 192))
         r = Image(base)
         t = Image(np.clip(base + g.normal(0, 0.05, base.shape), 0, 2))
-        got = ms_ssim(r, t, MsSsimParams(SsimParams(1.0), 5, weights)).value
+        got = ms_ssim(r, t, _fixed(1.0, weights=weights)).value
         want = naive_ms_ssim(r.data, t.data, 1.0, weights,
                              kernel=gaussian_kernel2d(1.5, 5))
         worst_ms = max(worst_ms, abs(got - want))
@@ -91,11 +95,11 @@ def test_criterion_03_ssim_range_direction(phantoms):
         L = _joint(r, t)
         l_ref = resolve_data_range_values(r.data, t.data, DataRangePolicy.ref())
         l_test = resolve_data_range_values(r.data, t.data, DataRangePolicy.test())
-        s_joint = ssim(r, t, SsimParams(L)).value
-        up += ssim(r, t, SsimParams(10 * L)).value > s_joint
-        order += s_joint >= ssim(r, t, SsimParams(min(l_ref, l_test))).value
+        s_joint = ssim(r, t, _fixed(L)).value
+        up += ssim(r, t, _fixed(10 * L)).value > s_joint
+        order += s_joint >= ssim(r, t, _fixed(min(l_ref, l_test))).value
         s_binned = ssim(bin_quantize(r, 256), bin_quantize(t, 256),
-                        SsimParams(255.0)).value
+                        _fixed(255.0)).value
         binned_le += s_binned <= s_joint
     ok = up == n and order == n and binned_le >= 0.9 * n
     _verdict(3, ok, f"L direction {up}/{n}, joint>=min {order}/{n}, "
@@ -139,7 +143,7 @@ def test_criterion_05_misalignment(phantoms):
     for p in phantoms:
         r = p.image
         t = translate(r, (2, 0))
-        drop_ssim = 1.0 - ssim(r, t, SsimParams(_joint(r, t))).value
+        drop_ssim = 1.0 - ssim(r, t, EvalContext()).value
         drop_cw = 1.0 - cw_ssim(r, t).value
         big_drop += drop_ssim >= 0.10
         cw_smaller += drop_cw < drop_ssim
@@ -160,9 +164,9 @@ def test_criterion_06_background_inflation(phantoms):
         mae_bbox = evaluate("mae", crop(r, rect), crop(t, rect)).value
         mae_fg = float(np.abs(r.data[fg] - t.data[fg]).mean())
         mae_order += mae_full < mae_bbox < mae_fg
-        s_full = ssim(r, t, SsimParams(_joint(r, t))).value
+        s_full = ssim(r, t, EvalContext()).value
         rc, tc = crop(r, rect), crop(t, rect)
-        s_bbox = ssim(rc, tc, SsimParams(_joint(rc, tc))).value
+        s_bbox = ssim(rc, tc, EvalContext()).value
         ssim_order += s_full > s_bbox
         rect_mask = np.zeros(r.shape, dtype=bool)
         rect_mask[rect.slices()] = True
@@ -183,8 +187,8 @@ def test_criterion_07_blur_preference(phantoms):
         r = p.image
         noisy = add_gaussian_noise(r, 0.05, seed=p.seed * 7 + 1)
         blurred = gaussian_blur(noisy, 1.0)
-        s_noisy = ssim(r, noisy, SsimParams(_joint(r, noisy))).value
-        s_blur = ssim(r, blurred, SsimParams(_joint(r, blurred))).value
+        s_noisy = ssim(r, noisy, EvalContext()).value
+        s_blur = ssim(r, blurred, EvalContext()).value
         prefer += (s_blur > s_noisy) and (evaluate("mse", r, blurred).value
                                           < evaluate("mse", r, noisy).value)
         gap_min = min(gap_min, 2.0 - evaluate("nmi", r, gaussian_blur(r, 1.0)).value)
@@ -201,7 +205,7 @@ def test_criterion_08_task_divergence(phantoms):
         r = p.image
         t = mirror_replace(r, 0)
         d = task_similarity(r, t).value
-        s = ssim(r, t, SsimParams(_joint(r, t))).value
+        s = ssim(r, t, EvalContext()).value
         diverge += (d == 0.0) and (s >= 0.7)
     _verdict(8, diverge >= 0.9 * n,
              f"mirror-replace: dice==0 while ssim>=0.7 on {diverge}/{n} (>= 90%)")
@@ -216,9 +220,8 @@ def test_criterion_09_identity_and_determinism(phantoms, tmp_path):
         "pcc": abs(evaluate("pcc", img, img).value - 1.0) <= 1e-12,
         "nmi": abs(evaluate("nmi", img, img).value - 2.0) <= 1e-12,
         "dice": dice(phantoms[0].tumor_mask, phantoms[0].tumor_mask).value == 1.0,
-        "ssim": abs(ssim(img, img, SsimParams(1.0)).value - 1.0) <= 1e-9,
-        "ms_ssim": abs(ms_ssim(img, img, MsSsimParams(SsimParams(1.0))).value
-                       - 1.0) <= 1e-9,
+        "ssim": abs(ssim(img, img, _fixed(1.0)).value - 1.0) <= 1e-9,
+        "ms_ssim": abs(ms_ssim(img, img, _fixed(1.0)).value - 1.0) <= 1e-9,
         "cw_ssim": abs(cw_ssim(img, img).value - 1.0) <= 1e-9,
         "task": task_similarity(img, img).value == 1.0,
     }

@@ -116,6 +116,24 @@ def test_compare_missing_file_exits_1(workdir):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("name, payload, sidecar", [
+    ("array_sidecar.rawf32", bytes(64), "[4, 4]"),
+    ("bool_dims.rawf32", bytes(16), '{"dims": [true, 4], "dtype": "f32le"}'),
+    # 2**62 * 4 elements wrap to 0 in int64, matching the empty payload
+    ("wrapping_dims.rawf32", b"", '{"dims": [4611686018427387904, 4], "dtype": "f32le"}'),
+    ("huge_sample.pgm", b"P2\n2 1\n255\n0 99999999999999999999999\n", None),
+])
+def test_compare_malformed_file_exits_1(tmp_path, name, payload, sidecar):
+    bad = tmp_path / name
+    bad.write_bytes(payload)
+    if sidecar is not None:
+        (tmp_path / f"{name}.meta").write_text(sidecar)
+    res = run_cli("compare", str(bad), str(bad), "--metrics", "mae")
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet compare: error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_compare_writes_csv(workdir):
     out = workdir / "scores.csv"
     res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
@@ -333,6 +351,16 @@ def test_audit_unknown_output_format_exits_1(workdir):
     res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_fmt"))
     assert res.returncode == 1
     assert "['CSV']" in res.stderr and "csv, markdown" in res.stderr
+
+
+def test_audit_empty_output_formats_exits_1(workdir):
+    cfg = workdir / "no_formats.json"
+    cfg.write_text(json.dumps({"output": {"formats": []}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_none"))
+    assert res.returncode == 1
+    assert res.stderr == ("refmet audit: error: config key 'output.formats' "
+                          "must be a non-empty list\n")
+    assert not (workdir / "audit_none").exists()
 
 
 def test_audit_malformed_config_value_exits_1(workdir):

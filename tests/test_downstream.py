@@ -8,8 +8,7 @@ from refmet.errors import ConfigError, DegenerateRangeError
 from refmet.image import Image
 from refmet.downstream import SegmenterParams, _label, task_similarity, threshold_segment
 from refmet.distort import mirror_replace
-from refmet.metrics import SsimParams, ssim
-from refmet.normalize import DataRangePolicy, resolve_data_range_values
+from refmet.metrics import EvalContext, ssim
 
 
 def test_threshold_above_everything_gives_empty():
@@ -143,9 +142,8 @@ def test_tumor_free_test_scores_zero(phantoms):
 def test_mirror_dice_zero_while_ssim_high(phantoms):
     p = phantoms[0]
     test = mirror_replace(p.image, 0)
-    L = resolve_data_range_values(p.image.data, test.data, DataRangePolicy.joint())
     assert task_similarity(p.image, test).value == 0.0
-    assert ssim(p.image, test, SsimParams(L)).value > 0.7
+    assert ssim(p.image, test, EvalContext()).value > 0.7
 
 
 def test_fingerprint_lists_segmenter_params():

@@ -200,6 +200,8 @@ def test_load_closes_config_file(tmp_path):
     ({"segmenter": {"threshold_rel": "x"}}, "segmenter.threshold_rel"),
     ({"scenarios": "pitfall1"}, "scenarios"),
     ({"output": {"formats": "csv"}}, "output.formats"),
+    ({"scenarios": []}, "scenarios"),
+    ({"output": {"formats": []}}, "output.formats"),
 ])
 def test_from_json_rejects_malformed_value_naming_its_key(obj, key):
     with pytest.raises(ConfigError, match=f"config key '{key}' must be"):

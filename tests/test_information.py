@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,12 +8,8 @@ from hypothesis import strategies as st
 from oracles import naive_entropy_bits
 from refmet.errors import DegenerateRangeError
 from refmet.image import Image
-from refmet.metrics import EvalContext, HistogramParams, evaluate
+from refmet.metrics import EvalContext, evaluate
 from refmet.metrics.information import _edges, joint_histogram
-
-
-def test_histogram_params_fields():
-    assert [f.name for f in fields(HistogramParams)] == ["bins"]
 
 
 def _img(vals):
@@ -130,7 +125,6 @@ def test_joint_histogram_equals_histogram2d(seed, bins, shape, on_edges,
         r[:] = r[0]
     elif constant == "test":
         t[:] = t[0]
-    h = HistogramParams(bins=bins)
     # Values exactly on bin edges: the edges lie inside the range, so adding
     # them leaves the edges unchanged. A constant axis stays constant.
     er, et = _edges(r, bins), _edges(t, bins)
@@ -144,6 +138,6 @@ def test_joint_histogram_equals_histogram2d(seed, bins, shape, on_edges,
         r, t = r[sel], t[sel]
     expected, _, _ = np.histogram2d(r.ravel(), t.ravel(),
                                     bins=[_edges(r, bins), _edges(t, bins)])
-    got = joint_histogram(r, t, h)
+    got = joint_histogram(r, t, bins)
     assert got.dtype == expected.dtype == np.float64
     assert np.array_equal(got, expected)

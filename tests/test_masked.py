@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,3 +156,21 @@ def test_ms_ssim_context_defaults_to_truncated_weights(pair, scales):
     assert implicit.value.hex() == explicit.value.hex()
     assert implicit.params_fingerprint == explicit.params_fingerprint
 
+
+
+# An invalid metric knob is a ConfigError with its own message, raised when
+# the context is built, before anything is scored.
+@pytest.mark.parametrize("metric_id, knobs, message", [
+    ("ms_ssim", {"scales": 6}, "scales must be in 1..5"),
+    ("ms_ssim", {"scales": 0, "weights": ()}, "scales must be >= 1"),
+    ("ms_ssim", {"scales": 2, "weights": (1.0,)},
+     "need one weight per scale: 1 weights, 2 scales"),
+    ("ms_ssim", {"scales": 2, "weights": (1.5, -0.5)}, "weights must be positive"),
+    ("ms_ssim", {"scales": 2, "weights": (0.5, 0.6)}, "weights must sum to 1, got 1.1"),
+    ("mi", {"nmi_bins": 1}, "must be >= 2, got 1"),
+    ("nmi", {"nmi_bins": 1}, "must be >= 2, got 1"),
+])
+def test_invalid_metric_knob_raises_config_error(pair, metric_id, knobs, message):
+    ref, test = pair
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        evaluate(metric_id, ref, test, EvalContext(**knobs))

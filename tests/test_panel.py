@@ -20,7 +20,6 @@ from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scena
 from refmet.image import Image, Mask, save_image
 from refmet.metrics import (METRIC_IDS, RefWorkspace, evaluate, masked_evaluate,
                             metric_kind)
-from refmet.metrics.structural import SsimParams
 from refmet.phantom import generate_phantom
 
 
@@ -150,16 +149,16 @@ def _count_calls(monkeypatch, *names):
 
 def test_workspace_holds_one_test_at_most(monkeypatch):
     counts = _count_calls(monkeypatch, "ssim_and_cs")
-    ws, p = RefWorkspace(), SsimParams(1.0)
+    ws, L = RefWorkspace(), 1.0
     g = np.random.default_rng(8)
     ref, test = Image(g.random((32, 32))), Image(g.random((32, 32)))
-    first = ws.scale0(ref, test, p)
-    assert ws.scale0(ref, test, p) is first and counts["ssim_and_cs"] == 1
+    first = ws.scale0(ref, test, L)
+    assert ws.scale0(ref, test, L) is first and counts["ssim_and_cs"] == 1
     # an equal-valued but distinct test is scored again, and the old one freed
     twin = Image(test.data.copy())
     held = weakref.ref(test)
     del test
-    assert ws.scale0(ref, twin, p) == first and counts["ssim_and_cs"] == 2
+    assert ws.scale0(ref, twin, L) == first and counts["ssim_and_cs"] == 2
     gc.collect()
     assert held() is None
     # another reference drops the test too

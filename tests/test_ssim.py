@@ -1,17 +1,16 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from oracles import gaussian_kernel2d, naive_ms_ssim, naive_ssim
 from refmet.errors import RefmetError
 from refmet.image import Image, gaussian_kernel
-from refmet.metrics import MsSsimParams, SsimParams, ms_ssim, ssim
+from refmet.metrics import EvalContext, ms_ssim, ssim
 from refmet.metrics.structural import _WINDOW, truncated_weights
+from refmet.normalize import DataRangePolicy
 
 
-def test_ssim_params_fields():
-    assert [f.name for f in fields(SsimParams)] == ["data_range"]
+def _fixed(L, **knobs):
+    return EvalContext(range_policy=DataRangePolicy.fixed(L), **knobs)
 
 
 def test_window_is_read_only_standard_gaussian():
@@ -25,7 +24,7 @@ def test_identical_images_score_one():
     rng = np.random.default_rng(0)
     img = Image(rng.random((32, 32)))
     for L in (1.0, 255.0, 1e4):
-        assert ssim(img, img, SsimParams(L)).value == pytest.approx(1.0, abs=1e-12)
+        assert ssim(img, img, _fixed(L)).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constant_images_closed_form():
@@ -35,7 +34,7 @@ def test_constant_images_closed_form():
     t = Image(np.full((16, 16), L))
     c1 = (0.01 * L) ** 2
     expected = c1 / (L * L + c1)
-    assert ssim(r, t, SsimParams(L)).value == pytest.approx(expected, rel=1e-12)
+    assert ssim(r, t, _fixed(L)).value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -43,7 +42,7 @@ def test_matches_naive_oracle_gaussian(seed):
     rng = np.random.default_rng(100 + seed)
     r = Image(rng.random((32, 32)))
     t = Image(rng.random((32, 32)))
-    got = ssim(r, t, SsimParams(1.0)).value
+    got = ssim(r, t, _fixed(1.0)).value
     want = naive_ssim(r.data, t.data, 1.0, kernel=gaussian_kernel2d(1.5, 5))
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -52,32 +51,32 @@ def test_symmetry():
     rng = np.random.default_rng(5)
     r = Image(rng.random((20, 20)))
     t = Image(rng.random((20, 20)))
-    p = SsimParams(1.0)
+    p = _fixed(1.0)
     assert ssim(r, t, p).value == pytest.approx(ssim(t, r, p).value, abs=1e-12)
 
 
 def test_window_must_fit():
     img = Image(np.zeros((8, 8)))
     with pytest.raises(RefmetError):
-        ssim(img, img, SsimParams(1.0))  # default window is 11x11
+        ssim(img, img, _fixed(1.0))  # default window is 11x11
 
 
 def test_monotone_in_data_range():
     rng = np.random.default_rng(11)
     r = Image(rng.random((32, 32)))
     t = Image(rng.random((32, 32)) * 1.5 + 0.2)
-    scores = [ssim(r, t, SsimParams(L)).value for L in (1.0, 4.0, 16.0, 1e3, 1e6)]
+    scores = [ssim(r, t, _fixed(L)).value for L in (1.0, 4.0, 16.0, 1e3, 1e6)]
     assert all(b > a for a, b in zip(scores, scores[1:]))
     assert scores[-1] > 0.999
 
 
 def test_huge_range_saturates_toward_one(phantoms):
     # a large enough L makes any fixed non-identical pair look near-perfect
-    from refmet.normalize import DataRangePolicy, resolve_data_range_values
+    from refmet.normalize import resolve_data_range_values
     for p in phantoms[:5]:
         t = Image(p.image.data ** 0.4 * 1.2)
         joint = resolve_data_range_values(p.image.data, t.data, DataRangePolicy.joint())
-        assert ssim(p.image, t, SsimParams(1e6 * joint)).value > 0.999
+        assert ssim(p.image, t, _fixed(1e6 * joint)).value > 0.999
 
 
 def test_local_terms_nondecreasing_in_l():
@@ -105,16 +104,17 @@ def test_local_terms_nondecreasing_in_l():
 def test_3d_support():
     rng = np.random.default_rng(17)
     r = Image(rng.random((14, 14, 14)))
-    assert ssim(r, r, SsimParams(1.0)).value == pytest.approx(1.0, abs=1e-12)
+    assert ssim(r, r, _fixed(1.0)).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fingerprint_stable():
     rng = np.random.default_rng(19)
     r = Image(rng.random((16, 16)))
-    p = SsimParams(2.0)
+    p = _fixed(2.0)
     assert (ssim(r, r, p).params_fingerprint ==
             ssim(r, r, p).params_fingerprint ==
-            "data_range=2.0;k1=0.01;k2=0.03;window=gaussian(radius=5,sigma=1.5)")
+            "data_range=2.0;k1=0.01;k2=0.03;range_policy=fixed:L=2.0;"
+            "window=gaussian(radius=5,sigma=1.5)")
 
 
 # --- multi-scale ------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_fingerprint_stable():
 def test_ms_identical_is_one():
     rng = np.random.default_rng(23)
     img = Image(rng.random((192, 192)))
-    score = ms_ssim(img, img, MsSsimParams(SsimParams(1.0)))
+    score = ms_ssim(img, img, _fixed(1.0))
     assert score.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -130,8 +130,8 @@ def test_single_scale_degenerates_to_ssim():
     rng = np.random.default_rng(29)
     r = Image(rng.random((64, 64)))
     t = Image(rng.random((64, 64)))
-    p = SsimParams(1.0)
-    single = ms_ssim(r, t, MsSsimParams(p, scales=1, weights=(1.0,))).value
+    p = _fixed(1.0)
+    single = ms_ssim(r, t, _fixed(1.0, scales=1, weights=(1.0,))).value
     assert single == pytest.approx(ssim(r, t, p).value, abs=1e-9)
 
 
@@ -142,7 +142,7 @@ def test_ms_matches_naive_recursion(seed):
     r = Image(base)
     t = Image(np.clip(base + rng.normal(0, 0.08, base.shape), 0, 2))
     weights = truncated_weights(5)
-    got = ms_ssim(r, t, MsSsimParams(SsimParams(1.0), scales=5, weights=weights)).value
+    got = ms_ssim(r, t, _fixed(1.0, scales=5, weights=weights)).value
     want = naive_ms_ssim(r.data, t.data, 1.0, weights,
                          kernel=gaussian_kernel2d(1.5, 5))
     assert got == pytest.approx(want, abs=1e-6)
@@ -151,4 +151,4 @@ def test_ms_matches_naive_recursion(seed):
 def test_ms_image_too_small_for_scales():
     img = Image(np.zeros((40, 40)))
     with pytest.raises(RefmetError):
-        ms_ssim(img, img, MsSsimParams(SsimParams(1.0)))  # 40 -> ... -> 2 < 11
+        ms_ssim(img, img, _fixed(1.0))  # 40 -> ... -> 2 < 11

@@ -15,7 +15,6 @@ MODULES = sorted(m.name for m in pkgutil.walk_packages(refmet.__path__, "refmet.
 
 METRICS_ALL = [
     "MetricScore", "fingerprint", "format_score",
-    "SsimParams", "MsSsimParams", "HistogramParams",
     "ssim", "ms_ssim", "cw_ssim", "dice",
     "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
     "METRIC_IDS", "metric_kind", "truncated_weights",
