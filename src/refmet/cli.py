@@ -20,10 +20,11 @@ from .errors import RefmetError, config_value
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
 from .image import load_image, mask_from_image, mask_to_image, save_image
-from .metrics import RefWorkspace, evaluate, format_score, masked_evaluate, metric_kind
+from .metrics import RefWorkspace, format_score
 from .normalize import DataRangePolicy, NormMethod
-# Not called here (EvalPlan.prepare calls them), but perfbench/tracer.py
+# Not called here (EvalPlan's methods call them), but perfbench/tracer.py
 # hooks these names on this module, so they must stay importable from it.
+from .metrics import evaluate, masked_evaluate  # noqa: F401
 from .normalize import bin_quantize, normalize  # noqa: F401
 from .phantom import PhantomParams, generate_phantom
 from .report import Report, Row, write_report
@@ -125,10 +126,7 @@ def _cmd_compare(args) -> int:
     # Each line is printed before the next metric runs, so a failing metric
     # leaves the lines of the ones before it.
     for metric_id in plan.metrics:
-        if plan.mask is not None and metric_kind(metric_id) != "mask":
-            score = masked_evaluate(metric_id, ref, test, plan.mask, plan)
-        else:
-            score = evaluate(metric_id, ref, test, plan, ws)
+        score = plan.score(metric_id, ref, test, ws)
         print(f"{score.metric_id}\t{format_score(score.value)}\t"
               f"{score.params_fingerprint}")
         rows.append(Row("pair", "compare", "direct", score.metric_id,

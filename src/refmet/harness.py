@@ -24,8 +24,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fracti
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError, config_value
 from .image import Image, Mask, bounding_box, crop
-from .metrics import (METRIC_IDS, EvalContext, RefWorkspace, evaluate, masked_evaluate,
-                      metric_kind, rect_of_mask)
+from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
+                      masked_evaluate, metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -50,9 +50,10 @@ OUTPUT_FORMATS = ("csv", "markdown")
 
 @dataclass(frozen=True, kw_only=True)
 class EvalPlan(EvalContext):
-    """The one evaluation spec: metric panel, pair preparation and (from
-    EvalContext) the metric knobs, so ``evaluate`` reads the plan itself.
-    Harness, compare and lint all use it; it is linted before scoring."""
+    """The one evaluation spec: metric panel, pair preparation, mask and
+    (from EvalContext) the metric knobs, so ``evaluate`` reads the plan
+    itself. Harness, compare and lint all use it; it is linted before
+    scoring, and :meth:`score` routes each metric under its mask."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
     weights: tuple[float, ...] | None = field(default=None, init=False)
@@ -79,6 +80,14 @@ class EvalPlan(EvalContext):
             ref, test = bin_quantize(ref, self.prebin), bin_quantize(test, self.prebin)
         return ref, test
 
+    def score(self, metric_id: str, ref: Image, test: Image,
+              ws: RefWorkspace | None = None) -> MetricScore:
+        """One metric on a prepared pair: through ``masked_evaluate`` under
+        ``mask`` (``mask``-kind metrics excepted), else ``evaluate`` with ``ws``."""
+        if self.mask is not None and metric_kind(metric_id) != "mask":
+            return masked_evaluate(metric_id, ref, test, self.mask, self)
+        return evaluate(metric_id, ref, test, self, ws)
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -92,17 +101,19 @@ class Variant:
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
 
-    def case_chain(self, phantom: Phantom) -> tuple[DistortionSpec, ...]:
-        """Chain with per-case seeds so each case draws independent noise."""
-        return tuple(replace(s, seed=s.seed + phantom.seed)
-                     if s.seeded else s for s in self.plan.chain)
+    def case_plan(self, phantom: Phantom) -> EvalPlan:
+        """Per-case noise seeds, and the foreground as ``mask`` in mode foreground."""
+        chain = tuple(replace(s, seed=s.seed + phantom.seed) if s.seeded else s
+                      for s in self.plan.chain)
+        return replace(self.plan, chain=chain, mask=phantom.foreground_mask
+                       if self.mask_mode == "foreground" else None)
 
-    def pipeline_fingerprint(self, phantom: Phantom) -> str:
-        return fingerprint(chain=chain_fingerprint(self.case_chain(phantom)),
+    def pipeline_fingerprint(self, plan: EvalPlan) -> str:
+        return fingerprint(chain=chain_fingerprint(plan.chain),
                            mask=f"crop_fraction({CROP_FRACTION!r})"
                            if self.mask_mode == "crop_fraction" else self.mask_mode,
-                           norm=self.plan.norm.spec_string(),
-                           prebin=self.plan.prebin if self.plan.prebin else "none")
+                           norm=plan.norm.spec_string(),
+                           prebin=plan.prebin if plan.prebin else "none")
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,9 @@ class HarnessConfig:
         bad = [s for s in self.scenarios if s not in SCENARIO_IDS]
         if bad:
             raise ConfigError(f"unknown scenario ids {bad}")
+        dup = sorted({s for s in self.scenarios if self.scenarios.count(s) > 1})
+        if dup:
+            raise ConfigError(f"duplicate scenario ids {dup}")
         bad = [f for f in self.out_formats if f not in OUTPUT_FORMATS]
         if bad:
             raise ConfigError(f"unknown output formats {bad}; "
@@ -271,35 +285,6 @@ def builtin_scenario(scenario_id: str) -> Scenario:
 # Evaluation pipeline
 # ---------------------------------------------------------------------------
 
-def _prepare_pair(phantom: Phantom, variant: Variant) -> tuple[tuple[Image, Image], ...]:
-    """(chained pair, prepared pair). The lint reads the chained pair; every
-    metric scores it normalized, pre-binned and cropped (crop_fraction, bbox)."""
-    chained = phantom.image, apply_chain(variant.case_chain(phantom), phantom.image)
-    ref, test = variant.plan.prepare(*chained)
-    if variant.mask_mode == "crop_fraction":
-        ref, test = crop_fraction(ref, CROP_FRACTION), crop_fraction(test, CROP_FRACTION)
-    elif variant.mask_mode == "bbox":
-        rect = bounding_box(phantom.foreground_mask)
-        ref, test = crop(ref, rect), crop(test, rect)
-    return chained, (ref, test)
-
-
-def _score(phantom: Phantom, variant: Variant, metric_id: str, pair: tuple[Image, Image],
-           segmenter: SegmenterParams, ws: RefWorkspace | None = None) -> tuple[float, str]:
-    """One report cell on a prepared pair: score, fingerprint merged with the
-    pipeline's. ``ws`` lets ssim and ms_ssim reuse the reference's moments."""
-    ref, test = pair
-    if metric_id == "dice":
-        score = task_similarity(ref, test, segmenter)
-    elif variant.mask_mode == "foreground":
-        score = masked_evaluate(metric_id, ref, test, phantom.foreground_mask,
-                                variant.plan)
-    else:
-        score = evaluate(metric_id, ref, test, variant.plan, ws)
-    return score.value, merge_fingerprints(score.params_fingerprint,
-                                           variant.pipeline_fingerprint(phantom))
-
-
 @contextmanager
 def _context(where: str):
     """Re-raise a RefmetError with its class kept and ``where`` prepended."""
@@ -319,13 +304,15 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
 
     Phantoms are the outer loop, so every variant of one phantom scores
     against one :class:`RefWorkspace`, which holds one reference at a time.
-    Each (case, variant) pair is prepared once and scored by every metric of
-    the variant; the first phantom's chained pair is linted, in variant
-    order. Appends mean rows (case_id ``"mean"``) per (variant, metric).
-    Row order is deterministic: sorted by (case_id, variant, metric_id),
-    means last. A failing evaluation re-raises its error class with the
-    scenario, variant, case and (for a scoring error) metric prepended to
-    the message; of several failing cases, the first in phantom order raises.
+    Each (case, variant) runs one plan, :meth:`Variant.case_plan`: the
+    first phantom's chained pair is linted against it, in variant order, and
+    every metric scores the pair it prepares and crops once, ``dice`` as the
+    proxy task and any other through :meth:`EvalPlan.score`. Appends mean
+    rows (case_id ``"mean"``) per (variant, metric). Row order is
+    deterministic: sorted by (case_id, variant, metric_id), means last. A
+    failing evaluation re-raises its error class with the scenario, variant,
+    case and (for a scoring error) metric prepended to the message; of
+    several failing cases, the first in phantom order raises.
     """
     if not phantoms:
         raise ConfigError("run_scenario needs a non-empty phantom list")
@@ -337,21 +324,29 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
         for variant in scenario.variants:
             where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
                      f"case {_case_id(phantom)}")
+            plan = variant.case_plan(phantom)
             with _context(where):
-                chained, pair = _prepare_pair(phantom, variant)
+                chained = phantom.image, apply_chain(plan.chain, phantom.image)
+                ref, test = plan.prepare(*chained)
+                if variant.mask_mode == "crop_fraction":
+                    ref, test = (crop_fraction(ref, CROP_FRACTION),
+                                 crop_fraction(test, CROP_FRACTION))
+                elif variant.mask_mode == "bbox":
+                    rect = bounding_box(phantom.foreground_mask)
+                    ref, test = crop(ref, rect), crop(test, rect)
             if case == 0:
-                plan = replace(variant.plan, mask=phantom.foreground_mask
-                               if variant.mask_mode == "foreground" else None)
                 for lint in lint_configuration(*chained, plan):
                     report.lints.append(replace(lint, message=(
                         f"[{scenario.scenario_id}/{variant.label}] {lint.message}")))
-            for metric_id in variant.plan.metrics:
+            pipeline = variant.pipeline_fingerprint(plan)
+            for metric_id in plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
-                    value, fp = _score(phantom, variant, metric_id, pair,
-                                       config.segmenter, ws)
+                    score = (plan.score(metric_id, ref, test, ws) if metric_id != "dice"
+                             else task_similarity(ref, test, config.segmenter))
+                fp = merge_fingerprints(score.params_fingerprint, pipeline)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
-                                       variant.label, metric_id, fp, value))
-                scores.setdefault((variant.label, metric_id), []).append(value)
+                                       variant.label, metric_id, fp, score.value))
+                scores.setdefault((variant.label, metric_id), []).append(score.value)
     report.rows.sort(key=lambda r: (r.case_id, r.variant, r.metric_id))
     mean_rows = []
     for variant in scenario.variants:
@@ -366,7 +361,8 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
 
 
 def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
-    """Recompute one report row from its coordinates (reproducibility check)."""
+    """Recompute one report row from its coordinates (reproducibility check)
+    by running :func:`run_scenario` on its phantom, variant and metric alone."""
     config = config or HarnessConfig()
     scenario = builtin_scenario(row.scenario)
     variant = next((v for v in scenario.variants if v.label == row.variant), None)
@@ -378,13 +374,12 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
     phantom = generate_phantom(seed, config.phantom_params)
     # The plan rejects an unknown metric id and lists the registered ones.
     variant = replace(variant, plan=replace(variant.plan, metrics=(row.metric_id,)))
-    value, fp = _score(phantom, variant, row.metric_id,
-                       _prepare_pair(phantom, variant)[1], config.segmenter)
-    if fp != row.params_fingerprint:
+    cell = run_scenario(Scenario(row.scenario, (variant,)), [phantom], config).rows[0]
+    if cell.params_fingerprint != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "
-            f"{fp} != {row.params_fingerprint}")
-    return value
+            f"{cell.params_fingerprint} != {row.params_fingerprint}")
+    return cell.score
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def load_image(path) -> Image:
 
 def save_image(img: Image, path) -> None:
     """Write ``img`` as PGM for a ``.pgm`` extension, rawf32 otherwise; pgm
-    requires integer values in [0, 65535] and 2D data."""
+    requires integer values in [0, 65535] and 2D data, rawf32 float32-range values."""
     path = Path(path)
     if path.suffix.lower() == ".pgm":
         if img.ndim != 2:
@@ -284,8 +284,13 @@ def save_image(img: Image, path) -> None:
         dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
         path.write_bytes(header + d.astype(dtype).tobytes())
     else:
-        payload = img.data.astype("<f4").tobytes(order="C")
-        path.write_bytes(payload)
+        # Underflow to 0 is the format's precision; overflow to inf is an error.
+        with np.errstate(over="ignore"):
+            payload = img.data.astype("<f4")
+        if not np.all(np.isfinite(payload)):
+            raise FormatError("rawf32 stores float32, whose range is "
+                              f"±{np.finfo(np.float32).max:.8g}; the image exceeds it")
+        path.write_bytes(payload.tobytes(order="C"))
         meta = {"dims": [int(v) for v in img.shape], "dtype": "f32le"}
         Path(str(path) + ".meta").write_text(json.dumps(meta) + "\n")
 

@@ -7,6 +7,7 @@ import pytest
 
 from refmet.distort import chain_fingerprint, gaussian_blur, parse_chain
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
+from refmet.metrics import EvalContext, evaluate, masked_evaluate
 from refmet.phantom import generate_phantom
 
 
@@ -54,6 +55,28 @@ def test_compare_nonrect_mask_with_ssim_exits_1(workdir):
                   "--metrics", "ssim", "--mask", str(workdir / "checker.pgm"))
     assert res.returncode == 1
     assert "rectangle" in res.stderr
+
+
+def test_compare_rect_mask_routes_each_metric_kind(workdir):
+    # dice compares the unmasked images, a pointwise metric reads the masked
+    # values, a windowed one the crop
+    rows, cols = slice(4, 188), slice(6, 190)  # 184x184 fits 5-scale ms_ssim
+    ref, test = load_image(workdir / "ref.rawf32"), load_image(workdir / "test.rawf32")
+    rect = np.zeros(ref.shape, dtype=bool)
+    rect[rows, cols] = True
+    save_image(mask_to_image(Mask(rect)), workdir / "rect.pgm")
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--mask", str(workdir / "rect.pgm"),
+                  "--metrics", "dice,mae,ssim,ms_ssim")
+    assert res.returncode == 0, res.stderr
+    ref_crop, test_crop = Image(ref.data[rows, cols]), Image(test.data[rows, cols])
+    expected = [evaluate("dice", ref, test, EvalContext()),
+                masked_evaluate("mae", ref, test, Mask(rect), EvalContext()),
+                evaluate("ssim", ref_crop, test_crop, EvalContext()),
+                evaluate("ms_ssim", ref_crop, test_crop, EvalContext())]
+    got = [line.split("\t") for line in res.stdout.splitlines()]
+    assert [(m, float(v).hex(), fp) for m, v, fp in got] == \
+        [(e.metric_id, e.value.hex(), e.params_fingerprint) for e in expected]
 
 
 def test_compare_strict_lint_exits_2(workdir):
@@ -217,6 +240,18 @@ def test_distort_malformed_spec_exits_1(workdir, spec, named):
     assert res.stderr.startswith("refmet distort: error:") and named in res.stderr
     assert "Traceback" not in res.stderr
     assert not (workdir / "bad.rawf32").exists()
+
+
+def test_distort_beyond_float32_exits_1(workdir):
+    # wrote inf under numpy's RuntimeWarning and exited 0; compare then
+    # rejected the file as non-finite
+    out = workdir / "big.rawf32"
+    res = run_cli("distort", str(workdir / "ref.rawf32"),
+                  '{"kind": "linear_scale", "params": {"factor": 1e300}}', str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("refmet distort: error:") and "float32" in res.stderr
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+    assert not out.exists() and not (workdir / "big.rawf32.meta").exists()
 
 
 def test_distort_blurs_a_pgm_mask(workdir):

@@ -138,10 +138,9 @@ def test_each_pair_prepared_once(monkeypatch, scenario_id):
     expected = []
     first = phantoms[0]
     for variant in scenario.variants:
+        plan = variant.case_plan(first)
         ref = first.image
-        ref, test = variant.plan.prepare(ref, apply_chain(variant.case_chain(first), ref))
-        plan = replace(variant.plan, mask=first.foreground_mask
-                       if variant.mask_mode == "foreground" else None)
+        ref, test = plan.prepare(ref, apply_chain(plan.chain, ref))
         expected += [replace(lint, message=f"[{scenario_id}/{variant.label}] {lint.message}")
                      for lint in lint_configuration(ref, test, plan)]
     assert rep.lints == expected
@@ -180,6 +179,13 @@ def test_harness_config_json_roundtrip():
 def test_unknown_output_format_rejected():
     with pytest.raises(ConfigError, match=r"\['CSV'\].*csv, markdown"):
         HarnessConfig.from_json({"output": {"formats": ["CSV"]}})
+
+
+def test_duplicate_scenario_ids_rejected():
+    # ran pitfall5 twice and wrote each of its rows twice
+    with pytest.raises(ConfigError, match=r"^duplicate scenario ids \['pitfall5'\]$"):
+        HarnessConfig.from_json({"phantoms": {"count": 1},
+                                 "scenarios": ["pitfall5", "pitfall5"]})
 
 
 def test_load_closes_config_file(tmp_path):
@@ -435,7 +441,8 @@ def test_pitfall3_windowed_variants_use_four_scales():
 def test_crop_fraction_in_pipeline_fingerprint(small_phantoms):
     variant = next(v for v in builtin_scenario("pitfall3").variants
                    if v.mask_mode == "crop_fraction")
-    assert "mask=crop_fraction(0.03)" in variant.pipeline_fingerprint(small_phantoms[0])
+    plan = variant.case_plan(small_phantoms[0])
+    assert "mask=crop_fraction(0.03)" in variant.pipeline_fingerprint(plan)
 
 
 # --- pair preparation ----------------------------------------------------------

@@ -145,6 +145,16 @@ def test_rawf32_3d_roundtrip(tmp_path, rng):
     assert np.array_equal(load_image(tmp_path / "v.rawf32").data, data)
 
 
+def test_rawf32_save_beyond_float32_raises_and_writes_nothing(tmp_path):
+    with pytest.raises(FormatError, match="float32"):
+        save_image(Image(np.array([[1.0, -1e39]])), tmp_path / "o.rawf32")
+    assert not (tmp_path / "o.rawf32").exists()
+    assert not (tmp_path / "o.rawf32.meta").exists()
+    # underflow is float32's precision, not an error
+    save_image(Image(np.array([[1.0, 1e-60]])), tmp_path / "u.rawf32")
+    assert load_image(tmp_path / "u.rawf32").data.tolist() == [[1.0, 0.0]]
+
+
 def test_rawf32_rejects_nan(tmp_path):
     vals = np.array([1.0, np.nan, 0.0, 2.0], dtype="<f4")
     (tmp_path / "n.rawf32").write_bytes(vals.tobytes())

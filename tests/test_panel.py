@@ -18,8 +18,7 @@ from refmet.errors import RefmetError
 from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scenario,
                             generate_phantoms, run_scenario)
 from refmet.image import Image, Mask, save_image
-from refmet.metrics import (METRIC_IDS, RefWorkspace, evaluate, masked_evaluate,
-                            metric_kind)
+from refmet.metrics import METRIC_IDS, RefWorkspace
 from refmet.phantom import generate_phantom
 
 
@@ -69,15 +68,11 @@ def _outcome(fn):
 
 
 def _outcomes(plan, ref, test, mask, ws=None):
-    """(metric_id, float.hex or error) of every metric of ``plan``, routed as
-    ``refmet compare`` routes them: under a mask through masked_evaluate
-    (mask-kind metrics excepted), else through evaluate with ``ws``.
+    """(metric_id, float.hex or error) of every metric of ``plan`` under
+    ``mask``, routed by ``EvalPlan.score`` as ``refmet compare`` routes them.
     ``ws=None`` gives every metric a workspace of its own."""
-    def one(m):
-        if mask is not None and metric_kind(m) != "mask":
-            return masked_evaluate(m, ref, test, mask, plan)
-        return evaluate(m, ref, test, plan, ws)
-    return [(m, _outcome(lambda: one(m))) for m in plan.metrics]
+    plan = replace(plan, mask=mask)
+    return [(m, _outcome(lambda: plan.score(m, ref, test, ws))) for m in plan.metrics]
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "rect", "nonrect"])
