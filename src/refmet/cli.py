@@ -19,8 +19,9 @@ from .distort import apply_chain, chain_fingerprint, parse_chain
 from .errors import RefmetError, config_value
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
-from .image import load_image, mask_from_image, mask_to_image, save_image
-from .metrics import RefWorkspace, format_score
+from .image import (load_image, mask_from_image, mask_to_image, require_same_shape,
+                    save_image)
+from .metrics import RefWorkspace, format_score, rect_of_mask
 from .normalize import DataRangePolicy, NormMethod
 # Not called here (EvalPlan's methods call them), but perfbench/tracer.py
 # hooks these names on this module, so they must stay importable from it.
@@ -110,11 +111,14 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def _cmd_compare(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
+    mask = mask_from_image(load_image(args.mask)) if args.mask else None
+    if mask is not None:
+        require_same_shape(ref, mask)
+        mask = rect_of_mask(mask) or mask  # a filled rectangle is a crop
     plan = EvalPlan(metrics=_parse_metrics(args.metrics),
                     norm=NormMethod.parse(args.norm),
                     range_policy=DataRangePolicy.parse(args.range_policy),
-                    prebin=args.prebin, nmi_bins=args.bins,
-                    mask=mask_from_image(load_image(args.mask)) if args.mask else None)
+                    prebin=args.prebin, nmi_bins=args.bins, mask=mask)
     lints = lint_configuration(ref, test, plan)
     for lint in lints:
         print(lint.line(), file=sys.stderr)

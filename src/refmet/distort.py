@@ -18,13 +18,13 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DegenerateRangeError, RefmetError, check_kind
-from .image import Image, correlate_valid, gaussian_kernel
+from .image import Image, Rect, correlate_valid, crop, gaussian_kernel
 
 __all__ = [
     "DistortionSpec",
     "gamma_transform", "linear_scale", "translate", "mirror_replace",
     "add_gaussian_noise", "add_stripes", "gaussian_blur", "crop_fraction",
-    "apply", "apply_chain", "parse_chain",
+    "fraction_rect", "apply", "apply_chain", "parse_chain",
 ]
 
 
@@ -162,16 +162,19 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     return Image(out)
 
 
-def crop_fraction(img: Image, fraction: float) -> Image:
-    """Symmetric crop removing floor(fraction * extent) pixels per side."""
+def fraction_rect(shape: tuple[int, ...], fraction: float) -> Rect:
+    """The box left after removing floor(fraction * extent) pixels per side."""
     fraction = _bounded("fraction", float(fraction))
-    margins = [int(np.floor(fraction * n)) for n in img.shape]
-    if any(n - 2 * m < 1 for m, n in zip(margins, img.shape)):
-        raise RefmetError(f"crop fraction {fraction} degenerates shape {img.shape}")
-    if all(m == 0 for m in margins):
-        return img
-    sl = tuple(slice(m, n - m) for m, n in zip(margins, img.shape))
-    return Image(img.data[sl])
+    margins = [int(np.floor(fraction * n)) for n in shape]
+    if any(n - 2 * m < 1 for m, n in zip(margins, shape)):
+        raise RefmetError(f"crop fraction {fraction} degenerates shape {shape}")
+    return Rect(margins, [n - 2 * m for m, n in zip(margins, shape)])
+
+
+def crop_fraction(img: Image, fraction: float) -> Image:
+    """Symmetric crop to :func:`fraction_rect`."""
+    rect = fraction_rect(img.shape, fraction)
+    return img if rect.extent == img.shape else crop(img, rect)
 
 
 # ---------------------------------------------------------------------------

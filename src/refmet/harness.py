@@ -2,9 +2,10 @@
 
 Each scenario is a list of labeled variants; a variant pairs an
 :class:`EvalPlan` (distortion chain, per-image normalization, optional
-binning, data-range policy, metric panel) with a masking mode. Running a scenario applies every
-variant to every phantom, appends one row per metric, and finishes with
-mean rows (case_id ``"mean"``) per (variant, metric).
+binning, data-range policy, metric panel) with a masking mode, which sets
+the plan's mask per phantom: a ``Rect`` crop, or the foreground ``Mask``.
+Running a scenario applies every variant to every phantom, appends one row
+per metric, and finishes with mean rows (case_id ``"mean"``) per (variant, metric).
 
 Lint rules (W01..W05) check an evaluation plan against the known pitfall
 configurations before any score is trusted. Lints never change scores.
@@ -20,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distort import DistortionSpec, apply_chain, chain_fingerprint, crop_fraction
+from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_rect
 from .downstream import SegmenterParams, task_similarity
 from .errors import ConfigError, RefmetError, config_value
-from .image import Image, Mask, bounding_box, crop
+from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
 from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
                       masked_evaluate, metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
@@ -53,7 +54,8 @@ class EvalPlan(EvalContext):
     """The one evaluation spec: metric panel, pair preparation, mask and
     (from EvalContext) the metric knobs, so ``evaluate`` reads the plan
     itself. Harness, compare and lint all use it; it is linted before
-    scoring, and :meth:`score` routes each metric under its mask."""
+    scoring. A ``Rect`` mask is a crop :meth:`prepare` makes for every metric,
+    ``dice`` included; :meth:`score` routes each metric under a ``Mask``."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
     weights: tuple[float, ...] | None = field(default=None, init=False)
@@ -61,7 +63,7 @@ class EvalPlan(EvalContext):
     norm: NormMethod = field(default_factory=NormMethod.none)
     prebin: int | None = None
     chain: tuple[DistortionSpec, ...] = ()
-    mask: Mask | None = None
+    mask: Mask | Rect | None = None
 
     def __post_init__(self):
         unknown = [m for m in self.metrics if m not in METRIC_IDS]
@@ -73,18 +75,21 @@ class EvalPlan(EvalContext):
         super().__post_init__()
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
-        """Normalize, then pre-bin, both images of a pair."""
+        """Normalize, pre-bin, then crop to a ``Rect`` mask, both images of a pair."""
         if self.norm.kind != "none":
             ref, test = normalize(ref, self.norm), normalize(test, self.norm)
         if self.prebin:
             ref, test = bin_quantize(ref, self.prebin), bin_quantize(test, self.prebin)
+        if isinstance(self.mask, Rect):
+            require_same_shape(ref, test)
+            ref, test = crop(ref, self.mask), crop(test, self.mask)
         return ref, test
 
     def score(self, metric_id: str, ref: Image, test: Image,
               ws: RefWorkspace | None = None) -> MetricScore:
-        """One metric on a prepared pair: through ``masked_evaluate`` under
-        ``mask`` (``mask``-kind metrics excepted), else ``evaluate`` with ``ws``."""
-        if self.mask is not None and metric_kind(metric_id) != "mask":
+        """One metric on a prepared pair: through ``masked_evaluate`` under a
+        ``Mask`` (``mask``-kind metrics excepted), else ``evaluate`` with ``ws``."""
+        if isinstance(self.mask, Mask) and metric_kind(metric_id) != "mask":
             return masked_evaluate(metric_id, ref, test, self.mask, self)
         return evaluate(metric_id, ref, test, self, ws)
 
@@ -102,11 +107,15 @@ class Variant:
             raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
 
     def case_plan(self, phantom: Phantom) -> EvalPlan:
-        """Per-case noise seeds, and the foreground as ``mask`` in mode foreground."""
+        """Per-case noise seeds, and the mask mode's ``mask``: a ``Rect`` for a
+        crop mode, the foreground ``Mask`` in mode foreground, else none."""
         chain = tuple(replace(s, seed=s.seed + phantom.seed) if s.seeded else s
                       for s in self.plan.chain)
-        return replace(self.plan, chain=chain, mask=phantom.foreground_mask
-                       if self.mask_mode == "foreground" else None)
+        fg, mode = phantom.foreground_mask, self.mask_mode
+        mask = (None if mode == "none" else fg if mode == "foreground"
+                else bounding_box(fg) if mode == "bbox"
+                else fraction_rect(fg.shape, CROP_FRACTION))
+        return replace(self.plan, chain=chain, mask=mask)
 
     def pipeline_fingerprint(self, plan: EvalPlan) -> str:
         return fingerprint(chain=chain_fingerprint(plan.chain),
@@ -306,7 +315,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     against one :class:`RefWorkspace`, which holds one reference at a time.
     Each (case, variant) runs one plan, :meth:`Variant.case_plan`: the
     first phantom's chained pair is linted against it, in variant order, and
-    every metric scores the pair it prepares and crops once, ``dice`` as the
+    every metric scores the pair it prepares (and crops) once, ``dice`` as the
     proxy task and any other through :meth:`EvalPlan.score`. Appends mean
     rows (case_id ``"mean"``) per (variant, metric). Row order is
     deterministic: sorted by (case_id, variant, metric_id), means last. A
@@ -328,12 +337,6 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
             with _context(where):
                 chained = phantom.image, apply_chain(plan.chain, phantom.image)
                 ref, test = plan.prepare(*chained)
-                if variant.mask_mode == "crop_fraction":
-                    ref, test = (crop_fraction(ref, CROP_FRACTION),
-                                 crop_fraction(test, CROP_FRACTION))
-                elif variant.mask_mode == "bbox":
-                    rect = bounding_box(phantom.foreground_mask)
-                    ref, test = crop(ref, rect), crop(test, rect)
             if case == 0:
                 for lint in lint_configuration(*chained, plan):
                     report.lints.append(replace(lint, message=(
@@ -411,7 +414,7 @@ def lint_configuration(ref: Image, test: Image, plan: EvalPlan) -> list[Lint]:
                           f"per-image data-range policy ({plan.range_policy.kind}) "
                           "while image ranges differ; SSIM/PSNR depend directly "
                           "on the chosen range"))
-    if plan.mask is not None and rect_of_mask(plan.mask) is None:
+    if isinstance(plan.mask, Mask) and rect_of_mask(plan.mask) is None:
         windowed = [m for m in plan.metrics if metric_kind(m) == "windowed"]
         if windowed:
             lints.append(Lint("error", "W03",

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from refmet.distort import chain_fingerprint, gaussian_blur, parse_chain
+from refmet.distort import chain_fingerprint, gaussian_blur, parse_chain, translate
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
 from refmet.metrics import EvalContext, evaluate, masked_evaluate
 from refmet.phantom import generate_phantom
@@ -57,26 +57,55 @@ def test_compare_nonrect_mask_with_ssim_exits_1(workdir):
     assert "rectangle" in res.stderr
 
 
-def test_compare_rect_mask_routes_each_metric_kind(workdir):
-    # dice compares the unmasked images, a pointwise metric reads the masked
-    # values, a windowed one the crop
-    rows, cols = slice(4, 188), slice(6, 190)  # 184x184 fits 5-scale ms_ssim
-    ref, test = load_image(workdir / "ref.rawf32"), load_image(workdir / "test.rawf32")
+def test_compare_rect_mask_routes_each_metric_kind(tmp_path):
+    # A filled rectangle is a crop for every metric, dice included. It cuts
+    # phantom 1000's foreground (rows 15-176, cols 27-163), so dice on the
+    # crop differs from dice on the full pair.
+    rows, cols = slice(16, 192), slice(8, 184)  # 176x176 fits 5-scale ms_ssim
+    ref = generate_phantom(1000).image
+    test = translate(ref, (2, 0))
     rect = np.zeros(ref.shape, dtype=bool)
     rect[rows, cols] = True
-    save_image(mask_to_image(Mask(rect)), workdir / "rect.pgm")
-    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
-                  "--mask", str(workdir / "rect.pgm"),
+    for name, img in (("ref.rawf32", ref), ("test.rawf32", test),
+                      ("rect.pgm", mask_to_image(Mask(rect)))):
+        save_image(img, tmp_path / name)
+    res = run_cli("compare", str(tmp_path / "ref.rawf32"), str(tmp_path / "test.rawf32"),
+                  "--mask", str(tmp_path / "rect.pgm"),
                   "--metrics", "dice,mae,ssim,ms_ssim")
     assert res.returncode == 0, res.stderr
+    ref, test = load_image(tmp_path / "ref.rawf32"), load_image(tmp_path / "test.rawf32")
     ref_crop, test_crop = Image(ref.data[rows, cols]), Image(test.data[rows, cols])
-    expected = [evaluate("dice", ref, test, EvalContext()),
-                masked_evaluate("mae", ref, test, Mask(rect), EvalContext()),
-                evaluate("ssim", ref_crop, test_crop, EvalContext()),
-                evaluate("ms_ssim", ref_crop, test_crop, EvalContext())]
+    expected = [evaluate(m, ref_crop, test_crop, EvalContext())
+                for m in ("dice", "mae", "ssim", "ms_ssim")]
     got = [line.split("\t") for line in res.stdout.splitlines()]
     assert [(m, float(v).hex(), fp) for m, v, fp in got] == \
         [(e.metric_id, e.value.hex(), e.params_fingerprint) for e in expected]
+    assert round(expected[0].value, 5) == 0.98448
+    assert round(evaluate("dice", ref, test).value, 5) == 0.98428
+
+
+def test_compare_nonrect_mask_routes_each_metric_kind(workdir):
+    # dice compares the unmasked images, a pointwise metric reads the masked values
+    ref, test = load_image(workdir / "ref.rawf32"), load_image(workdir / "test.rawf32")
+    fg = generate_phantom(321).foreground_mask
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--mask", str(workdir / "fgmask.pgm"), "--metrics", "dice,mae")
+    assert res.returncode == 0, res.stderr
+    expected = [evaluate("dice", ref, test, EvalContext()),
+                masked_evaluate("mae", ref, test, fg, EvalContext())]
+    got = [line.split("\t") for line in res.stdout.splitlines()]
+    assert [(m, float(v).hex(), fp) for m, v, fp in got] == \
+        [(e.metric_id, e.value.hex(), e.params_fingerprint) for e in expected]
+
+
+@pytest.mark.parametrize("metrics", ["dice", "dice,mae"])
+def test_compare_mask_of_another_shape_exits_1(workdir, tmp_path, metrics):
+    save_image(mask_to_image(Mask(np.ones((64, 64), dtype=bool))), tmp_path / "small.pgm")
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--mask", str(tmp_path / "small.pgm"), "--metrics", metrics)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "shape mismatch" in res.stderr
 
 
 def test_compare_strict_lint_exits_2(workdir):

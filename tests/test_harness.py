@@ -12,11 +12,12 @@ import pytest
 from refmet import harness
 from refmet.distort import DistortionSpec, apply_chain, crop_fraction
 from refmet.downstream import task_similarity
-from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
+from refmet.errors import (ConfigError, NonRectangularMaskError, RefmetError,
+                           ShapeMismatchError)
 from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
                             Variant, builtin_scenario, generate_phantoms,
                             lint_configuration, reevaluate_row, run_scenario)
-from refmet.image import Image, Mask, bounding_box, crop
+from refmet.image import Image, Mask, Rect, bounding_box, crop
 from refmet.metrics import EvalContext, evaluate
 from refmet.normalize import DataRangePolicy, NormMethod
 from refmet.phantom import PhantomParams, generate_phantom
@@ -135,14 +136,14 @@ def test_each_pair_prepared_once(monkeypatch, scenario_id):
     for row in rep.rows:
         if row.case_id != "mean":
             assert reevaluate_row(row, cfg).hex() == row.score.hex()
+    # The lints read the first case's chained pair, not the prepared one.
     expected = []
     first = phantoms[0]
     for variant in scenario.variants:
         plan = variant.case_plan(first)
         ref = first.image
-        ref, test = plan.prepare(ref, apply_chain(plan.chain, ref))
         expected += [replace(lint, message=f"[{scenario_id}/{variant.label}] {lint.message}")
-                     for lint in lint_configuration(ref, test, plan)]
+                     for lint in lint_configuration(ref, apply_chain(plan.chain, ref), plan)]
     assert rep.lints == expected
 
 
@@ -483,6 +484,13 @@ def test_crop_modes_score_dice_on_the_cropped_pair(small_phantoms, mask_mode):
     assert mae_row.score == evaluate("mae", ref, test).value == 0.0
     full = small_phantoms[0].image
     assert task_similarity(full, apply_chain(chain, full), CFG.segmenter).value == 0.0
+
+
+def test_rect_plan_mask_refuses_images_of_two_shapes():
+    # Both images would hold the rectangle, so cropping alone would hide the mismatch.
+    plan = EvalPlan(metrics=("mae",), mask=Rect((0, 0), (8, 8)))
+    with pytest.raises(ShapeMismatchError, match="shape mismatch"):
+        plan.prepare(Image(np.zeros((16, 16))), Image(np.zeros((16, 20))))
 
 
 # --- nested config keys --------------------------------------------------------

@@ -17,7 +17,7 @@ from refmet.distort import translate
 from refmet.errors import RefmetError
 from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scenario,
                             generate_phantoms, run_scenario)
-from refmet.image import Image, Mask, save_image
+from refmet.image import Image, Mask, Rect, mask_to_image, save_image
 from refmet.metrics import METRIC_IDS, RefWorkspace
 from refmet.phantom import generate_phantom
 
@@ -51,8 +51,12 @@ PAIRS = {"2d": ((176, 184), 1), "3d": ((20, 22, 24), 2)}
 
 
 def _mask(shape, kind):
+    """No mask, or a mask of rows and columns 2:-3, as a filled ``Mask``, as
+    a ``Rect`` (a crop), or as a ``Mask`` with a hole."""
     if kind == "none":
         return None
+    if kind == "crop":
+        return Rect((2,) * len(shape), tuple(n - 5 for n in shape))
     m = np.zeros(shape, dtype=bool)
     m[(slice(2, -3),) * len(shape)] = True
     if kind == "nonrect":
@@ -69,13 +73,14 @@ def _outcome(fn):
 
 def _outcomes(plan, ref, test, mask, ws=None):
     """(metric_id, float.hex or error) of every metric of ``plan`` under
-    ``mask``, routed by ``EvalPlan.score`` as ``refmet compare`` routes them.
-    ``ws=None`` gives every metric a workspace of its own."""
+    ``mask``, routed by ``EvalPlan.score`` as ``refmet compare`` routes them,
+    on a pair that ``plan`` has already prepared. ``ws=None`` gives every
+    metric a workspace of its own."""
     plan = replace(plan, mask=mask)
     return [(m, _outcome(lambda: plan.score(m, ref, test, ws))) for m in plan.metrics]
 
 
-@pytest.mark.parametrize("mask_kind", ["none", "rect", "nonrect"])
+@pytest.mark.parametrize("mask_kind", ["none", "rect", "crop", "nonrect"])
 @pytest.mark.parametrize("dim", PAIRS)
 @pytest.mark.parametrize("name, plan", PLANS, ids=[n for n, _ in PLANS])
 def test_panel_equals_per_metric_calls(name, plan, dim, mask_kind):
@@ -86,6 +91,11 @@ def test_panel_equals_per_metric_calls(name, plan, dim, mask_kind):
     metrics = list(plan.metrics)
     random.Random(f"{name}/{dim}/{mask_kind}").shuffle(metrics)
     plan = replace(plan, metrics=tuple(metrics))
+    if mask_kind == "crop":
+        # score the prepared, cropped pair; one crop of the reference serves both tests
+        plan = replace(plan, mask=mask)
+        (ref, test), other = plan.prepare(ref, test), plan.prepare(ref, other)[1]
+        assert ref.shape == mask.extent
     expected = {id(t): _outcomes(plan, ref, t, mask) for t in (test, other)}
     # One workspace, cold, warm, for another test of the reference, and for
     # an equal-valued but distinct reference; a metric's error leaves it
@@ -185,13 +195,20 @@ def test_run_scenario_keeps_the_reuse(monkeypatch, two_phantoms, scenario_id):
     assert (counts["ssim_and_cs"], counts["_ref_moments"]) == REUSE_COUNTS[scenario_id]
 
 
-def test_compare_ssim_and_ms_ssim_score_each_scale_once(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "rect_mask"])
+def test_compare_ssim_and_ms_ssim_score_each_scale_once(monkeypatch, tmp_path, capsys,
+                                                         masked):
+    # A filled-rectangle mask is a crop, and the cropped pair keeps the reuse.
     ref = generate_phantom(1000).image
     save_image(ref, tmp_path / "ref.rawf32")
     save_image(translate(ref, (2, 0)), tmp_path / "test.rawf32")
+    rect = np.zeros(ref.shape, dtype=bool)
+    rect[8:184, 8:184] = True  # 176x176 fits 5-scale ms_ssim
+    save_image(mask_to_image(Mask(rect)), tmp_path / "rect.pgm")
+    flags = ["--mask", str(tmp_path / "rect.pgm")] if masked else []
     counts = _count_calls(monkeypatch, "ssim_and_cs", "_ref_moments")
-    assert refmet_main(["compare", str(tmp_path / "ref.rawf32"),
-                        str(tmp_path / "test.rawf32"), "--metrics", "ssim,ms_ssim"]) == 0
+    assert refmet_main(["compare", str(tmp_path / "ref.rawf32"), str(tmp_path / "test.rawf32"),
+                        "--metrics", "ssim,ms_ssim", *flags]) == 0
     assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == \
         ["ssim", "ms_ssim"]
     assert counts == {"ssim_and_cs": 5, "_ref_moments": 5}
