@@ -4,10 +4,11 @@
 Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
 with relative paths and captured stdout/stderr: the phantom and distortion
 runs that make the inputs, ``distort`` once per distortion kind and once
-on a PGM input (the foreground mask), a set of ``compare`` flag sets (one
-under a filled-rectangle mask the script writes), ``lint`` without a
-config, with a valid one and with one that fires W03, and ``audit
---scenario all``. Each line holds the run
+on a PGM input (the foreground mask), a set of ``compare`` flag sets (under
+masks the script writes: a filled rectangle and an empty mask; and a
+``--norm`` that names a number twice), ``lint`` without a config, with a
+valid one, with one that fires W03 and with a mask of another shape than
+the images, and ``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -35,6 +36,8 @@ REF = "in/phantom_1000.rawf32"
 TEST = "test.rawf32"
 MASK = "in/phantom_1000_foreground.pgm"
 RECT_MASK = "rect_mask.pgm"
+EMPTY_MASK = "empty_mask.pgm"
+SMALL_MASK = "checker64_mask.pgm"
 
 # One spec per distortion kind, applied to the reference.
 DISTORTIONS = {
@@ -61,18 +64,22 @@ COMPARE = {
     "mask_fails_after_print": ["--mask", MASK, "--metrics", "mae,ssim"],
     # windowed metrics on a rectangular mask score the crop
     "mask_rect_windowed": ["--mask", RECT_MASK, "--metrics", "mae,ssim,ms_ssim"],
+    # refused before any line prints: an empty mask, a number named twice
+    "mask_empty": ["--mask", EMPTY_MASK, "--metrics", "dice,mae"],
+    "norm_duplicate_key": ["--norm", "custom:a=1,b=2,a=3"],
     "strict_zscore": ["--strict", "--norm", "zscore"],
     "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
     "unknown_metric": ["--metrics", "lpips,ssim"],
     "range_test_out": ["--range", "test", "--out", "scores.csv"],
 }
 
-# Lint configs, written before the runs like the rectangle mask (neither is
-# counted as run output).
+# Lint configs, written before the runs like the masks (no input is counted
+# as run output).
 LINT_CONFIGS = {
     "lint_valid.json": {"metrics": ["ssim", "nmi"], "norm": "minmax",
                         "prebin": 64, "nmi_bins": 64},
     "lint_w03.json": {"metrics": ["ssim", "mae"], "mask": MASK},
+    "lint_mask_other_shape.json": {"metrics": ["ssim"], "mask": SMALL_MASK},
 }
 
 
@@ -83,6 +90,12 @@ def _rect_mask_pgm(h=192, w=192, rows=(10, 186), cols=(6, 190)) -> bytes:
     for y in range(*rows):
         pixels[y * w + cols[0]:y * w + cols[1]] = b"\xff" * (cols[1] - cols[0])
     return f"P5\n{w} {h}\n255\n".encode() + bytes(pixels)
+
+
+def _checker_pgm(n=64) -> bytes:
+    """A binary n x n PGM checkerboard: not a rectangle, not the phantoms' shape."""
+    pixels = bytes(255 * ((y + x) % 2 == 0) for y in range(n) for x in range(n))
+    return f"P5\n{n} {n}\n255\n".encode() + pixels
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -99,7 +112,9 @@ def runs() -> list[tuple[str, list[str]]]:
             for name, flags in COMPARE.items()]
     out += [("lint_no_config", ["lint", REF, TEST]),
             ("lint_valid_config", ["lint", REF, TEST, "--config", "lint_valid.json"]),
-            ("lint_w03_config", ["lint", REF, TEST, "--config", "lint_w03.json"])]
+            ("lint_w03_config", ["lint", REF, TEST, "--config", "lint_w03.json"]),
+            ("lint_mask_other_shape",
+             ["lint", REF, TEST, "--config", "lint_mask_other_shape.json"])]
     out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
                               "--out", "audit_out"]))
     return out
@@ -135,6 +150,8 @@ def digest(phantoms: int) -> list[str]:
             for name, obj in inputs.items():
                 (root / name).write_text(json.dumps(obj))
             (root / RECT_MASK).write_bytes(_rect_mask_pgm())
+            (root / EMPTY_MASK).write_bytes(_rect_mask_pgm(rows=(0, 0)))
+            (root / SMALL_MASK).write_bytes(_checker_pgm())
             for name, argv in runs():
                 before = _files(root)
                 code, out, err = _run(argv)

@@ -19,8 +19,8 @@ from .distort import apply_chain, chain_fingerprint, parse_chain
 from .errors import RefmetError, config_value
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
-from .image import (load_image, mask_from_image, mask_to_image, require_same_shape,
-                    save_image)
+from .image import (Image, load_image, mask_from_image, mask_to_image,
+                    require_same_shape, save_image)
 from .metrics import RefWorkspace, format_score, rect_of_mask
 from .normalize import DataRangePolicy, NormMethod
 # Not called here (EvalPlan's methods call them), but perfbench/tracer.py
@@ -108,17 +108,25 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise RefmetError(f"bad dims {text!r}") from None
 
 
+def _plan(ref: Image, metrics, norm: str, range_policy: str, prebin, nmi_bins,
+          chain=(), mask: str | None = None) -> EvalPlan:
+    """The ``EvalPlan`` of ``compare`` and ``lint`` from their user text. A
+    mask path is read here once: the mask must have the reference's shape,
+    and a filled rectangle becomes its ``Rect`` crop."""
+    if mask:
+        mask = mask_from_image(load_image(mask))
+        require_same_shape(ref, mask)
+        mask = rect_of_mask(mask) or mask
+    return EvalPlan(metrics=tuple(metrics), norm=NormMethod.parse(norm),
+                    range_policy=DataRangePolicy.parse(range_policy),
+                    prebin=prebin, nmi_bins=nmi_bins, chain=chain, mask=mask)
+
+
 def _cmd_compare(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
-    mask = mask_from_image(load_image(args.mask)) if args.mask else None
-    if mask is not None:
-        require_same_shape(ref, mask)
-        mask = rect_of_mask(mask) or mask  # a filled rectangle is a crop
-    plan = EvalPlan(metrics=_parse_metrics(args.metrics),
-                    norm=NormMethod.parse(args.norm),
-                    range_policy=DataRangePolicy.parse(args.range_policy),
-                    prebin=args.prebin, nmi_bins=args.bins, mask=mask)
+    plan = _plan(ref, _parse_metrics(args.metrics), args.norm, args.range_policy,
+                 args.prebin, args.bins, mask=args.mask)
     lints = lint_configuration(ref, test, plan)
     for lint in lints:
         print(lint.line(), file=sys.stderr)
@@ -208,32 +216,22 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_json(obj: dict) -> EvalPlan:
-    if not isinstance(obj, dict):
-        raise RefmetError("lint config must be a JSON object")
-    known = {"metrics", "norm", "range", "prebin", "nmi_bins", "chain", "mask"}
-    extra = set(obj) - known
-    if extra:
-        raise RefmetError(f"unknown lint config keys {sorted(extra)}")
-    get = partial(config_value, obj)
-    mask = get("mask", "a string")
-    return EvalPlan(
-        metrics=tuple(get("metrics", "a list of strings",
-                          ("mae", "mse", "psnr", "ssim"))),
-        norm=NormMethod.parse(get("norm", "a string", "none")),
-        range_policy=DataRangePolicy.parse(get("range", "a string", "joint")),
-        prebin=get("prebin", "an integer"),
-        nmi_bins=get("nmi_bins", "an integer", 256),
-        chain=parse_chain(json.dumps(get("chain", "an object or array", []))),
-        mask=mask_from_image(load_image(mask)) if mask else None,
-    )
-
-
 def _cmd_lint(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
     config = json.loads(Path(args.config).read_text()) if args.config else {}
-    plan = _plan_from_json(config)
+    if not isinstance(config, dict):
+        raise RefmetError("lint config must be a JSON object")
+    known = {"metrics", "norm", "range", "prebin", "nmi_bins", "chain", "mask"}
+    extra = set(config) - known
+    if extra:
+        raise RefmetError(f"unknown lint config keys {sorted(extra)}")
+    get = partial(config_value, config)
+    plan = _plan(ref, get("metrics", "a list of strings", ("mae", "mse", "psnr", "ssim")),
+                 get("norm", "a string", "none"), get("range", "a string", "joint"),
+                 get("prebin", "an integer"), get("nmi_bins", "an integer", 256),
+                 parse_chain(json.dumps(get("chain", "an object or array", []))),
+                 get("mask", "a string"))
     lints = lint_configuration(ref, test, plan)
     for lint in lints:
         print(f"{lint.code}\t{lint.severity}\t{lint.message}")

@@ -55,7 +55,10 @@ class EvalPlan(EvalContext):
     (from EvalContext) the metric knobs, so ``evaluate`` reads the plan
     itself. Harness, compare and lint all use it; it is linted before
     scoring. A ``Rect`` mask is a crop :meth:`prepare` makes for every metric,
-    ``dice`` included; :meth:`score` routes each metric under a ``Mask``."""
+    ``dice`` included; :meth:`score` routes each metric under a ``Mask``,
+    which must not be empty. A plan does not know the image shape: the
+    caller checks the mask's shape and turns a filled rectangle into its
+    ``Rect``, as ``refmet.cli._plan`` does."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
     weights: tuple[float, ...] | None = field(default=None, init=False)
@@ -72,6 +75,8 @@ class EvalPlan(EvalContext):
                               f"{', '.join(METRIC_IDS)}")
         if self.prebin is not None and self.prebin < 2:
             raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
+        if isinstance(self.mask, Mask) and not self.mask.data.any():
+            raise RefmetError("evaluation mask is empty")
         super().__post_init__()
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:

@@ -34,12 +34,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormMethod:
-    """One of the affine normalization variants.
+class _Spec:
+    """The text grammar of :class:`NormMethod` and :class:`DataRangePolicy`,
+    read by ``--norm``, ``--range`` and plan configs: a bare kind, or the
+    class's one numbered kind as ``kind:name=value,...`` naming every number
+    exactly once, in any order. A subclass declares ``_KINDS`` and
+    ``_NUMBERED = (kind, {text name: field})``; its own ``__post_init__``
+    checks the kind and the values. ``parse(x.spec_string()) == x``.
+    """
 
-    Config string forms: ``"minmax"``, ``"zscore"``, ``"none"``,
-    ``"custom:a=<shift>,b=<scale>"``.
+    @classmethod
+    def parse(cls, text: str):
+        kind, colon, body = text.strip().partition(":")
+        numbered, names = cls._NUMBERED
+        if kind != numbered and not colon:
+            return cls(kind)
+        pairs = [part.partition("=") for part in body.split(",")]
+        keys = [key.strip() for key, _, _ in pairs]
+        if kind != numbered or not all(eq for _, eq, _ in pairs) \
+                or sorted(keys) != sorted(names):
+            form = f"{numbered}:" + ",".join(f"{name}=.." for name in names)
+            forms = " | ".join(form if k == numbered else k for k in cls._KINDS)
+            raise ConfigError(f"bad spec {text!r}; expected {forms}")
+        # Numbers first: the constructor's own ConfigError is a ValueError too.
+        try:
+            values = {names[key]: float(number) for key, (_, _, number) in zip(keys, pairs)}
+        except ValueError:
+            raise ConfigError(f"bad number in {text!r}") from None
+        return cls(kind, **values)
+
+    def spec_string(self) -> str:
+        numbered, names = self._NUMBERED
+        if self.kind != numbered:
+            return self.kind
+        return f"{numbered}:" + ",".join(f"{name}={getattr(self, field)!r}"
+                                         for name, field in names.items())
+
+
+@dataclass(frozen=True)
+class NormMethod(_Spec):
+    """One of the affine normalization variants. Spec strings: ``minmax``,
+    ``zscore``, ``none`` and ``custom:a=<shift>,b=<scale>``.
     """
 
     kind: str
@@ -47,6 +82,7 @@ class NormMethod:
     scale: float | None = None
 
     _KINDS = ("minmax", "zscore", "custom", "none")
+    _NUMBERED = ("custom", {"a": "shift", "b": "scale"})
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -78,44 +114,18 @@ class NormMethod:
     def custom(cls, a: float, b: float) -> "NormMethod":
         return cls("custom", shift=float(a), scale=float(b))
 
-    @classmethod
-    def parse(cls, text: str) -> "NormMethod":
-        text = text.strip()
-        if text in ("minmax", "zscore", "none"):
-            return cls(text)
-        if text.startswith("custom:"):
-            kv = {}
-            for part in text[len("custom:"):].split(","):
-                if "=" not in part:
-                    raise ConfigError(f"bad custom normalization field {part!r}")
-                key, val = part.split("=", 1)
-                try:
-                    kv[key.strip()] = float(val)
-                except ValueError:
-                    raise ConfigError(f"bad number in {part!r}") from None
-            if set(kv) != {"a", "b"}:
-                raise ConfigError(f"custom normalization needs a and b, got {sorted(kv)}")
-            return cls.custom(kv["a"], kv["b"])
-        raise ConfigError(f"unknown normalization spec {text!r}")
-
-    def spec_string(self) -> str:
-        if self.kind == "custom":
-            return f"custom:a={self.shift!r},b={self.scale!r}"
-        return self.kind
-
 
 @dataclass(frozen=True)
-class DataRangePolicy:
-    """Rule producing the data-range parameter L for SSIM/PSNR.
-
-    Config string forms: ``"joint"``, ``"ref"``, ``"test"``,
-    ``"fixed:L=<value>"``.
+class DataRangePolicy(_Spec):
+    """Rule producing the data-range parameter L for SSIM/PSNR. Spec strings:
+    ``joint``, ``ref``, ``test`` and ``fixed:L=<value>``.
     """
 
     kind: str
     value: float | None = None
 
     _KINDS = ("joint", "ref", "test", "fixed")
+    _NUMBERED = ("fixed", {"L": "value"})
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -143,27 +153,6 @@ class DataRangePolicy:
     @classmethod
     def fixed(cls, L: float) -> "DataRangePolicy":
         return cls("fixed", value=float(L))
-
-    @classmethod
-    def parse(cls, text: str) -> "DataRangePolicy":
-        text = text.strip()
-        if text in ("joint", "ref", "test"):
-            return cls(text)
-        if text.startswith("fixed:"):
-            body = text[len("fixed:"):]
-            if not body.startswith("L="):
-                raise ConfigError(f"fixed policy must look like fixed:L=..., got {text!r}")
-            try:
-                L = float(body[2:])
-            except ValueError:
-                raise ConfigError(f"bad number in {text!r}") from None
-            return cls.fixed(L)
-        raise ConfigError(f"unknown data-range policy {text!r}")
-
-    def spec_string(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:L={self.value!r}"
-        return self.kind
 
 
 def normalize(img: Image, method: NormMethod) -> Image:

@@ -100,12 +100,28 @@ def test_compare_nonrect_mask_routes_each_metric_kind(workdir):
 
 @pytest.mark.parametrize("metrics", ["dice", "dice,mae"])
 def test_compare_mask_of_another_shape_exits_1(workdir, tmp_path, metrics):
-    save_image(mask_to_image(Mask(np.ones((64, 64), dtype=bool))), tmp_path / "small.pgm")
+    # lint once read this mask unchecked
+    small = str(tmp_path / "small.pgm")
+    save_image(mask_to_image(Mask(np.ones((64, 64), dtype=bool))), small)
+    cfg = tmp_path / "lint.json"
+    cfg.write_text(json.dumps({"metrics": metrics.split(","), "mask": small}))
+    pair = str(workdir / "ref.rawf32"), str(workdir / "test.rawf32")
+    for res in (run_cli("compare", *pair, "--mask", small, "--metrics", metrics),
+                run_cli("lint", *pair, "--config", str(cfg))):
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "shape mismatch" in res.stderr
+
+
+@pytest.mark.parametrize("metrics", ["dice", "dice,mae"])
+def test_compare_empty_mask_exits_1(workdir, tmp_path, metrics):
+    # dice once ignored an empty mask and scored the unmasked pair
+    save_image(mask_to_image(Mask(np.zeros((192, 192), dtype=bool))), tmp_path / "empty.pgm")
     res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
-                  "--mask", str(tmp_path / "small.pgm"), "--metrics", metrics)
+                  "--mask", str(tmp_path / "empty.pgm"), "--metrics", metrics)
     assert res.returncode == 1
     assert res.stdout == ""
-    assert "shape mismatch" in res.stderr
+    assert "evaluation mask is empty" in res.stderr
 
 
 def test_compare_strict_lint_exits_2(workdir):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
+from refmet.harness import EvalPlan
 from refmet.image import Image, Mask, Rect, crop
 from refmet.metrics import (METRIC_IDS, EvalContext, dice, evaluate, masked_evaluate,
                             metric_kind, truncated_weights)
@@ -106,6 +107,12 @@ def test_empty_mask_rejected(pair):
     ref, test = pair
     with pytest.raises(RefmetError):
         masked_evaluate("mae", ref, test, _mask(ref.shape, False))
+
+
+def test_plan_with_empty_mask_rejected():
+    # dice, a mask-kind metric, never reaches masked_evaluate's check
+    with pytest.raises(RefmetError, match="evaluation mask is empty"):
+        EvalPlan(metrics=("dice",), mask=_mask((8, 8), False))
 
 
 def test_masked_psnr_uses_masked_range(pair):

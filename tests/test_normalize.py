@@ -95,6 +95,28 @@ def test_norm_parse_rejects_garbage():
         NormMethod.parse("minmax2")
 
 
+# --- one spec grammar for both classes ------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    NormMethod.minmax(), NormMethod.zscore(), NormMethod.none(), NormMethod.custom(-0.25, 3),
+    DataRangePolicy.joint(), DataRangePolicy.ref(), DataRangePolicy.test(),
+    DataRangePolicy.fixed(255),
+], ids=lambda spec: spec.spec_string())
+def test_spec_string_parses_back(spec):
+    assert type(spec).parse(spec.spec_string()) == spec
+
+
+@pytest.mark.parametrize("cls", [NormMethod, DataRangePolicy])
+@pytest.mark.parametrize("text", [
+    "custom:a=1", "custom:a=1,b=2,a=3", "custom:a=1,c=2", "custom:a=x,b=1", "minmax:",
+    "fixed:255", "fixed:L=1,L=2", "fixed:l=2", "joint:",
+])
+def test_malformed_spec_is_a_config_error(cls, text):
+    # a repeated name was once read as its last value: custom a=3
+    with pytest.raises(ConfigError):
+        cls.parse(text)
+
+
 # --- binning ---------------------------------------------------------------
 
 def test_bin_quantize_two_bins():
