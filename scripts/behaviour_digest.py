@@ -5,10 +5,11 @@ Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
 with relative paths and captured stdout/stderr: the phantom and distortion
 runs that make the inputs, ``distort`` once per distortion kind and once
 on a PGM input (the foreground mask), a set of ``compare`` flag sets (under
-masks the script writes: a filled rectangle and an empty mask; and a
-``--norm`` that names a number twice), ``lint`` without a config, with a
-valid one, with one that fires W03 and with a mask of another shape than
-the images, and ``audit --scenario all``. Each line holds the run
+masks the script writes: a filled rectangle and an empty mask; a ``--norm``
+that names a number twice; and a panel that names a metric twice), ``lint``
+without a config, with a valid one, with one that fires W03, with a mask of
+another shape than the images and with an empty panel, ``audit`` with an
+unknown scenario, and ``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -70,6 +71,7 @@ COMPARE = {
     "strict_zscore": ["--strict", "--norm", "zscore"],
     "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
     "unknown_metric": ["--metrics", "lpips,ssim"],
+    "metrics_repeated": ["--metrics", "mae,mae"],
     "range_test_out": ["--range", "test", "--out", "scores.csv"],
 }
 
@@ -80,6 +82,7 @@ LINT_CONFIGS = {
                         "prebin": 64, "nmi_bins": 64},
     "lint_w03.json": {"metrics": ["ssim", "mae"], "mask": MASK},
     "lint_mask_other_shape.json": {"metrics": ["ssim"], "mask": SMALL_MASK},
+    "lint_metrics_empty.json": {"metrics": []},
 }
 
 
@@ -114,7 +117,10 @@ def runs() -> list[tuple[str, list[str]]]:
             ("lint_valid_config", ["lint", REF, TEST, "--config", "lint_valid.json"]),
             ("lint_w03_config", ["lint", REF, TEST, "--config", "lint_w03.json"]),
             ("lint_mask_other_shape",
-             ["lint", REF, TEST, "--config", "lint_mask_other_shape.json"])]
+             ["lint", REF, TEST, "--config", "lint_mask_other_shape.json"]),
+            ("lint_metrics_empty", ["lint", REF, TEST, "--config", "lint_metrics_empty.json"]),
+            ("audit_scenario_unknown", ["audit", "--scenario", "pitfall9", "--config",
+                                        "audit.json", "--out", "audit_out"])]
     out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
                               "--out", "audit_out"]))
     return out

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and JSON value checks."""
+"""Exception types shared across the package, and JSON value and id-list checks."""
 
 import json
 import sys
@@ -62,3 +62,14 @@ def config_value(obj: dict, path: str, kind: str, default=None):
         obj = config_value(obj, section, "an object", {})
     value = obj.get(key)
     return default if value is None else check_kind(value, kind, f"config key {path!r}")
+
+
+def check_ids(ids, known, what: str) -> None:
+    """A ConfigError unless every id of ``ids`` is one of ``known`` and none is
+    listed twice; ``what`` names the list (``"metrics"``, ``"scenario ids"``)."""
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown}; available: {', '.join(known)}")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate {what} {repeated}")

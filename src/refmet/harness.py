@@ -23,7 +23,7 @@ import numpy as np
 
 from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_rect
 from .downstream import SegmenterParams, task_similarity
-from .errors import ConfigError, RefmetError, config_value
+from .errors import ConfigError, RefmetError, check_ids, config_value
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
 from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
                       masked_evaluate, metric_kind, rect_of_mask)
@@ -54,10 +54,11 @@ class EvalPlan(EvalContext):
     """The one evaluation spec: metric panel, pair preparation, mask and
     (from EvalContext) the metric knobs, so ``evaluate`` reads the plan
     itself. Harness, compare and lint all use it; it is linted before
-    scoring. A ``Rect`` mask is a crop :meth:`prepare` makes for every metric,
-    ``dice`` included; :meth:`score` routes each metric under a ``Mask``,
-    which must not be empty. A plan does not know the image shape: the
-    caller checks the mask's shape and turns a filled rectangle into its
+    scoring. The panel holds at least one known metric id, none twice
+    (``check_ids``). A ``Rect`` mask is a crop :meth:`prepare` makes for every
+    metric, ``dice`` included; :meth:`score` routes each metric under a
+    ``Mask``, which must not be empty. A plan does not know the image shape:
+    the caller checks the mask's shape and turns a filled rectangle into its
     ``Rect``, as ``refmet.cli._plan`` does."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
@@ -69,10 +70,9 @@ class EvalPlan(EvalContext):
     mask: Mask | Rect | None = None
 
     def __post_init__(self):
-        unknown = [m for m in self.metrics if m not in METRIC_IDS]
-        if unknown:
-            raise ConfigError(f"unknown metrics {unknown}; available: "
-                              f"{', '.join(METRIC_IDS)}")
+        if not self.metrics:
+            raise ConfigError("empty metric list")
+        check_ids(self.metrics, METRIC_IDS, "metrics")
         if self.prebin is not None and self.prebin < 2:
             raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
         if isinstance(self.mask, Mask) and not self.mask.data.any():
@@ -158,7 +158,8 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Run-wide knobs; ``_CONFIG_KEYS`` lists the JSON keys."""
+    """Run-wide knobs; ``_CONFIG_KEYS`` lists the JSON keys. ``scenarios`` and
+    ``out_formats`` each hold at least one known id, none twice (``check_ids``)."""
 
     phantom_count: int = 20
     phantom_seed: int = 1000
@@ -175,16 +176,8 @@ class HarnessConfig:
             raise ConfigError("config key 'scenarios' must be a non-empty list")
         if not self.out_formats:
             raise ConfigError("config key 'output.formats' must be a non-empty list")
-        bad = [s for s in self.scenarios if s not in SCENARIO_IDS]
-        if bad:
-            raise ConfigError(f"unknown scenario ids {bad}")
-        dup = sorted({s for s in self.scenarios if self.scenarios.count(s) > 1})
-        if dup:
-            raise ConfigError(f"duplicate scenario ids {dup}")
-        bad = [f for f in self.out_formats if f not in OUTPUT_FORMATS]
-        if bad:
-            raise ConfigError(f"unknown output formats {bad}; "
-                              f"allowed: {', '.join(OUTPUT_FORMATS)}")
+        check_ids(self.scenarios, SCENARIO_IDS, "scenario ids")
+        check_ids(self.out_formats, OUTPUT_FORMATS, "output formats")
 
     @classmethod
     def from_json(cls, obj: dict) -> "HarnessConfig":
@@ -435,7 +428,7 @@ def lint_configuration(ref: Image, test: Image, plan: EvalPlan) -> list[Lint]:
                           "counts artificially reduce similarity (binned images "
                           "are scored on integer bin indices)"))
     has_blur = any(spec.kind == "gaussian_blur" for spec in plan.chain)
-    if has_blur and plan.metrics and set(plan.metrics) <= _ERROR_METRICS:
+    if has_blur and set(plan.metrics) <= _ERROR_METRICS:
         lints.append(Lint("warning", "W05",
                           "metric panel contains only error metrics while a blur "
                           "distortion is configured; error metrics favor blurred "

@@ -13,11 +13,12 @@ KINDS = ("gamma", "linear_scale", "translate", "mirror_replace", "gaussian_noise
 COMPARES = ("full_panel", "minmax_fixed_range_bins", "prebin", "mask_pointwise_dice",
             "mask_ssim", "mask_fails_after_print", "mask_rect_windowed", "mask_empty",
             "norm_duplicate_key", "strict_zscore", "zscore_prebin_range_ref",
-            "unknown_metric", "range_test_out")
+            "unknown_metric", "metrics_repeated", "range_test_out")
 RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
         + ["distort_pgm"] + [f"compare_{c}" for c in COMPARES]
         + ["lint_no_config", "lint_valid_config", "lint_w03_config",
-           "lint_mask_other_shape", "audit_all"])
+           "lint_mask_other_shape", "lint_metrics_empty", "audit_scenario_unknown",
+           "audit_all"])
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -51,5 +52,6 @@ def test_digest_is_deterministic_and_lists_every_run():
     assert runs["compare_mask_rect_windowed"][0] == "exit=0"
     assert runs["lint_w03_config"][0] == "exit=2"
     # bad input is refused before any line prints
-    for name in ("compare_mask_empty", "compare_norm_duplicate_key", "lint_mask_other_shape"):
+    for name in ("compare_mask_empty", "compare_norm_duplicate_key", "lint_mask_other_shape",
+                 "compare_metrics_repeated", "lint_metrics_empty", "audit_scenario_unknown"):
         assert runs[name][:2] == ["exit=1", f"stdout={EMPTY}"]

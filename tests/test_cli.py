@@ -173,6 +173,19 @@ def test_compare_unknown_metric_exits_1(workdir):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("metrics, message", [
+    # printed the mae line twice and exited 0
+    ("mae,mae", "duplicate metrics ['mae']"),
+    (" , ", "empty metric list"),
+])
+def test_compare_bad_panel_exits_1(workdir, metrics, message):
+    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--metrics", metrics)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"refmet compare: error: {message}\n"
+
+
 def test_compare_unknown_flag_exits_1(workdir):
     res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "ref.rawf32"),
                   "--sharpness", "3")
@@ -421,8 +434,13 @@ def test_audit_all_from_config(workdir, audit_config):
 
 
 def test_audit_unknown_scenario_exits_1(workdir):
-    res = run_cli("audit", "--scenario", "pitfall9")
+    out = workdir / "audit_pitfall9"
+    res = run_cli("audit", "--scenario", "pitfall9", "--out", str(out))
     assert res.returncode == 1
+    assert res.stdout == ""
+    # argparse's wording differs across Python versions
+    assert "invalid choice" in res.stderr and "pitfall9" in res.stderr
+    assert not out.exists()
 
 
 def test_audit_unknown_output_format_exits_1(workdir):
@@ -441,6 +459,17 @@ def test_audit_empty_output_formats_exits_1(workdir):
     assert res.stderr == ("refmet audit: error: config key 'output.formats' "
                           "must be a non-empty list\n")
     assert not (workdir / "audit_none").exists()
+
+
+def test_audit_repeated_output_format_exits_1(workdir):
+    # was accepted: exit 0 with report.csv written once
+    cfg = workdir / "twice_formats.json"
+    cfg.write_text(json.dumps({"output": {"formats": ["csv", "csv"]}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_twice"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "refmet audit: error: duplicate output formats ['csv']\n"
+    assert not (workdir / "audit_twice").exists()
 
 
 def test_audit_malformed_config_value_exits_1(workdir):
@@ -530,6 +559,21 @@ def test_lint_config_unknown_metric_exits_1(workdir):
                   "--config", str(cfg))
     assert res.returncode == 1
     assert "unknown metrics ['bogus']" in res.stderr
+
+
+@pytest.mark.parametrize("metrics, message", [
+    # both exited 0 and linted the panel as given
+    ([], "empty metric list"),
+    (["mae", "mae"], "duplicate metrics ['mae']"),
+])
+def test_lint_config_bad_panel_exits_1(workdir, tmp_path, metrics, message):
+    cfg = tmp_path / "lint.json"
+    cfg.write_text(json.dumps({"metrics": metrics}))
+    res = run_cli("lint", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
+                  "--config", str(cfg))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"refmet lint: error: {message}\n"
 
 
 def test_lint_config_null_chain_is_the_default(workdir):

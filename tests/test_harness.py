@@ -189,6 +189,19 @@ def test_duplicate_scenario_ids_rejected():
                                  "scenarios": ["pitfall5", "pitfall5"]})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"scenarios": ("pitfall9",)},
+     "unknown scenario ids ['pitfall9']; available: "
+     "pitfall1, pitfall2, pitfall3, pitfall4, pitfall5"),
+    ({"out_formats": ("CSV",)}, "unknown output formats ['CSV']; available: csv, markdown"),
+    # was accepted
+    ({"out_formats": ("csv", "csv")}, "duplicate output formats ['csv']"),
+])
+def test_config_id_list_rejected(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        HarnessConfig(**kwargs)
+
+
 def test_load_closes_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"phantoms": {"count": 2}}))
@@ -397,6 +410,17 @@ def test_plan_rejects_unknown_metric():
     with pytest.raises(ConfigError, match=r"^unknown metrics \['bogus'\]; available: "
                        "mae, mse, psnr, pcc, mi, nmi, ssim, ms_ssim, cw_ssim, dice$"):
         EvalPlan(metrics=("bogus",))
+
+
+@pytest.mark.parametrize("metrics, message", [
+    ((), "empty metric list"),
+    # compare printed each line twice; lint accepted both panels
+    (("mae", "mae"), "duplicate metrics ['mae']"),
+    (("ssim", "mae", "ssim", "mae"), "duplicate metrics ['mae', 'ssim']"),
+])
+def test_plan_rejects_empty_or_repeated_panel(metrics, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        EvalPlan(metrics=metrics)
 
 
 @pytest.mark.parametrize("field_name, value", [("prebin", 0), ("prebin", 1),
