@@ -21,15 +21,24 @@ def mae_values(ref: np.ndarray, test: np.ndarray) -> float:
     return float(np.mean(np.abs(ref - test)))
 
 
+def _mean_squared_error(ref: np.ndarray, test: np.ndarray) -> float:
+    """Mean squared difference; ``inf`` when the squares overflow float64."""
+    with np.errstate(over="ignore"):
+        diff = ref - test
+        return float(np.mean(diff * diff))
+
+
 def mse_values(ref: np.ndarray, test: np.ndarray) -> float:
-    diff = ref - test
-    return float(np.mean(diff * diff))
+    err = _mean_squared_error(ref, test)
+    if math.isinf(err):
+        raise DegenerateRangeError("mse undefined: the squared differences overflow float64")
+    return err
 
 
 def psnr_values(ref: np.ndarray, test: np.ndarray, data_range: float) -> float:
     """10 log10(L^2 / MSE) in dB; identical inputs score +inf (a legitimate
     best case, not an error)."""
-    err = mse_values(ref, test)
+    err = _mean_squared_error(ref, test)
     if err == 0.0:
         return math.inf
     if math.isinf(err):
@@ -42,13 +51,26 @@ def psnr_values(ref: np.ndarray, test: np.ndarray, data_range: float) -> float:
 
 
 def pcc_values(ref: np.ndarray, test: np.ndarray) -> float:
-    """Pearson correlation of co-located intensities; errors on constant input."""
-    r = ref.ravel() - ref.mean()
-    t = test.ravel() - test.mean()
-    denom = math.sqrt(float(r @ r) * float(t @ t))
-    if denom == 0.0:
-        raise DegenerateRangeError("pcc undefined for constant input")
-    return float(np.clip(float(r @ t) / denom, -1.0, 1.0))
+    """Pearson correlation of co-located intensities; errors on constant input
+    and on input whose squares overflow float64.
+
+    The sums are numpy reductions, whose order numpy fixes, not BLAS dot
+    products, whose order and threads depend on the BLAS build and the
+    machine: the score does not depend on BLAS threads.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ref.ravel() - ref.mean()
+        t = test.ravel() - test.mean()
+        sum_rr = float(np.sum(r * r))
+        sum_tt = float(np.sum(t * t))
+        if not (math.isfinite(sum_rr) and math.isfinite(sum_tt)):
+            raise DegenerateRangeError("pcc undefined: the squared deviations overflow float64")
+        # Two roots, not the root of the product, which overflows for sums
+        # past about 1e154 that are finite on their own.
+        denom = math.sqrt(sum_rr) * math.sqrt(sum_tt)
+        if denom == 0.0:
+            raise DegenerateRangeError("pcc undefined for constant input")
+        return float(np.clip(float(np.sum(r * t)) / denom, -1.0, 1.0))
 
 
 def psnr_score(ref: np.ndarray, test: np.ndarray,

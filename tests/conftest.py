@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,10 @@ def ndimage():
     """``scipy.ndimage``, an independent oracle for refmet's own kernels.
     refmet needs only numpy, so tests that use it skip without scipy."""
     return pytest.importorskip("scipy.ndimage")
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """cw_ssim's worker path, whatever the CPUs of this machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

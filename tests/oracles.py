@@ -116,3 +116,17 @@ def naive_cw_ssim_index(ref_subbands, test_subbands, k=0.03, side=7):
                           / (energy_r[y, x] + energy_t[y, x] + k))
         means.append(total / (h * w))
     return sum(means) / len(means)
+
+
+def naive_pcc(ref, test):
+    """Pearson correlation over Python floats in two passes: the means, then
+    the centred sums of products, each summed exactly by ``math.fsum``."""
+    r = [float(v) for v in np.ravel(ref)]
+    t = [float(v) for v in np.ravel(test)]
+    mean_r = math.fsum(r) / len(r)
+    mean_t = math.fsum(t) / len(t)
+    dr = [v - mean_r for v in r]
+    dt = [v - mean_t for v in t]
+    cov = math.fsum(a * b for a, b in zip(dr, dt))
+    return cov / (math.sqrt(math.fsum(a * a for a in dr))
+                  * math.sqrt(math.fsum(b * b for b in dt)))

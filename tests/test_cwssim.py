@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +13,10 @@ from oracles import naive_box_sum, naive_cw_ssim_index
 from refmet.errors import RefmetError
 from refmet.image import Image
 from refmet.metrics import EvalContext, cw_ssim, ssim
+from refmet.metrics import wavelet
 from refmet.metrics.wavelet import _K, _filter_bank, _neighborhood_sum
 from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
-from refmet.phantom import generate_phantom
+from refmet.phantom import PhantomParams, generate_phantom
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "golden.json").read_text())
 
@@ -102,20 +108,95 @@ def test_neighborhood_sum_complex_sums_parts_separately(ndimage):
     assert np.array_equal(got.imag, _correlate_and_crop(ndimage, arr.imag))
 
 
+def _masks(shape):
+    bands, angular = _filter_bank(shape)
+    return [band * a for band in bands for a in angular]
+
+
 def test_filter_bank_masks_are_read_only():
-    masks = _filter_bank((64, 64))
-    assert len(masks) == 12
+    assert len(_masks((64, 64))) == 12
+    bands, angular = _filter_bank((64, 64))
     with pytest.raises(ValueError):
-        masks[0][0, 0] = 1.0
+        bands[0][0, 0] = 1.0
     with pytest.raises(ValueError):
-        masks[5] *= 2.0
+        angular[5] *= 2.0
+    for factor in bands + angular:
+        assert not factor.flags.writeable
 
 
-def test_filter_bank_cache_holds_one_bank(rng):
-    for shape in ((56, 56), (64, 72), (80, 60)):
-        img = Image(rng.random(shape))
-        assert cw_ssim(img, translate(img, (1, 0))).value < 1.0
-    assert _filter_bank.cache_info().currsize <= 1
+def _cached():
+    """(shapes, bytes) of the filter-bank cache, counted independently."""
+    slot = wavelet._bank
+    if slot is None:
+        return [], 0
+    shape, (bands, angular) = slot
+    return [shape], sum(f.nbytes for f in bands + angular)
+
+
+def _score(rng, shape):
+    img = Image(rng.random(shape))
+    assert cw_ssim(img, translate(img, (1, 0))).value < 1.0
+
+
+def test_filter_bank_cache_budget(rng):
+    # One shape, as its 8 factors: within the bound of the old cache, which
+    # held the 12 masks of one shape.
+    for shape in ((56, 56), (64, 72), (80, 60), (40, 40), (80, 60), (44, 48),
+                  (44, 48), (60, 80), (30, 30)):
+        _score(rng, shape)
+        shapes, cached = _cached()
+        assert len(shapes) == 1
+        assert cached <= 12 * max(h * w for h, w in shapes) * 8
+
+
+def test_filter_bank_cache_keeps_the_image_while_crops_vary(rng):
+    # An image, then a crop of another shape each time: the image's bank
+    # stays cached, so it is built once.
+    _score(rng, (96, 96))
+    image_bank = _filter_bank((96, 96))
+    for crop in ((80, 70), (78, 72), (82, 69), (40, 40)):
+        _score(rng, crop)
+        assert _filter_bank((96, 96)) is image_bank
+
+
+def test_filter_bank_cache_moves_to_a_new_shape(rng):
+    # A shape that does not fit beside a larger one is cached from its
+    # second call in a row on.
+    _score(rng, (96, 96))
+    _score(rng, (90, 90))
+    assert (90, 90) not in _cached()[0]
+    _score(rng, (90, 90))
+    assert _cached()[0] == [(90, 90)]
+
+
+def test_concurrent_calls_on_varying_shapes(two_cpus):
+    # Callers on several threads share the cache and the one worker; each
+    # gets the score of a call made alone.
+    g = np.random.default_rng(4)
+    pairs = []
+    for shape in ((28, 28), (40, 33), (64, 64), (33, 57)) * 2:
+        ref = g.normal(size=shape)
+        pairs.append((Image(ref), Image(ref + 0.3 * g.normal(size=shape))))
+    expected = [cw_ssim(r, t).value for r, t in pairs]
+    got = [None] * len(pairs)
+    errors = []
+
+    def score(i):
+        try:
+            for _ in range(3):
+                got[i] = cw_ssim(*pairs[i]).value
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=score, args=(i,)) for i in range(len(pairs))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors
+    assert got == expected
+    workers = [th for th in threading.enumerate() if th.name.startswith("refmet-cw_ssim")]
+    assert len(workers) == 1
 
 
 @pytest.mark.parametrize("shape", [(28, 28), (32, 40)])
@@ -126,7 +207,61 @@ def test_index_stage_matches_naive_loop(shape):
     ref = Image(g.normal(size=shape))
     test = Image(ref.data + 0.3 * g.normal(size=shape))
     fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
-    masks = _filter_bank(shape)
+    masks = _masks(shape)
     expected = naive_cw_ssim_index([np.fft.ifft2(fr * m) for m in masks],
                                    [np.fft.ifft2(ft * m) for m in masks], k=_K)
     assert cw_ssim(ref, test).value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _pairs(phantoms):
+    g = np.random.default_rng(11)
+    for p in phantoms[:4]:
+        yield p.image, translate(p.image, (2, 0))
+        yield p.image, linear_scale(gamma_transform(p.image, 0.4), 1.2)
+    for shape in ((28, 28), (28, 31), (33, 29)):
+        ref = g.normal(size=shape)
+        yield Image(ref), Image(ref + 0.3 * g.normal(size=shape))
+    big = generate_phantom(1000, PhantomParams(dims=(512, 512))).image
+    yield big, translate(big, (1, 2))
+
+
+def test_worker_and_serial_paths_give_the_same_bits(phantoms, two_cpus, monkeypatch):
+    pairs = list(_pairs(phantoms))
+    threaded = [cw_ssim(r, t).value.hex() for r, t in pairs]
+    assert any(th.name.startswith("refmet-cw_ssim") for th in threading.enumerate())
+    monkeypatch.setattr(wavelet, "_pool", lambda: None)
+    assert [cw_ssim(r, t).value.hex() for r, t in pairs] == threaded
+
+
+_ONE_CPU_CHILD = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from refmet.image import Image
+from refmet.metrics import evaluate
+from refmet.phantom import generate_phantom
+ref = generate_phantom(1000).image
+evaluate("cw_ssim", ref, Image(ref.data[::-1].copy()))
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_runs_serially_without_a_thread():
+    out = subprocess.run([sys.executable, "-c", _ONE_CPU_CHILD], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["1", "False"]
+
+
+def _score_flipped(seed):
+    ref = generate_phantom(seed).image
+    return cw_ssim(ref, Image(ref.data[::-1].copy())).value.hex()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+def test_forked_child_makes_its_own_worker(two_cpus):
+    # The child inherits the parent's pool without its thread; it waited
+    # for that thread forever before.
+    expected = _score_flipped(1000)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map_async(_score_flipped, [1000]).get(timeout=60) == [expected]

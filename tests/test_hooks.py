@@ -2,7 +2,12 @@
 attribute it names must exist, and the calls it times must go through them,
 or a refactor breaks the traced run."""
 
+import functools
 import importlib
+import json
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,44 @@ def test_compare_metrics_are_traced_once(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     names = [sp.name for sp in tracer.spans]
     assert (names.count("metrics.mae"), names.count("metrics.ssim")) == (1, 1)
+
+
+def test_every_hooked_call_runs_on_the_main_thread(tmp_path, monkeypatch, capsys, two_cpus):
+    # The tracer's span stack is not thread-safe, so cw_ssim's worker must
+    # run none of the names it hooks.
+    from refmet.cli import main
+    calls = []
+
+    def recorder(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in _hooks():
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, recorder(attr, getattr(mod, attr)))
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps({"phantoms": {"count": 2}}))
+    rc = main(["audit", "--scenario", "all", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    assert any(th.name.startswith("refmet-cw_ssim") for th in threading.enumerate())
+    assert {name for name, _ in calls} >= {"run_scenario", "evaluate", "ssim_and_cs"}
+    off_main = {name for name, th in calls if th is not threading.main_thread()}
+    assert not off_main
+
+
+_IMPORT_CHILD = """
+import sys, threading
+import refmet.cli
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_import_starts_no_thread_and_loads_no_pool():
+    # compare_cli times the import: cw_ssim's worker is made on first use.
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["1", "False"]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import naive_pcc
+from refmet.distort import add_gaussian_noise, translate
 from refmet.errors import DegenerateRangeError, ShapeMismatchError
 from refmet.image import Image
 from refmet.normalize import DataRangePolicy, NormMethod, normalize
-from refmet.metrics import EvalContext, evaluate
+from refmet.metrics import EvalContext, evaluate, masked_evaluate
 
 pair_elems = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 img_pair = st.tuples(arrays(np.float64, (4, 6), elements=pair_elems),
@@ -89,7 +95,6 @@ def test_psnr_ratio_outside_float64_scores_from_logs(value, L, expected):
     assert evaluate("psnr", r, t, _fixed(L)).value == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("L", [1.0, 1e-150, 1e150])
 def test_psnr_mse_overflow_errors(L):
     # rows of 0 and 1e200: every squared difference overflows, so mse is inf
@@ -97,6 +102,27 @@ def test_psnr_mse_overflow_errors(L):
     test[::2] = 1e200
     with pytest.raises(DegenerateRangeError, match="mean squared error overflows"):
         evaluate("psnr", Image(np.zeros((16, 16))), Image(test), _fixed(L))
+
+
+def _alternating_1e200():
+    # Finite pair whose deviations and differences square past float64.
+    ref, test = np.zeros((16, 16)), np.zeros((16, 16))
+    ref[::2] = 1e200
+    test[1::2] = 1e200
+    return Image(ref), Image(test)
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("pcc", "pcc undefined: the squared deviations overflow"),
+    ("mse", "mse undefined: the squared differences overflow"),
+    ("psnr", "psnr undefined: the mean squared error overflows")])
+def test_squares_overflow_is_a_named_error_without_warnings(metric, message):
+    # pcc read nan and mse inf here, each with numpy's overflow warning.
+    ref, test = _alternating_1e200()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRangeError, match=message):
+            evaluate(metric, ref, test, _fixed(1.0))
 
 
 def test_psnr_fingerprint_mentions_policy():
@@ -154,3 +180,59 @@ def test_pcc_invariant_under_normalization(phantoms):
     for method in (NormMethod.minmax(), NormMethod.zscore()):
         for r, t in ((normalize(ref, method), test), (ref, normalize(test, method))):
             assert evaluate("pcc", r, t).value == pytest.approx(base, abs=1e-12)
+
+
+def _assert_matches_oracle(ref_vals, test_vals, got):
+    assert abs(got - naive_pcc(ref_vals, test_vals)) <= 1e-12
+
+
+def test_pcc_matches_oracle_on_phantom_noise_pairs(phantoms):
+    for p in phantoms:
+        r = p.image
+        t = add_gaussian_noise(r, 0.05, seed=p.seed)
+        _assert_matches_oracle(r.data, t.data, evaluate("pcc", r, t).value)
+
+
+def test_pcc_matches_oracle_on_masked_values(phantoms):
+    for p in phantoms[:5]:
+        r, m = p.image, p.foreground_mask
+        t = translate(r, (2, 1))
+        _assert_matches_oracle(r.data[m.data], t.data[m.data],
+                               masked_evaluate("pcc", r, t, m).value)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pcc_matches_oracle_on_random_pairs(seed):
+    g = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in g.integers(2, 90, size=2))
+    offset, scale = g.uniform(-1e3, 1e3), 10.0 ** g.uniform(-3, 3)
+    r = offset + scale * g.normal(size=shape)
+    t = g.uniform(-1, 1) * r + scale * g.normal(size=shape)
+    _assert_matches_oracle(r, t, evaluate("pcc", Image(r), Image(t)).value)
+
+
+
+def test_pcc_of_values_near_1e80_is_defined():
+    # Each sum of squares (about 1e164) is finite, their product is not.
+    g = np.random.default_rng(3)
+    r = g.normal(size=(256, 256))
+    t = r + 0.5 * g.normal(size=r.shape)
+    got = evaluate("pcc", Image(1e80 * r), Image(1e80 * t)).value
+    assert got == pytest.approx(evaluate("pcc", Image(r), Image(t)).value, abs=1e-12)
+    _assert_matches_oracle(1e80 * r, 1e80 * t, got)
+
+_PCC_CHILD = """
+from refmet.distort import add_gaussian_noise
+from refmet.metrics import evaluate
+from refmet.phantom import generate_phantom
+ref = generate_phantom(1000).image
+print(evaluate("pcc", ref, add_gaussian_noise(ref, 0.05, seed=7)).value.hex())
+"""
+
+
+def test_pcc_bits_do_not_depend_on_blas_threads():
+    hexes = {subprocess.run([sys.executable, "-c", _PCC_CHILD], check=True,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                            capture_output=True, text=True).stdout.strip()
+             for threads in ("1", "2")}
+    assert len(hexes) == 1, hexes
