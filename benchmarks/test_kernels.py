@@ -12,7 +12,7 @@ Outside tier-1 ``testpaths``; run from the repository root with
 import numpy as np
 import pytest
 
-from refmet.downstream import SegmenterParams, threshold_segment
+from refmet.downstream import _label, threshold_segment
 from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
                             linear_scale, translate)
 from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
@@ -121,28 +121,34 @@ def _serpentine(n):
     return Image(grid)
 
 
-# The audit's input (a 192^2 phantom: a few small blobs), one component with
-# the longest path a 512^2 grid holds, and a 64^3 volume at half density,
-# above the face-connected percolation threshold: many short runs and edges.
+# The audit's input (a 192^2 phantom: a few small blobs) and one component
+# with the longest path a 512^2 grid holds.
 SEGMENTER_INPUTS = {
-    "phantom_192": lambda: (generate_phantom(1000).image, SegmenterParams()),
-    "serpentine_512": lambda: (_serpentine(512), SegmenterParams()),
-    "random_64^3": lambda: (Image(np.random.default_rng(64).random((64, 64, 64))),
-                            SegmenterParams(threshold_rel=0.5)),
+    "phantom_192": lambda: generate_phantom(1000).image,
+    "serpentine_512": lambda: _serpentine(512),
 }
 
 
 @pytest.mark.parametrize("case", SEGMENTER_INPUTS)
 def test_threshold_segment(benchmark, case):
-    img, params = SEGMENTER_INPUTS[case]()
-    seg = benchmark(threshold_segment, img, params)
+    img = SEGMENTER_INPUTS[case]()
+    seg = benchmark(threshold_segment, img)
     assert 0 < seg.count() < img.data.size
+
+
+def test_label_random_64_cubed(benchmark):
+    # A 64^3 volume at half density, above the face-connected percolation
+    # threshold: many short runs and edges. Timed on the labeler, since the
+    # segmenter's 0.94 cut of uniform noise leaves no 20-voxel component.
+    raw = np.random.default_rng(64).random((64, 64, 64)) > 0.5
+    labels = benchmark(_label, raw)
+    assert np.array_equal(labels > 0, raw)
 
 
 def test_run_scenario_pitfall2(benchmark):
     cfg = HarnessConfig(phantom_count=2)
     phantoms = generate_phantoms(cfg)
-    report = benchmark(run_scenario, builtin_scenario("pitfall2"), phantoms, cfg)
+    report = benchmark(run_scenario, builtin_scenario("pitfall2"), phantoms)
     assert len(report.rows) == 32 * (len(phantoms) + 1)
 
 
@@ -198,7 +204,7 @@ def audit_report():
     phantoms = generate_phantoms(cfg)
     report = Report()
     for sid in SCENARIO_IDS:
-        report.extend(run_scenario(builtin_scenario(sid), phantoms, cfg))
+        report.extend(run_scenario(builtin_scenario(sid), phantoms))
     return report
 
 

@@ -9,7 +9,8 @@ masks the script writes: a filled rectangle and an empty mask; a ``--norm``
 that names a number twice; and a panel that names a metric twice), ``lint``
 without a config, with a valid one, with one that fires W03, with a mask of
 another shape than the images and with an empty panel, ``audit`` with an
-unknown scenario, and ``audit --scenario all``. Each line holds the run
+unknown scenario and with a config that sets the segmenter, which has no
+settings, and ``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -120,7 +121,9 @@ def runs() -> list[tuple[str, list[str]]]:
              ["lint", REF, TEST, "--config", "lint_mask_other_shape.json"]),
             ("lint_metrics_empty", ["lint", REF, TEST, "--config", "lint_metrics_empty.json"]),
             ("audit_scenario_unknown", ["audit", "--scenario", "pitfall9", "--config",
-                                        "audit.json", "--out", "audit_out"])]
+                                        "audit.json", "--out", "audit_out"]),
+            ("audit_config_segmenter", ["audit", "--config", "audit_segmenter.json",
+                                        "--out", "audit_segmenter_out"])]
     out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
                               "--out", "audit_out"]))
     return out
@@ -152,7 +155,9 @@ def digest(phantoms: int) -> list[str]:
         root = Path(tmp)
         os.chdir(root)
         try:
-            inputs = {**LINT_CONFIGS, "audit.json": {"phantoms": {"count": phantoms}}}
+            audit = {"phantoms": {"count": phantoms}}
+            inputs = {**LINT_CONFIGS, "audit.json": audit,
+                      "audit_segmenter.json": {**audit, "segmenter": {"threshold_rel": 0.9}}}
             for name, obj in inputs.items():
                 (root / name).write_text(json.dumps(obj))
             (root / RECT_MASK).write_bytes(_rect_mask_pgm())

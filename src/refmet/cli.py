@@ -21,7 +21,7 @@ from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
 from .image import (Image, load_image, mask_from_image, mask_to_image,
                     require_same_shape, save_image)
-from .metrics import RefWorkspace, format_score, rect_of_mask
+from .metrics import RefWorkspace, format_score
 from .normalize import DataRangePolicy, NormMethod
 # Not called here (EvalPlan's methods call them), but perfbench/tracer.py
 # hooks these names on this module, so they must stay importable from it.
@@ -103,12 +103,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def _plan(ref: Image, metrics, norm: str, range_policy: str, prebin, nmi_bins,
           chain=(), mask: str | None = None) -> EvalPlan:
     """The ``EvalPlan`` of ``compare`` and ``lint`` from their user text. A
-    mask path is read here once: the mask must have the reference's shape,
-    and a filled rectangle becomes its ``Rect`` crop."""
+    mask path is read here once, and the mask must have the reference's shape."""
     if mask:
         mask = mask_from_image(load_image(mask))
         require_same_shape(ref, mask)
-        mask = rect_of_mask(mask) or mask
     return EvalPlan(metrics=tuple(metrics), norm=NormMethod.parse(norm),
                     range_policy=DataRangePolicy.parse(range_policy),
                     prebin=prebin, nmi_bins=nmi_bins, chain=chain, mask=mask)
@@ -188,7 +186,7 @@ def _cmd_audit(args) -> int:
     full = Report()
     for scenario_id in ids:
         scenario = builtin_scenario(scenario_id)
-        part = run_scenario(scenario, phantoms, config)
+        part = run_scenario(scenario, phantoms)
         full.extend(part)
         print(f"{scenario_id}\t{len(part.rows)}\t{len(part.lints)}")
     if "csv" in config.out_formats:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_rect
-from .downstream import SegmenterParams, task_similarity
+from .downstream import task_similarity
 from .errors import ConfigError, RefmetError, check_ids, config_value
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
 from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
@@ -55,11 +55,11 @@ class EvalPlan(EvalContext):
     (from EvalContext) the metric knobs, so ``evaluate`` reads the plan
     itself. Harness, compare and lint all use it; it is linted before
     scoring. The panel holds at least one known metric id, none twice
-    (``check_ids``). A ``Rect`` mask is a crop :meth:`prepare` makes for every
-    metric, ``dice`` included; :meth:`score` routes each metric under a
-    ``Mask``, which must not be empty. A plan does not know the image shape:
-    the caller checks the mask's shape and turns a filled rectangle into its
-    ``Rect``, as ``refmet.cli._plan`` does."""
+    (``check_ids``). A ``Mask`` must not be empty, and a filled rectangle
+    becomes its ``Rect``: a crop :meth:`prepare` makes for every metric,
+    ``dice`` included. :meth:`score` routes each metric under any other
+    ``Mask``. A plan does not know the image shape: the caller checks the
+    mask's shape, as ``refmet.cli._plan`` does."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
     weights: tuple[float, ...] | None = field(default=None, init=False)
@@ -75,8 +75,10 @@ class EvalPlan(EvalContext):
         check_ids(self.metrics, METRIC_IDS, "metrics")
         if self.prebin is not None and self.prebin < 2:
             raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
-        if isinstance(self.mask, Mask) and not self.mask.data.any():
-            raise RefmetError("evaluation mask is empty")
+        if isinstance(self.mask, Mask):
+            if not self.mask.data.any():
+                raise RefmetError("evaluation mask is empty")
+            object.__setattr__(self, "mask", rect_of_mask(self.mask) or self.mask)
         super().__post_init__()
 
     def prepare(self, ref: Image, test: Image) -> tuple[Image, Image]:
@@ -148,9 +150,6 @@ _CONFIG_KEYS = {
     "phantoms.dims": ("a list of integers", PhantomParams.dims),
     "phantoms.tumor_half": ("a string", PhantomParams.tumor_half),
     "scenarios": ("a list of strings", SCENARIO_IDS),
-    "segmenter.threshold_rel": ("a number", SegmenterParams.threshold_rel),
-    "segmenter.min_component_size": ("an integer", SegmenterParams.min_component_size),
-    "segmenter.connectivity": ("a string", SegmenterParams.connectivity),
     "output.dir": ("a string", "audit_out"),
     "output.formats": ("a list of strings", OUTPUT_FORMATS),
 }
@@ -165,7 +164,6 @@ class HarnessConfig:
     phantom_seed: int = 1000
     phantom_params: PhantomParams = field(default_factory=PhantomParams)
     scenarios: tuple[str, ...] = SCENARIO_IDS
-    segmenter: SegmenterParams = field(default_factory=SegmenterParams)
     out_dir: str = "audit_out"
     out_formats: tuple[str, ...] = OUTPUT_FORMATS
 
@@ -196,9 +194,6 @@ class HarnessConfig:
             phantom_seed=v["phantoms.seed"],
             phantom_params=PhantomParams(tuple(v["phantoms.dims"]), v["phantoms.tumor_half"]),
             scenarios=tuple(v["scenarios"]),
-            segmenter=SegmenterParams(v["segmenter.threshold_rel"],
-                                      v["segmenter.min_component_size"],
-                                      v["segmenter.connectivity"]),
             out_dir=v["output.dir"],
             out_formats=tuple(v["output.formats"]),
         )
@@ -305,8 +300,7 @@ def _case_id(phantom: Phantom) -> str:
     return f"case_{phantom.seed}"
 
 
-def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
-                 config: HarnessConfig | None = None) -> Report:
+def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
     """Evaluate every variant of ``scenario`` on every phantom.
 
     Phantoms are the outer loop, so every variant of one phantom scores
@@ -323,7 +317,6 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
     """
     if not phantoms:
         raise ConfigError("run_scenario needs a non-empty phantom list")
-    config = config or HarnessConfig()
     report = Report()
     scores: dict[tuple[str, str], list[float]] = {}
     ws = RefWorkspace()
@@ -343,7 +336,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom],
             for metric_id in plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
                     score = (plan.score(metric_id, ref, test, ws) if metric_id != "dice"
-                             else task_similarity(ref, test, config.segmenter))
+                             else task_similarity(ref, test))
                 fp = merge_fingerprints(score.params_fingerprint, pipeline)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, score.value))
@@ -375,7 +368,7 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
     phantom = generate_phantom(seed, config.phantom_params)
     # The plan rejects an unknown metric id and lists the registered ones.
     variant = replace(variant, plan=replace(variant.plan, metrics=(row.metric_id,)))
-    cell = run_scenario(Scenario(row.scenario, (variant,)), [phantom], config).rows[0]
+    cell = run_scenario(Scenario(row.scenario, (variant,)), [phantom]).rows[0]
     if cell.params_fingerprint != row.params_fingerprint:
         raise ConfigError(
             f"fingerprint mismatch for {row.case_id}/{row.variant}/{row.metric_id}: "
@@ -412,7 +405,7 @@ def lint_configuration(ref: Image, test: Image, plan: EvalPlan) -> list[Lint]:
                           f"per-image data-range policy ({plan.range_policy.kind}) "
                           "while image ranges differ; SSIM/PSNR depend directly "
                           "on the chosen range"))
-    if isinstance(plan.mask, Mask) and rect_of_mask(plan.mask) is None:
+    if isinstance(plan.mask, Mask):
         windowed = [m for m in plan.metrics if metric_kind(m) == "windowed"]
         if windowed:
             lints.append(Lint("error", "W03",

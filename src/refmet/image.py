@@ -295,9 +295,12 @@ def save_image(img: Image, path) -> None:
         Path(str(path) + ".meta").write_text(json.dumps(meta) + "\n")
 
 
-def mask_from_image(img: Image, threshold: float = 0.5) -> Mask:
-    """Interpret an intensity image as a boolean mask (``> threshold``)."""
-    return Mask(img.data > threshold)
+MASK_THRESHOLD = 0.5  # a mask image is on where its value exceeds this
+
+
+def mask_from_image(img: Image) -> Mask:
+    """Interpret an intensity image as a boolean mask (``> MASK_THRESHOLD``)."""
+    return Mask(img.data > MASK_THRESHOLD)
 
 
 def mask_to_image(m: Mask) -> Image:

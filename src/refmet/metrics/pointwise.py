@@ -18,7 +18,13 @@ __all__ = ["mae_values", "mse_values", "psnr_values", "psnr_score", "pcc_values"
 
 
 def mae_values(ref: np.ndarray, test: np.ndarray) -> float:
-    return float(np.mean(np.abs(ref - test)))
+    """Mean absolute difference; errors when a difference or the sum of
+    them overflows float64."""
+    with np.errstate(over="ignore"):
+        err = float(np.mean(np.abs(ref - test)))
+    if math.isinf(err):
+        raise DegenerateRangeError("mae undefined: the absolute differences overflow float64")
+    return err
 
 
 def _mean_squared_error(ref: np.ndarray, test: np.ndarray) -> float:

@@ -4,7 +4,7 @@ A phantom is an elliptical bright "brain" on a zero background, textured
 with a smoothed random field, plus one elliptical high-intensity "tumor"
 placed uniformly at random strictly inside one vertical half of the
 foreground, and a tiny bright "vessel" marker in the upper half. The
-marker is smaller than the default segmenter's minimum component size, so
+marker is smaller than the segmenter's minimum component size, so
 it never appears in segmentations, but it anchors the intensity range of
 images whose tumor was removed (e.g. by the mirror-replace distortion).
 

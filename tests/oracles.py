@@ -130,3 +130,70 @@ def naive_pcc(ref, test):
     cov = math.fsum(a * b for a, b in zip(dr, dt))
     return cov / (math.sqrt(math.fsum(a * a for a in dr))
                   * math.sqrt(math.fsum(b * b for b in dt)))
+
+
+def _frequency(index, n):
+    """Angular frequency of DFT bin ``index`` out of ``n``, in (-pi, pi]."""
+    k = index if index <= (n - 1) // 2 else index - n
+    return 2.0 * math.pi * k / n
+
+
+def naive_filter_bank(shape, levels=2, orientations=6):
+    """CW-SSIM's subband masks, one frequency at a time: subband
+    ``level * orientations + o`` is an octave raised-cosine radial band
+    centered at pi / 2^(level + 1) times the one-sided angular window
+    norm * cos(theta - pi o / orientations)^(orientations - 1)."""
+    h, w = shape
+    order = orientations - 1
+    norm = math.sqrt(2.0 ** (2 * order) * math.factorial(order) ** 2
+                     / (orientations * math.factorial(2 * order)))
+    masks = [np.zeros(shape) for _ in range(levels * orientations)]
+    for y in range(h):
+        for x in range(w):
+            wy, wx = _frequency(y, h), _frequency(x, w)
+            r = math.hypot(wy, wx)
+            if r == 0.0:
+                continue  # the DC bin is in no band
+            theta = math.atan2(wy, wx)
+            for level in range(levels):
+                offset = math.log2(r) - (math.log2(math.pi) - (level + 1))
+                if abs(offset) >= 1.0:
+                    continue
+                band = math.cos(math.pi / 2.0 * offset)
+                for o in range(orientations):
+                    dt = (theta - math.pi * o / orientations + math.pi) % (2.0 * math.pi)
+                    dt -= math.pi
+                    if abs(dt) < math.pi / 2.0:
+                        window = norm * math.cos(dt) ** order
+                        masks[level * orientations + o][y, x] = band * window
+    return masks
+
+
+def _dft(seq, inverse):
+    """Direct 1D DFT over a list of complex numbers; the inverse is scaled by 1/n."""
+    n = len(seq)
+    sign = 1.0 if inverse else -1.0
+    twiddle = [complex(math.cos(2.0 * math.pi * k / n), sign * math.sin(2.0 * math.pi * k / n))
+               for k in range(n)]
+    out = [sum(v * twiddle[(k * j) % n] for j, v in enumerate(seq)) for k in range(n)]
+    return [v / n for v in out] if inverse else out
+
+
+def _dft2(grid, inverse=False):
+    """Direct 2D DFT of a list of rows: rows first, then columns."""
+    rows = [_dft(list(row), inverse) for row in grid]
+    cols = [_dft([row[x] for row in rows], inverse) for x in range(len(rows[0]))]
+    return [[col[y] for col in cols] for y in range(len(rows))]
+
+
+def naive_cw_ssim(ref, test, k=0.03, side=7):
+    """CW-SSIM built independently: direct DFTs, :func:`naive_filter_bank`, inverse
+    direct DFTs for the complex subbands, then the loop index stage."""
+    spectra = [_dft2([[complex(v) for v in row] for row in img]) for img in (ref, test)]
+    subbands = ([], [])
+    for mask in naive_filter_bank(np.shape(ref)):
+        for spectrum, out in zip(spectra, subbands):
+            product = [[f * float(mask[y, x]) for x, f in enumerate(row)]
+                       for y, row in enumerate(spectrum)]
+            out.append(np.array(_dft2(product, inverse=True)))
+    return naive_cw_ssim_index(*subbands, k=k, side=side)

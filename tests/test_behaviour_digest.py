@@ -18,7 +18,7 @@ RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
         + ["distort_pgm"] + [f"compare_{c}" for c in COMPARES]
         + ["lint_no_config", "lint_valid_config", "lint_w03_config",
            "lint_mask_other_shape", "lint_metrics_empty", "audit_scenario_unknown",
-           "audit_all"])
+           "audit_config_segmenter", "audit_all"])
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -53,5 +53,6 @@ def test_digest_is_deterministic_and_lists_every_run():
     assert runs["lint_w03_config"][0] == "exit=2"
     # bad input is refused before any line prints
     for name in ("compare_mask_empty", "compare_norm_duplicate_key", "lint_mask_other_shape",
-                 "compare_metrics_repeated", "lint_metrics_empty", "audit_scenario_unknown"):
+                 "compare_metrics_repeated", "lint_metrics_empty", "audit_scenario_unknown",
+                 "audit_config_segmenter"):
         assert runs[name][:2] == ["exit=1", f"stdout={EMPTY}"]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import naive_box_sum, naive_cw_ssim_index
+from oracles import naive_box_sum, naive_cw_ssim, naive_cw_ssim_index, naive_filter_bank
 from refmet.errors import RefmetError
 from refmet.image import Image
 from refmet.metrics import EvalContext, cw_ssim, ssim
@@ -211,6 +211,19 @@ def test_index_stage_matches_naive_loop(shape):
     expected = naive_cw_ssim_index([np.fft.ifft2(fr * m) for m in masks],
                                    [np.fft.ifft2(ft * m) for m in masks], k=_K)
     assert cw_ssim(ref, test).value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (28, 30)])
+def test_filter_bank_and_score_match_the_scalar_oracle(shape):
+    # The oracle builds the bank and the subbands with math alone (no np.fft,
+    # no package code), so it also pins what the index-stage test takes as given.
+    for got, want in zip(_masks(shape), naive_filter_bank(shape), strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-14
+    g = np.random.default_rng(sum(shape) + 1)
+    ref = g.normal(size=shape)
+    test = ref + 0.3 * g.normal(size=shape)
+    score = cw_ssim(Image(ref), Image(test)).value
+    assert abs(score - naive_cw_ssim(ref, test, k=_K)) <= 1e-12
 
 
 def _pairs(phantoms):

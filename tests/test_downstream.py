@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from refmet.errors import ConfigError, DegenerateRangeError
+from refmet.errors import DegenerateRangeError
 from refmet.image import Image
-from refmet.downstream import SegmenterParams, _label, task_similarity, threshold_segment
+from refmet.downstream import _label, task_similarity, threshold_segment
 from refmet.distort import mirror_replace
 from refmet.metrics import EvalContext, ssim
 
 
 def test_threshold_above_everything_gives_empty():
+    # A ramp: the 4 pixels above the 0.94 cut are one component below 20 px.
     img = Image(np.linspace(0, 1, 64).reshape(8, 8))
-    seg = threshold_segment(img, SegmenterParams(threshold_rel=0.99,
-                                                 min_component_size=1))
-    assert seg.count() <= 1  # only the max pixel can survive
+    assert (img.data > 0.94).sum() == 4
+    assert threshold_segment(img).count() == 0
 
 
 def test_constant_image_errors():
@@ -25,23 +25,19 @@ def test_constant_image_errors():
 
 def test_small_components_removed():
     data = np.zeros((16, 16))
-    data[2:6, 2:6] = 1.0        # 16 px blob
-    data[10, 10] = 1.0          # single pixel
-    seg = threshold_segment(Image(data), SegmenterParams(threshold_rel=0.5,
-                                                         min_component_size=10))
-    assert seg.data[3, 3]
-    assert not seg.data[10, 10]
+    data[2:7, 2:6] = 1.0        # 20 px blob, the smallest kept
+    data[10:14, 10:14] = 1.0    # 16 px blob
+    data[10, 2] = 1.0           # single pixel
+    seg = threshold_segment(Image(data))
+    assert seg.count() == 20 and seg.data[3, 3]
 
 
 def test_connectivity_modes():
-    data = np.zeros((8, 8))
-    data[2, 2] = data[3, 3] = 1.0  # diagonal touch
-    face = threshold_segment(Image(data), SegmenterParams(
-        threshold_rel=0.5, min_component_size=2, connectivity="face"))
-    corner = threshold_segment(Image(data), SegmenterParams(
-        threshold_rel=0.5, min_component_size=2, connectivity="face+corner"))
-    assert face.count() == 0      # two 1-px components, both filtered
-    assert corner.count() == 2    # one 2-px component survives
+    # Face connectivity only: two 4x4 blocks that touch at a corner are two
+    # 16-px components, both filtered, not one of 32 px.
+    data = np.zeros((12, 12))
+    data[2:6, 2:6] = data[6:10, 6:10] = 1.0
+    assert threshold_segment(Image(data)).count() == 0
 
 
 def test_phantom_tumor_single_component(phantoms, ndimage):
@@ -60,23 +56,22 @@ def serpentine(n):
     return grid
 
 
-def assert_same_partition(ndimage, raw, connectivity):
-    """``_label`` splits ``raw`` into the components ``ndimage.label`` finds;
-    ids may differ, so the pairs of ids must map one to one."""
-    rank = 1 if connectivity == "face" else raw.ndim
-    want, count = ndimage.label(raw, ndimage.generate_binary_structure(raw.ndim, rank))
-    got = _label(raw, connectivity)
+def assert_same_partition(ndimage, raw):
+    """``_label`` splits ``raw`` into the face-connected components
+    ``ndimage.label`` finds; ids may differ, so the pairs of ids must map one
+    to one."""
+    want, count = ndimage.label(raw)
+    got = _label(raw)
     assert np.array_equal(got > 0, raw)
     pairs = {(int(a), int(b)) for a, b in zip(want[raw], got[raw])}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) == count
 
 
 @given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9),
-              elements=st.booleans()),
-       st.sampled_from(["face", "face+corner"]))
+              elements=st.booleans()))
 @settings(max_examples=200, deadline=None)
-def test_label_partition_equals_ndimage(ndimage, raw, connectivity):
-    assert_same_partition(ndimage, raw, connectivity)
+def test_label_partition_equals_ndimage(ndimage, raw):
+    assert_same_partition(ndimage, raw)
 
 
 def diagonal_chain(n):
@@ -97,10 +92,10 @@ LABEL_CASES = {
 }
 
 
-@pytest.mark.parametrize("connectivity", ["face", "face+corner"])
-@pytest.mark.parametrize("case", LABEL_CASES)
-def test_label_edge_cases_equal_ndimage(ndimage, case, connectivity):
-    assert_same_partition(ndimage, LABEL_CASES[case], connectivity)
+# Each id ends in the connectivity _label implements.
+@pytest.mark.parametrize("case", LABEL_CASES, ids=lambda case: f"{case}-face")
+def test_label_edge_cases_equal_ndimage(ndimage, case):
+    assert_same_partition(ndimage, LABEL_CASES[case])
 
 
 def test_segmenter_affine_invariance(phantoms):
@@ -109,15 +104,6 @@ def test_segmenter_affine_invariance(phantoms):
     for a, b in ((0.25, 2.0), (-8.0, 0.5), (3.0, 4.0)):
         mapped = Image((img.data - a) / b)
         assert np.array_equal(threshold_segment(mapped).data, base.data)
-
-
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        SegmenterParams(threshold_rel=0.0)
-    with pytest.raises(ConfigError):
-        SegmenterParams(threshold_rel=1.0)
-    with pytest.raises(ConfigError):
-        SegmenterParams(connectivity="knight")
 
 
 def test_task_similarity_self_is_one(phantoms):
@@ -146,6 +132,7 @@ def test_mirror_dice_zero_while_ssim_high(phantoms):
     assert ssim(p.image, test, EvalContext()).value > 0.7
 
 
-def test_fingerprint_lists_segmenter_params():
-    fp = SegmenterParams().fingerprint()
-    assert fp == ("connectivity=face;min_component_size=20;threshold_rel=0.94")
+def test_fingerprint_lists_segmenter_params(phantoms):
+    img = phantoms[0].image
+    fp = task_similarity(img, img).params_fingerprint
+    assert fp == "connectivity=face;min_component_size=20;threshold_rel=0.94"

@@ -34,7 +34,7 @@ def small_phantoms():
 
 @pytest.fixture(scope="module")
 def pitfall1_report(small_phantoms):
-    return run_scenario(builtin_scenario("pitfall1"), small_phantoms, CFG)
+    return run_scenario(builtin_scenario("pitfall1"), small_phantoms)
 
 
 def test_builtin_ids_all_construct():
@@ -78,12 +78,12 @@ def test_variant_labels_are_fixed_strings():
 
 def test_empty_phantom_list_rejected():
     with pytest.raises(ConfigError):
-        run_scenario(builtin_scenario("pitfall1"), [], CFG)
+        run_scenario(builtin_scenario("pitfall1"), [])
 
 
 def test_run_scenario_deterministic(small_phantoms):
-    a = run_scenario(builtin_scenario("pitfall5"), small_phantoms, CFG)
-    b = run_scenario(builtin_scenario("pitfall5"), small_phantoms, CFG)
+    a = run_scenario(builtin_scenario("pitfall5"), small_phantoms)
+    b = run_scenario(builtin_scenario("pitfall5"), small_phantoms)
     assert a.rows == b.rows
     assert a.lints == b.lints
 
@@ -131,7 +131,7 @@ def test_each_pair_prepared_once(monkeypatch, scenario_id):
         return apply_chain(specs, img)
 
     monkeypatch.setattr(harness, "apply_chain", counting_apply_chain)
-    rep = run_scenario(scenario, phantoms, cfg)
+    rep = run_scenario(scenario, phantoms)
     assert len(calls) == len(scenario.variants) * len(phantoms)
     for row in rep.rows:
         if row.case_id != "mean":
@@ -148,7 +148,7 @@ def test_each_pair_prepared_once(monkeypatch, scenario_id):
 
 
 def test_noise_seeds_vary_per_case(small_phantoms):
-    rep = run_scenario(builtin_scenario("pitfall4"), small_phantoms, CFG)
+    rep = run_scenario(builtin_scenario("pitfall4"), small_phantoms)
     noise_fps = {r.params_fingerprint for r in rep.rows
                  if r.variant == "noise" and r.metric_id == "mse"
                  and r.case_id != "mean"}
@@ -156,7 +156,7 @@ def test_noise_seeds_vary_per_case(small_phantoms):
 
 
 def test_proxy_task_dice_zero(small_phantoms):
-    rep = run_scenario(builtin_scenario("pitfall5"), small_phantoms, CFG)
+    rep = run_scenario(builtin_scenario("pitfall5"), small_phantoms)
     dice_rows = [r for r in rep.rows
                  if r.variant == "proxy_task" and r.case_id != "mean"]
     assert dice_rows and all(r.score == 0.0 for r in dice_rows)
@@ -166,12 +166,11 @@ def test_harness_config_json_roundtrip():
     cfg = HarnessConfig.from_json({
         "phantoms": {"count": 4, "seed": 9, "dims": [96, 96]},
         "scenarios": ["pitfall2"],
-        "segmenter": {"threshold_rel": 0.9},
         "output": {"dir": "out", "formats": ["csv"]},
     })
     assert cfg.phantom_count == 4
     assert cfg.phantom_params.dims == (96, 96)
-    assert cfg.segmenter.threshold_rel == 0.9
+    assert cfg.out_formats == ("csv",)
     assert cfg.scenarios == ("pitfall2",)
     with pytest.raises(ConfigError):
         HarnessConfig.from_json({"unknown_key": 1})
@@ -217,7 +216,7 @@ def test_load_closes_config_file(tmp_path):
     ({"phantoms": {"count": "x"}}, "phantoms.count"),
     ({"phantoms": {"seed": 1.5}}, "phantoms.seed"),
     ({"phantoms": {"dims": 5}}, "phantoms.dims"),
-    ({"segmenter": {"threshold_rel": "x"}}, "segmenter.threshold_rel"),
+    ({"phantoms": {"tumor_half": 1}}, "phantoms.tumor_half"),
     ({"scenarios": "pitfall1"}, "scenarios"),
     ({"output": {"formats": "csv"}}, "output.formats"),
     ({"scenarios": []}, "scenarios"),
@@ -236,7 +235,7 @@ def test_from_json_null_means_default():
 def test_scenario_error_names_scenario_variant_case_and_metric():
     cfg = HarnessConfig(phantom_count=1, phantom_params=PhantomParams(dims=(64, 64)))
     with pytest.raises(RefmetError) as info:
-        run_scenario(builtin_scenario("pitfall1"), generate_phantoms(cfg), cfg)
+        run_scenario(builtin_scenario("pitfall1"), generate_phantoms(cfg))
     assert type(info.value) is RefmetError
     assert str(info.value).startswith(
         "scenario pitfall1, variant 'none_joint', case case_1000, metric ms_ssim: "
@@ -249,7 +248,7 @@ def test_scenario_error_keeps_its_class(small_phantoms):
     with pytest.raises(NonRectangularMaskError,
                        match=r"^scenario custom, variant 'fg_ssim', case case_1000, "
                              r"metric ssim: ssim combines"):
-        run_scenario(Scenario("custom", (variant,)), small_phantoms, CFG)
+        run_scenario(Scenario("custom", (variant,)), small_phantoms)
 
 
 def test_first_failing_case_in_phantom_order_raises():
@@ -261,13 +260,13 @@ def test_first_failing_case_in_phantom_order_raises():
                 Variant("fg", EvalPlan(metrics=("ssim",)), mask_mode="foreground"))
     with pytest.raises(NonRectangularMaskError,
                        match=r"^scenario custom, variant 'fg', case case_1000, "):
-        run_scenario(Scenario("custom", variants), phantoms, CFG)
+        run_scenario(Scenario("custom", variants), phantoms)
 
 
 def test_lints_once_per_variant_even_for_a_repeated_phantom(small_phantoms):
     first = small_phantoms[0]
-    once = run_scenario(builtin_scenario("pitfall1"), [first], CFG)
-    twice = run_scenario(builtin_scenario("pitfall1"), [first, first], CFG)
+    once = run_scenario(builtin_scenario("pitfall1"), [first])
+    twice = run_scenario(builtin_scenario("pitfall1"), [first, first])
     assert once.lints and twice.lints == once.lints
 
 
@@ -308,7 +307,7 @@ def test_psnr_inf_serialized_as_inf(tmp_path):
 def test_markdown_one_table_per_scenario(small_phantoms):
     rep = Report()
     for sid in ("pitfall2", "pitfall5"):
-        rep.extend(run_scenario(builtin_scenario(sid), small_phantoms[:1], CFG))
+        rep.extend(run_scenario(builtin_scenario(sid), small_phantoms[:1]))
     md = render_markdown(rep)
     assert "## pitfall2" in md and "## pitfall5" in md
     assert "| metric |" in md
@@ -477,7 +476,7 @@ def test_audit_lints_the_chained_pair(small_phantoms, tmp_path, capsys):
     from refmet.image import save_image
     plan = EvalPlan(metrics=("psnr",), chain=(DistortionSpec("linear_scale", {"factor": 1.5}),),
                     norm=NormMethod.minmax(), range_policy=DataRangePolicy.ref())
-    rep = run_scenario(Scenario("custom", (Variant("scaled", plan),)), small_phantoms, CFG)
+    rep = run_scenario(Scenario("custom", (Variant("scaled", plan),)), small_phantoms)
     ref = small_phantoms[0].image
     lints = lint_configuration(ref, apply_chain(plan.chain, ref), plan)
     assert [l.code for l in lints] == ["W02"]
@@ -495,7 +494,7 @@ def test_crop_modes_score_dice_on_the_cropped_pair(small_phantoms, mask_mode):
     # test image segments the stripes instead of the tumor.
     chain = (DistortionSpec("stripes", {"period": 190, "amplitude_rel": 2.0, "axis": 0}),)
     variant = Variant("cropped", EvalPlan(metrics=("dice", "mae"), chain=chain), mask_mode)
-    rep = run_scenario(Scenario("custom", (variant,)), small_phantoms[:1], CFG)
+    rep = run_scenario(Scenario("custom", (variant,)), small_phantoms[:1])
     dice_row, mae_row = [r for r in rep.rows if r.case_id != "mean"]
     ref = small_phantoms[0].image
     test = apply_chain(chain, ref)
@@ -504,10 +503,28 @@ def test_crop_modes_score_dice_on_the_cropped_pair(small_phantoms, mask_mode):
     else:
         rect = bounding_box(small_phantoms[0].foreground_mask)
         ref, test = crop(ref, rect), crop(test, rect)
-    assert dice_row.score == task_similarity(ref, test, CFG.segmenter).value == 1.0
+    assert dice_row.score == task_similarity(ref, test).value == 1.0
     assert mae_row.score == evaluate("mae", ref, test).value == 0.0
     full = small_phantoms[0].image
-    assert task_similarity(full, apply_chain(chain, full), CFG.segmenter).value == 0.0
+    assert task_similarity(full, apply_chain(chain, full)).value == 0.0
+
+
+def test_filled_rectangle_mask_plan_is_the_rect_plan(small_phantoms):
+    # Such a plan kept its Mask and scored dice on the uncropped pair, which
+    # holds stripes on rows 0 and 190, outside the rectangle.
+    ref = small_phantoms[0].image
+    chain = (DistortionSpec("stripes", {"period": 190, "amplitude_rel": 2.0, "axis": 0}),)
+    test = apply_chain(chain, ref)
+    rect = Rect((10, 6), (176, 184))
+    data = np.zeros(ref.shape, dtype=bool)
+    data[rect.slices()] = True
+    panel = ("mae", "ssim", "dice")
+    from_mask, from_rect = (EvalPlan(metrics=panel, mask=m) for m in (Mask(data), rect))
+    assert from_mask.mask == rect and from_mask == from_rect
+    scores = [[plan.score(m, *plan.prepare(ref, test)).value.hex() for m in panel]
+              for plan in (from_mask, from_rect)]
+    assert scores[0] == scores[1]
+    assert "W03" not in [lint.code for lint in lint_configuration(ref, test, from_mask)]
 
 
 def test_rect_plan_mask_refuses_images_of_two_shapes():
@@ -521,7 +538,8 @@ def test_rect_plan_mask_refuses_images_of_two_shapes():
 
 @pytest.mark.parametrize("obj, keys", [
     ({"phantoms": {"cnt": 4}}, ["phantoms.cnt"]),
-    ({"segmenter": {"threshold": 0.9}}, ["segmenter.threshold"]),
+    # the segmenter has no settings, so its section is an unknown key
+    ({"segmenter": {"threshold_rel": 0.9}}, ["segmenter"]),
     ({"output": {"format": ["csv"]}}, ["output.format"]),
     ({"phantoms": {"cnt": 4, "dim": [96, 96]}, "output": {"format": ["csv"]}},
      ["output.format", "phantoms.cnt", "phantoms.dim"]),

@@ -183,15 +183,13 @@ REUSE_COUNTS = {"pitfall1": (44, 40), "pitfall2": (40, 10), "pitfall3": (24, 24)
 
 @pytest.fixture(scope="module")
 def two_phantoms():
-    config = HarnessConfig(phantom_count=2)
-    return config, generate_phantoms(config)
+    return generate_phantoms(HarnessConfig(phantom_count=2))
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_run_scenario_keeps_the_reuse(monkeypatch, two_phantoms, scenario_id):
-    config, phantoms = two_phantoms
     counts = _count_calls(monkeypatch, "ssim_and_cs", "_ref_moments")
-    run_scenario(builtin_scenario(scenario_id), phantoms, config)
+    run_scenario(builtin_scenario(scenario_id), two_phantoms)
     assert (counts["ssim_and_cs"], counts["_ref_moments"]) == REUSE_COUNTS[scenario_id]
 
 

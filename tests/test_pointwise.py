@@ -125,6 +125,20 @@ def test_squares_overflow_is_a_named_error_without_warnings(metric, message):
             evaluate(metric, ref, test, _fixed(1.0))
 
 
+@pytest.mark.parametrize("ref_value, test_value", [
+    (1e308, -1e308),  # the difference overflows
+    (0.0, 1.7e308),   # each difference is finite, their sum overflows
+])
+def test_mae_overflow_is_a_named_error_without_warnings(ref_value, test_value):
+    # mae read inf here, with numpy's overflow warning.
+    ref, test = Image(np.full((4, 4), ref_value)), Image(np.full((4, 4), test_value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRangeError,
+                           match="mae undefined: the absolute differences overflow"):
+            evaluate("mae", ref, test)
+
+
 def test_psnr_fingerprint_mentions_policy():
     img = Image(np.array([[0.0, 1.0]]))
     score = evaluate("psnr", img, Image(np.array([[0.0, 2.0]])), _fixed(255))
