@@ -59,6 +59,8 @@ COMPARE = {
     "minmax_fixed_range_bins": ["--norm", "minmax", "--range", "fixed:L=2",
                                 "--bins", "64"],
     "prebin": ["--prebin", "256"],
+    # the five pointwise lines print, then dice, a windowed metric, is
+    # refused on the non-rectangular mask (W03 on stderr): exit 1
     "mask_pointwise_dice": ["--mask", MASK, "--metrics", "mae,mse,psnr,pcc,nmi,dice"],
     "mask_ssim": ["--mask", MASK, "--metrics", "ssim"],
     # mae prints its line, then ssim fails on the non-rectangular mask: exit 1

@@ -2,8 +2,9 @@
 
 The segmenter is a deterministic range-relative threshold followed by a
 face-connected component size filter. It stands in for a trained model at
-desk scale; scores it produces are labeled proxy-task scores in reports and
-are not comparable to any trained segmenter's output.
+desk scale: its scores, the metric id ``dice`` wherever a score is made (a
+windowed metric, as the filter reads neighboring pixels), are labeled
+proxy-task scores and are not comparable to any trained segmenter's output.
 
 It has no settings. Both constants fit the phantoms' intensity layout
 (:mod:`refmet.phantom`): the cut, 0.94 of the image's range above its
@@ -88,5 +89,10 @@ def _label(raw: np.ndarray) -> np.ndarray:
 def task_similarity(ref: Image, test: Image) -> MetricScore:
     """DICE overlap of the two images' proxy segmentations."""
     require_same_shape(ref, test)
-    score = dice(threshold_segment(ref), threshold_segment(test))
-    return MetricScore("dice", score.value, _FINGERPRINT)
+    segs = []
+    for role, img in (("reference", ref), ("test", test)):
+        try:
+            segs.append(threshold_segment(img))
+        except DegenerateRangeError as exc:
+            raise DegenerateRangeError(f"{role} image: {exc}") from None
+    return MetricScore("dice", dice(*segs).value, _FINGERPRINT)

@@ -22,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_rect
-from .downstream import task_similarity
+# Not called here (the metric table scores dice), but perfbench/tracer.py
+# hooks this name on this module, so it must stay importable from it.
+from .downstream import task_similarity  # noqa: F401
 from .errors import ConfigError, RefmetError, check_ids, config_value
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
 from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
@@ -56,10 +58,10 @@ class EvalPlan(EvalContext):
     itself. Harness, compare and lint all use it; it is linted before
     scoring. The panel holds at least one known metric id, none twice
     (``check_ids``). A ``Mask`` must not be empty, and a filled rectangle
-    becomes its ``Rect``: a crop :meth:`prepare` makes for every metric,
-    ``dice`` included. :meth:`score` routes each metric under any other
-    ``Mask``. A plan does not know the image shape: the caller checks the
-    mask's shape, as ``refmet.cli._plan`` does."""
+    becomes its ``Rect``: a crop :meth:`prepare` makes for every metric.
+    :meth:`score` restricts each metric to any other ``Mask``, which refuses
+    a windowed one, ``dice`` included. A plan does not know the image shape:
+    the caller checks the mask's shape, as ``refmet.cli._plan`` does."""
 
     # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
     weights: tuple[float, ...] | None = field(default=None, init=False)
@@ -94,9 +96,8 @@ class EvalPlan(EvalContext):
 
     def score(self, metric_id: str, ref: Image, test: Image,
               ws: RefWorkspace | None = None) -> MetricScore:
-        """One metric on a prepared pair: through ``masked_evaluate`` under a
-        ``Mask`` (``mask``-kind metrics excepted), else ``evaluate`` with ``ws``."""
-        if isinstance(self.mask, Mask) and metric_kind(metric_id) != "mask":
+        """Score a prepared pair: ``masked_evaluate`` under a ``Mask``, else ``evaluate``."""
+        if isinstance(self.mask, Mask):
             return masked_evaluate(metric_id, ref, test, self.mask, self)
         return evaluate(metric_id, ref, test, self, ws)
 
@@ -305,14 +306,13 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
 
     Phantoms are the outer loop, so every variant of one phantom scores
     against one :class:`RefWorkspace`, which holds one reference at a time.
-    Each (case, variant) runs one plan, :meth:`Variant.case_plan`: the
-    first phantom's chained pair is linted against it, in variant order, and
-    every metric scores the pair it prepares (and crops) once, ``dice`` as the
-    proxy task and any other through :meth:`EvalPlan.score`. Appends mean
-    rows (case_id ``"mean"``) per (variant, metric). Row order is
-    deterministic: sorted by (case_id, variant, metric_id), means last. A
-    failing evaluation re-raises its error class with the scenario, variant,
-    case and (for a scoring error) metric prepended to the message; of
+    Each (case, variant) runs one plan, :meth:`Variant.case_plan`: the first
+    phantom's chained pair is linted against it, in variant order, and every
+    metric scores, through :meth:`EvalPlan.score`, the pair it prepares (and
+    crops) once. Appends mean rows (case_id ``"mean"``) per (variant, metric).
+    Row order is deterministic: sorted by (case_id, variant, metric_id), means
+    last. A failing evaluation re-raises its error class with the scenario,
+    variant, case and (for a scoring error) metric prepended to the message; of
     several failing cases, the first in phantom order raises.
     """
     if not phantoms:
@@ -335,8 +335,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
             pipeline = variant.pipeline_fingerprint(plan)
             for metric_id in plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
-                    score = (plan.score(metric_id, ref, test, ws) if metric_id != "dice"
-                             else task_similarity(ref, test))
+                    score = plan.score(metric_id, ref, test, ws)
                 fp = merge_fingerprints(score.params_fingerprint, pipeline)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, score.value))

@@ -2,14 +2,14 @@
 
 Metric identifiers (exact strings) are ``METRIC_IDS``.
 
-Metrics come in three kinds:
+Metrics come in two kinds:
 
 * ``pointwise`` metrics read co-located intensity pairs and accept any
   non-empty mask (evaluation restricted to masked locations).
-* ``windowed`` metrics combine neighboring pixels and accept only masks
-  that are exactly a filled rectangle; rectangular-mask evaluation is
-  bit-identical to evaluating on the cropped images.
-* ``mask`` metrics (dice) compare boolean grids directly.
+* ``windowed`` metrics (``dice``, the proxy task of :mod:`refmet.downstream`,
+  among them) combine neighboring pixels and accept only masks that are
+  exactly a filled rectangle; rectangular-mask evaluation is bit-identical
+  to evaluating on the cropped images.
 
 Scores are made by id through :func:`evaluate` or :func:`masked_evaluate`.
 The metric table lists the kernels themselves: ``ssim`` and ``ms_ssim``
@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError, NonRectangularMaskError, RefmetError
-from ..image import Image, Mask, bounding_box, crop, mask_from_image, require_same_shape
+from ..image import Image, Mask, bounding_box, crop, require_same_shape
 from ..normalize import DataRangePolicy
 from .information import mi, nmi
 from .overlap import dice
@@ -87,14 +87,16 @@ class EvalContext:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
-def _eval_dice(ref, test, ctx, ws=None):
-    return dice(mask_from_image(ref), mask_from_image(test))
+def _task_similarity(ref, test, ctx, ws=None):
+    # Imported per call: downstream imports this package, and perfbench hooks it there.
+    from ..downstream import task_similarity
+    return task_similarity(ref, test)
 
 
 # id -> (kind, fn). A pointwise fn is fn(ref_vals, test_vals, ctx) over two
-# equal-shape value arrays (the full data, or the masked values); windowed
-# and mask fns are fn(ref, test, ctx, ws=None) over Images. METRIC_IDS and
-# the unknown-metric error print this order.
+# equal-shape value arrays (the full data, or the masked values); a windowed
+# fn is fn(ref, test, ctx, ws=None) over Images. METRIC_IDS and the
+# unknown-metric error print this order.
 _METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
     "mae": ("pointwise", lambda r, t, ctx: MetricScore("mae", mae_values(r, t))),
     "mse": ("pointwise", lambda r, t, ctx: MetricScore("mse", mse_values(r, t))),
@@ -105,7 +107,7 @@ _METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
     "ssim": ("windowed", ssim),
     "ms_ssim": ("windowed", ms_ssim),
     "cw_ssim": ("windowed", lambda r, t, ctx, ws=None: cw_ssim(r, t)),
-    "dice": ("mask", _eval_dice),
+    "dice": ("windowed", _task_similarity),
 }
 METRIC_IDS = tuple(_METRICS)
 
@@ -136,13 +138,9 @@ def evaluate(metric_id: str, ref: Image, test: Image,
 
 
 def rect_of_mask(m: Mask):
-    """The filled Rect a mask represents, or None if it is not rectangular."""
-    if not m.data.any():
-        return None
+    """The filled Rect a non-empty mask represents, or None if it is not rectangular."""
     rect = bounding_box(m)
-    if m.count() != int(np.prod(rect.extent)):
-        return None
-    return rect
+    return rect if m.count() == int(np.prod(rect.extent)) else None
 
 
 def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
@@ -159,12 +157,8 @@ def masked_evaluate(metric_id: str, ref: Image, test: Image, m: Mask,
     require_same_shape(ref, m)
     if not m.data.any():
         raise RefmetError("evaluation mask is empty")
-    if kind == "mask":
-        raise ConfigError(f"metric {metric_id!r} compares masks; "
-                          "masked image evaluation does not apply")
     if kind == "pointwise":
-        sel = m.data
-        return fn(ref.data[sel], test.data[sel], ctx)
+        return fn(ref.data[m.data], test.data[m.data], ctx)
     rect = rect_of_mask(m)
     if rect is None:
         raise NonRectangularMaskError(

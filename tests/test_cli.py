@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from refmet.distort import chain_fingerprint, gaussian_blur, parse_chain, translate
+from refmet.distort import (add_stripes, chain_fingerprint, gaussian_blur, parse_chain,
+                            translate)
+from refmet.harness import Scenario, builtin_scenario, run_scenario
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
 from refmet.metrics import EvalContext, evaluate, masked_evaluate
 from refmet.phantom import generate_phantom
@@ -58,9 +60,10 @@ def test_compare_nonrect_mask_with_ssim_exits_1(workdir):
 
 
 def test_compare_rect_mask_routes_each_metric_kind(tmp_path):
-    # A filled rectangle is a crop for every metric, dice included. It cuts
-    # phantom 1000's foreground (rows 15-176, cols 27-163), so dice on the
-    # crop differs from dice on the full pair.
+    # A filled rectangle is a crop for every metric, dice included. On this
+    # 2-px shift the proxy segmentations lie inside it, so dice on the crop
+    # has the bits of dice on the full pair (see the next test for a pair
+    # where the crop shows).
     rows, cols = slice(16, 192), slice(8, 184)  # 176x176 fits 5-scale ms_ssim
     ref = generate_phantom(1000).image
     test = translate(ref, (2, 0))
@@ -80,22 +83,65 @@ def test_compare_rect_mask_routes_each_metric_kind(tmp_path):
     got = [line.split("\t") for line in res.stdout.splitlines()]
     assert [(m, float(v).hex(), fp) for m, v, fp in got] == \
         [(e.metric_id, e.value.hex(), e.params_fingerprint) for e in expected]
-    assert round(expected[0].value, 5) == 0.98448
-    assert round(evaluate("dice", ref, test).value, 5) == 0.98428
+    assert round(expected[0].value, 5) == 0.89176
+    assert evaluate("dice", ref, test).value == expected[0].value
+
+
+def test_compare_rect_mask_crops_dice(tmp_path):
+    # Stripes only on rows 0 and 190, both outside the rectangle: the full
+    # test image segments the stripes instead of the tumor.
+    ref = generate_phantom(1000).image
+    test = add_stripes(ref, period=190, amplitude_rel=2.0, axis=0)
+    rect = np.zeros(ref.shape, dtype=bool)
+    rect[10:186, 6:190] = True
+    for name, img in (("ref.rawf32", ref), ("test.rawf32", test),
+                      ("rect.pgm", mask_to_image(Mask(rect)))):
+        save_image(img, tmp_path / name)
+    pair = str(tmp_path / "ref.rawf32"), str(tmp_path / "test.rawf32")
+    cropped = run_cli("compare", *pair, "--mask", str(tmp_path / "rect.pgm"),
+                      "--metrics", "dice")
+    full = run_cli("compare", *pair, "--metrics", "dice")
+    assert (cropped.returncode, full.returncode) == (0, 0)
+    assert [res.stdout.split("\t")[1] for res in (cropped, full)] == ["1.0", "0.0"]
 
 
 def test_compare_nonrect_mask_routes_each_metric_kind(workdir):
-    # dice compares the unmasked images, a pointwise metric reads the masked values
+    # dice, a windowed metric, refuses the mask before any line prints; a
+    # pointwise metric reads the masked values
     ref, test = load_image(workdir / "ref.rawf32"), load_image(workdir / "test.rawf32")
     fg = generate_phantom(321).foreground_mask
-    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
-                  "--mask", str(workdir / "fgmask.pgm"), "--metrics", "dice,mae")
+    pair = str(workdir / "ref.rawf32"), str(workdir / "test.rawf32")
+    res = run_cli("compare", *pair, "--mask", str(workdir / "fgmask.pgm"),
+                  "--metrics", "dice,mae")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "dice combines neighboring pixels" in res.stderr
+    res = run_cli("compare", *pair, "--mask", str(workdir / "fgmask.pgm"), "--metrics", "mae")
     assert res.returncode == 0, res.stderr
-    expected = [evaluate("dice", ref, test, EvalContext()),
-                masked_evaluate("mae", ref, test, fg, EvalContext())]
+    expected = [masked_evaluate("mae", ref, test, fg, EvalContext())]
     got = [line.split("\t") for line in res.stdout.splitlines()]
     assert [(m, float(v).hex(), fp) for m, v, fp in got] == \
         [(e.metric_id, e.value.hex(), e.params_fingerprint) for e in expected]
+
+
+def test_compare_dice_is_the_audit_proxy_task(tmp_path):
+    # Pitfall 5's pair made with the CLI: compare scores dice as the audit does.
+    assert run_cli("phantom", str(tmp_path), "--seed", "1000").returncode == 0
+    spec = json.dumps({"kind": "mirror_replace", "params": {"axis": 0}})
+    ref = str(tmp_path / "phantom_1000.rawf32")
+    assert run_cli("distort", ref, spec, str(tmp_path / "test.rawf32")).returncode == 0
+    res = run_cli("compare", ref, str(tmp_path / "test.rawf32"), "--metrics", "dice")
+    assert res.returncode == 0, res.stderr
+    [(metric_id, value, fp)] = [line.split("\t") for line in res.stdout.splitlines()]
+    scenario = builtin_scenario("pitfall5")
+    proxy = Scenario("pitfall5", tuple(v for v in scenario.variants
+                                       if v.label == "proxy_task"))
+    [row] = [r for r in run_scenario(proxy, [generate_phantom(1000)]).rows
+             if r.case_id == "case_1000"]
+    assert metric_id == "dice"
+    assert float(value).hex() == row.score.hex() == (0.0).hex()
+    assert fp == "connectivity=face;min_component_size=20;threshold_rel=0.94"
+    assert set(fp.split(";")) <= set(row.params_fingerprint.split(";"))
 
 
 @pytest.mark.parametrize("metrics", ["dice", "dice,mae"])
@@ -533,6 +579,20 @@ def test_lint_with_config_w03(workdir):
                   "--config", str(cfg))
     assert res.returncode == 2
     assert "W03\terror" in res.stdout
+
+
+def test_lint_and_compare_refuse_dice_under_nonrect_mask(workdir):
+    cfg = workdir / "lint_dice.json"
+    cfg.write_text(json.dumps({"metrics": ["dice"], "mask": str(workdir / "fgmask.pgm")}))
+    pair = str(workdir / "ref.rawf32"), str(workdir / "test.rawf32")
+    res = run_cli("lint", *pair, "--config", str(cfg))
+    assert res.returncode == 2
+    [w03] = [line for line in res.stdout.splitlines() if line.startswith("W03\terror\t")]
+    assert "windowed metrics ['dice']" in w03
+    res = run_cli("compare", *pair, "--mask", str(workdir / "fgmask.pgm"), "--metrics", "dice")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "dice combines neighboring pixels and supports only masks" in res.stderr
 
 
 @pytest.mark.parametrize("key, value", [

@@ -23,6 +23,16 @@ def test_constant_image_errors():
         threshold_segment(Image(np.full((8, 8), 2.0)))
 
 
+@pytest.mark.parametrize("constant, role", [(0, "reference"), (1, "test")])
+def test_task_similarity_names_the_constant_image(constant, role):
+    # evaluate("dice", zeros, zeros) once scored 1.0
+    pair = [Image(np.linspace(0, 1, 64).reshape(8, 8)) for _ in range(2)]
+    pair[constant] = Image(np.zeros((8, 8)))
+    with pytest.raises(DegenerateRangeError,
+                       match=f"^{role} image: cannot segment a constant image$"):
+        task_similarity(*pair)
+
+
 def test_small_components_removed():
     data = np.zeros((16, 16))
     data[2:7, 2:6] = 1.0        # 20 px blob, the smallest kept

@@ -22,7 +22,7 @@ FINGERPRINTS = {
                 "scales=5;weights=0.0448,0.2856,0.3001,0.2363,0.1333;"
                 "window=gaussian(radius=5,sigma=1.5)"),
     "cw_ssim": "k=0.03;levels=2;neighborhood=7;orientations=6",
-    "dice": "",
+    "dice": "connectivity=face;min_component_size=20;threshold_rel=0.94",
 }
 
 

@@ -72,7 +72,10 @@ def test_every_hooked_call_runs_on_the_main_thread(tmp_path, monkeypatch, capsys
                "--out", str(tmp_path / "out")])
     assert rc == 0, capsys.readouterr().err
     assert any(th.name.startswith("refmet-cw_ssim") for th in threading.enumerate())
-    assert {name for name, _ in calls} >= {"run_scenario", "evaluate", "ssim_and_cs"}
+    # task_similarity: the metric table must look dice up per call, or the
+    # hook on refmet.downstream never sees it.
+    assert {name for name, _ in calls} >= {"run_scenario", "evaluate", "ssim_and_cs",
+                                           "task_similarity"}
     off_main = {name for name, th in calls if th is not threading.main_thread()}
     assert not off_main
 

@@ -13,7 +13,7 @@ from refmet.metrics import (METRIC_IDS, EvalContext, dice, evaluate, masked_eval
                             metric_kind, truncated_weights)
 
 POINTWISE = ("mae", "mse", "psnr", "pcc", "mi", "nmi")
-WINDOWED = ("ssim", "ms_ssim", "cw_ssim")
+WINDOWED = ("ssim", "ms_ssim", "cw_ssim", "dice")
 
 
 def _mask(shape, fill=True):
@@ -110,7 +110,7 @@ def test_empty_mask_rejected(pair):
 
 
 def test_plan_with_empty_mask_rejected():
-    # dice, a mask-kind metric, never reaches masked_evaluate's check
+    # The plan refuses it when built, before any metric reads it.
     with pytest.raises(RefmetError, match="evaluation mask is empty"):
         EvalPlan(metrics=("dice",), mask=_mask((8, 8), False))
 
@@ -132,10 +132,13 @@ def test_mask_shape_must_match(pair):
         masked_evaluate("mae", ref, test, _mask((10, 10)))
 
 
-def test_dice_has_no_masked_image_form(pair):
+def test_checkerboard_mask_dice_errors(pair):
+    # dice once ignored any mask: masked_evaluate refused it, and the plan
+    # scored the unmasked pair
     ref, test = pair
-    with pytest.raises(ConfigError):
-        masked_evaluate("dice", ref, test, _mask(ref.shape))
+    checker = Mask(np.indices(ref.shape).sum(axis=0) % 2 == 0)
+    with pytest.raises(NonRectangularMaskError, match="^dice combines neighboring pixels"):
+        masked_evaluate("dice", ref, test, checker)
 
 
 # --- metric table -----------------------------------------------------------
@@ -149,7 +152,7 @@ def test_registry_lists_contract_ids():
 def test_metric_kinds():
     assert metric_kind("mae") == "pointwise"
     assert metric_kind("ssim") == "windowed"
-    assert metric_kind("dice") == "mask"
+    assert metric_kind("dice") == "windowed"
     with pytest.raises(ConfigError):
         metric_kind("lpips")
 
