@@ -12,6 +12,8 @@ Outside tier-1 ``testpaths``; run from the repository root with
 import numpy as np
 import pytest
 
+import refmet.metrics.information as information
+import refmet.metrics.structural as structural
 from refmet.downstream import _label, threshold_segment
 from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
                             linear_scale, translate)
@@ -19,7 +21,8 @@ from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
                             builtin_scenario, generate_phantoms, lint_configuration,
                             run_scenario)
 from refmet.image import Image
-from refmet.metrics import EvalContext, RefWorkspace, cw_ssim, evaluate, ms_ssim, ssim
+from refmet.metrics import (EvalContext, RefWorkspace, cw_ssim, evaluate, ms_ssim, ssim,
+                            truncated_weights)
 from refmet.metrics.information import joint_histogram
 from refmet.normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from refmet.phantom import PhantomParams, generate_phantom
@@ -47,16 +50,37 @@ def _volume(n):
     return ref, translate(ref, (1, 0, 0))
 
 
+def _phantom_pair(dims):
+    ref = generate_phantom(1000, PhantomParams(dims=dims)).image
+    return ref, translate(ref, (2, 0))
+
+
 # size -> (pair maker, MS-SSIM scales): the most scales each size admits.
 STRUCTURAL = {"192": (lambda: _pair(192, lambda img: translate(img, (2, 0))), 5),
               "512": (lambda: _pair(512, lambda img: translate(img, (2, 0))), 5),
+              "426x362": (lambda: _phantom_pair((426, 362)), 5),
               "64^3": (lambda: _volume(64), 3)}
+
+
+def _clear_memos():
+    structural._SCALE0.clear()
+    information._ENTROPIES.clear()
+
+
+def _cold(*args):
+    """Setup for rounds that each compute scale 0 and the joint histogram:
+    the memos of the last pair are cleared before every round, outside the
+    timing."""
+    def setup():
+        _clear_memos()
+        return args, {}
+    return setup
 
 
 @pytest.mark.parametrize("size", STRUCTURAL)
 def test_ssim(benchmark, size):
     ref, test = STRUCTURAL[size][0]()
-    score = benchmark(ssim, ref, test, EvalContext())
+    score = benchmark.pedantic(ssim, setup=_cold(ref, test, EvalContext()), rounds=20)
     assert 0.0 < score.value < 1.0
 
 
@@ -64,23 +88,47 @@ def test_ssim(benchmark, size):
 def test_ms_ssim(benchmark, size):
     make, scales = STRUCTURAL[size]
     ref, test = make()
-    score = benchmark(ms_ssim, ref, test, EvalContext(scales=scales))
+    ctx = EvalContext(scales=scales)
+    score = benchmark.pedantic(ms_ssim, setup=_cold(ref, test, ctx), rounds=20)
     assert 0.0 < score.value < 1.0
+
+
+# score_large's calling pattern for one pair: every metric of the panel by
+# id, without a workspace, so ms_ssim takes ssim's scale 0 from the memo
+# and nmi mi's histogram. Every round starts cold.
+PANEL_LARGE = {"512": (("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim", "pcc", "mi",
+                        "nmi"), 5),
+               "64^3": (("mae", "mse", "psnr", "ssim", "ms_ssim", "pcc", "mi", "nmi"), 3)}
+
+
+@pytest.mark.parametrize("size", PANEL_LARGE)
+def test_evaluate_panel_large(benchmark, size):
+    ref, test = STRUCTURAL[size][0]()
+    panel, scales = PANEL_LARGE[size]
+    ctx = EvalContext(scales=scales, weights=truncated_weights(scales))
+
+    def score_panel():
+        return [evaluate(m, ref, test, ctx) for m in panel]
+
+    scores = benchmark.pedantic(score_panel, setup=_cold(), rounds=10)
+    assert [s.metric_id for s in scores] == list(panel)
 
 
 @pytest.mark.parametrize("metric_id", ("mae", "mse", "psnr", "pcc", "mi", "nmi"))
 @pytest.mark.parametrize("size", STRUCTURAL)
 def test_registered_metric(benchmark, size, metric_id):
     ref, test = STRUCTURAL[size][0]()
-    score = benchmark(evaluate, metric_id, ref, test, EvalContext())
+    score = benchmark.pedantic(evaluate, setup=_cold(metric_id, ref, test, EvalContext()),
+                               rounds=20)
     assert score.value > 0.0
 
 
-# Every round scores a fresh test object, so no round reuses an earlier
-# round's scale 0. Cold: a new RefWorkspace per round, as in one
-# ``refmet compare`` (ms_ssim still takes ssim's scale 0). Warm: one
-# RefWorkspace across rounds already holds the reference's SSIM moments, as
-# for the second and later tests of one reference in the harness.
+# Every round scores a fresh test object after clearing the scale-0 and
+# entropy memos, so no round reuses an earlier round's scale 0 or histogram.
+# Cold: a new RefWorkspace per round, as in one ``refmet compare`` (ms_ssim
+# still takes ssim's scale 0). Warm: one RefWorkspace across rounds already
+# holds the reference's SSIM moments, as for the second and later tests of
+# one reference in the harness.
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 def test_evaluate_panel_full_loop(benchmark, warm):
     ref, test = _pair(192, lambda img: translate(img, (2, 0)))
@@ -88,6 +136,7 @@ def test_evaluate_panel_full_loop(benchmark, warm):
     shared = RefWorkspace()
 
     def fresh_test():
+        _clear_memos()
         return (Image(test.data), shared if warm else RefWorkspace()), {}
 
     def score_panel(t, ws):

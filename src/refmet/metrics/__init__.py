@@ -26,9 +26,11 @@ histogram range are fixed, and each score's fingerprint prints them.
 
 :func:`evaluate` takes an optional :class:`RefWorkspace` that the caller
 keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
-for all its tests and ms_ssim reuses ssim's scale 0 on one pair, without
-moving a bit. The harness keeps one per scenario run; it holds one
-reference and one test at a time.
+for all its tests; the harness keeps one per scenario run, and it holds
+one reference at a time. With or without one, ms_ssim reuses ssim's scale
+0 and nmi reuses mi's joint histogram on one pair: each is kept per
+thread for the last pair, keyed on the bits of both arrays (and L or the
+bin count), which keeps that pair alive. Neither moves a bit.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def evaluate(metric_id: str, ref: Image, test: Image,
              ws: RefWorkspace | None = None) -> MetricScore:
     """Evaluate one metric on a full image pair. ``ws``, a
     workspace kept across calls, lets ssim and ms_ssim reuse the reference's
-    moments and each other's scale 0; other metrics ignore it."""
+    moments; other metrics ignore it."""
     ctx = ctx or EvalContext()
     kind, fn = _lookup(metric_id)
     if kind == "pointwise":

@@ -19,14 +19,20 @@ combining them as a weighted geometric product. Downsampling halves each
 axis by non-overlapping 2x2 (2x2x2 in 3D) mean pooling; trailing odd rows
 are dropped.
 
-Both metrics accept 2D and 3D grids via separable windows. The reference's
-moments do not depend on L, so a :class:`RefWorkspace` keeps them for every
-test scored against one reference, and keeps a pair's scale-0 result per
-L so ms_ssim reuses ssim's; it never moves a bit.
+Both metrics accept 2D and 3D grids via separable windows. The moments
+are computed in blocks of rows (axis 0), each with its 10-row halo, so a
+large image's temporaries stay in cache; every element takes the same
+operations as in one pass, so the bits do not depend on the blocks. The
+reference's moments do not depend on L, so a :class:`RefWorkspace` keeps
+them for every test scored against one reference. MS-SSIM's scale 0 is
+SSIM's: the last pair's scale-0 result is kept per thread, keyed on the
+bits of both images and L, so ms_ssim after ssim on one pair (or on an
+equal crop of it) computes scale 0 once. Neither moves a bit.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -34,6 +40,7 @@ import numpy as np
 from ..errors import ConfigError, RefmetError
 from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape
 from ..normalize import resolve_data_range_values
+from .memo import PairMemo
 from .score import MetricScore, fingerprint
 
 if TYPE_CHECKING:
@@ -48,6 +55,11 @@ _SIGMA = 1.5
 _WINDOW = gaussian_kernel(_SIGMA)
 _WINDOW.flags.writeable = False
 _WINDOW_NAME = f"gaussian(radius={len(_WINDOW) // 2},sigma={_SIGMA!r})"
+# Rows a valid position's window reaches beyond it along axis 0.
+_HALO = len(_WINDOW) - 1
+# Input bytes one block of rows reads from each image: with its temporaries,
+# a block stays in a core's cache. A 192x192 image fits in one block.
+_BLOCK_BYTES = 512 * 1024
 
 # Weights from the standard multi-scale construction.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -98,11 +110,46 @@ class RefMoments(NamedTuple):
     sq: np.ndarray
 
 
+def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """Blocks of valid positions along axis 0. Block ``rows`` reads input
+    rows ``rows.start`` to ``rows.stop + _HALO``: at most ``_BLOCK_BYTES``
+    of float64, or one valid row's worth when even that is larger."""
+    valid = shape[0] - _HALO
+    step = max(1, _BLOCK_BYTES // (8 * prod(shape[1:])) - _HALO)
+    return [slice(i, min(i + step, valid)) for i in range(0, valid, step)]
+
+
+def _by_row_blocks(maps, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``maps(rows)``, a tuple of maps over the valid positions of
+    ``shape``, called once per row block and joined into full-size maps;
+    one block returns ``maps``' own arrays."""
+    blocks = _row_blocks(shape)
+    if len(blocks) == 1:
+        return maps(blocks[0])
+    valid = tuple(n - _HALO for n in shape)
+    out = None
+    for rows in blocks:
+        parts = maps(rows)
+        out = out or tuple(np.empty(valid) for _ in parts)
+        for full, part in zip(out, parts):
+            full[rows] = part
+    return out
+
+
+def _with_halo(rows: slice) -> slice:
+    return slice(rows.start, rows.stop + _HALO)
+
+
 def _ref_moments(ref: np.ndarray) -> RefMoments:
     if any(n < len(_WINDOW) for n in ref.shape):
         raise RefmetError(
             f"window support {len(_WINDOW)} does not fit image shape {ref.shape}")
-    return RefMoments(ref, _windowed_mean(ref), _windowed_mean(ref * ref))
+
+    def maps(rows):
+        r = ref[_with_halo(rows)]
+        return _windowed_mean(r), _windowed_mean(r * r)
+
+    return RefMoments(ref, *_by_row_blocks(maps, ref.shape))
 
 
 def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[float, float]:
@@ -110,52 +157,59 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[f
     ``ref`` carries the reference moments."""
     c1 = (K1 * data_range) ** 2
     c2 = (K2 * data_range) ** 2
-    mu_r = ref.mu
-    mu_t = _windowed_mean(test)
-    var_r = ref.sq - mu_r * mu_r
-    var_t = _windowed_mean(test * test) - mu_t * mu_t
-    cov = _windowed_mean(ref.data * test) - mu_r * mu_t
-    lum = (2.0 * mu_r * mu_t + c1) / (mu_r * mu_r + mu_t * mu_t + c1)
-    cs = (2.0 * cov + c2) / (var_r + var_t + c2)
-    return float(np.mean(lum * cs)), float(np.mean(cs))
+
+    def maps(rows):
+        r, t = ref.data[_with_halo(rows)], test[_with_halo(rows)]
+        mu_r = ref.mu[rows]
+        mu_t = _windowed_mean(t)
+        var_r = ref.sq[rows] - mu_r * mu_r
+        var_t = _windowed_mean(t * t) - mu_t * mu_t
+        cov = _windowed_mean(r * t) - mu_r * mu_t
+        lum = (2.0 * mu_r * mu_t + c1) / (mu_r * mu_r + mu_t * mu_t + c1)
+        cs = (2.0 * cov + c2) / (var_r + var_t + c2)
+        return lum * cs, cs
+
+    full, cs = _by_row_blocks(maps, test.shape)
+    return float(np.mean(full)), float(np.mean(cs))
+
+
+# The last pair's scale-0 ssim_and_cs result per thread, keyed on the bits
+# of the reference and test data and on L.
+_SCALE0 = PairMemo()
 
 
 class RefWorkspace:
-    """What ssim and ms_ssim reuse across calls, built on first use: per
-    scale, one reference Image's downsampled data and moments
-    (:class:`RefMoments`), and per data range L, one (reference, test)
-    pair's scale-0 ``ssim_and_cs`` result (MS-SSIM's scale 0 is SSIM's).
+    """What ssim and ms_ssim reuse across calls for one reference Image:
+    per scale, its downsampled data and its moments (:class:`RefMoments`),
+    each built on first use.
 
-    Both are keyed on Image identity: another reference object, even one
-    with equal values, drops everything, and another test drops the scale-0
-    results. So it holds one reference and one test at most, never serves a
-    stale value, and scores never depend on it.
+    Keyed on Image identity: another reference object, even one with equal
+    values, drops everything, so it holds one reference at most, never
+    serves a stale value, and scores never depend on it. A pair's scale-0
+    result is not kept here but in a per-thread memo keyed on the bits of
+    both images and L, which keeps the last pair scored alive; a memo hit
+    needs no scale-0 moments, so none are built for it.
     """
 
     def __init__(self):
         self._ref: Image | None = None
-        self._test: Image | None = None
-        self._pyramid: list[RefMoments] = []
-        self._scale0: dict[float, tuple[float, float]] = {}
+        self._levels: list[np.ndarray] = []
+        self._moments: dict[int, RefMoments] = {}
 
     def moments(self, ref: Image, scale: int) -> RefMoments:
         if ref is not self._ref:
-            self._ref, self._pyramid = ref, []
-            self._test, self._scale0 = None, {}
-        levels = self._pyramid
+            self._ref, self._levels, self._moments = ref, [ref.data], {}
+        levels = self._levels
         while len(levels) <= scale:
-            data = _downsample2(levels[-1].data) if levels else ref.data
-            levels.append(_ref_moments(data))
-        return levels[scale]
+            levels.append(_downsample2(levels[-1]))
+        if scale not in self._moments:
+            self._moments[scale] = _ref_moments(levels[scale])
+        return self._moments[scale]
 
     def scale0(self, ref: Image, test: Image, data_range: float) -> tuple[float, float]:
         require_same_shape(ref, test)
-        r = self.moments(ref, 0)
-        if test is not self._test:
-            self._test, self._scale0 = test, {}
-        if data_range not in self._scale0:
-            self._scale0[data_range] = ssim_and_cs(r, test.data, data_range)
-        return self._scale0[data_range]
+        return _SCALE0.get(ref.data, test.data, data_range,
+                           lambda: ssim_and_cs(self.moments(ref, 0), test.data, data_range))
 
 
 def ssim(ref: Image, test: Image, ctx: EvalContext,

@@ -77,7 +77,10 @@ def _build_bank(shape: tuple[int, int]):
                    / (_ORIENTATIONS * factorial(2 * order)))
     angular = []
     for o in range(_ORIENTATIONS):
-        dt = np.mod(theta - np.pi * o / _ORIENTATIONS + np.pi, 2.0 * np.pi) - np.pi
+        # np.mod(x, 2 pi) for x in [-5 pi / 6, 2 pi], except at x = 2 pi, where
+        # |dt| = pi either way and the window is closed.
+        x = theta - np.pi * o / _ORIENTATIONS + np.pi
+        dt = np.where(x < 0, x + 2.0 * np.pi, x) - np.pi
         # The power is taken only where the window is open: same values, and
         # a power of the closed half's negative cosines is about 15x slower.
         a = np.zeros(shape)

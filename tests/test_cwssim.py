@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -122,6 +123,29 @@ def test_filter_bank_masks_are_read_only():
         angular[5] *= 2.0
     for factor in bands + angular:
         assert not factor.flags.writeable
+
+
+def _np_mod_windows(shape):
+    """The angular windows as built with ``np.mod`` for the angle wrap."""
+    wy = 2.0 * np.pi * np.fft.fftfreq(shape[0])[:, None]
+    wx = 2.0 * np.pi * np.fft.fftfreq(shape[1])[None, :]
+    theta = np.arctan2(wy, wx)
+    norm = np.sqrt(2.0 ** 10 * math.factorial(5) ** 2 / (6 * math.factorial(10)))
+    windows = []
+    for o in range(6):
+        dt = np.mod(theta - np.pi * o / 6 + np.pi, 2.0 * np.pi) - np.pi
+        a = np.zeros(shape)
+        inside = np.abs(dt) < np.pi / 2.0
+        a[inside] = norm * np.cos(dt[inside]) ** 5
+        windows.append(a)
+    return windows
+
+
+@pytest.mark.parametrize("shape", [(192, 192), (512, 512), (426, 362), (28, 31), (33, 29)])
+def test_filter_bank_windows_equal_the_np_mod_wrap(shape):
+    _, angular = wavelet._build_bank(shape)
+    for got, want in zip(angular, _np_mod_windows(shape), strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _cached():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import gaussian_kernel2d, naive_ms_ssim, naive_ssim
+import refmet.metrics.structural as structural
 from refmet.errors import RefmetError
 from refmet.image import Image, gaussian_kernel
 from refmet.metrics import EvalContext, ms_ssim, ssim
@@ -152,3 +153,37 @@ def test_ms_image_too_small_for_scales():
     img = Image(np.zeros((40, 40)))
     with pytest.raises(RefmetError):
         ms_ssim(img, img, _fixed(1.0))  # 40 -> ... -> 2 < 11
+
+
+def _bits(arr):
+    return arr.view(np.int64)
+
+
+# (shape, block budget): 6 and 9 blocks, the last one short; one valid row
+# per block (a budget smaller than one row); 512x512 (5 blocks, the last
+# short) and 64^3 (9) at the module's own budget.
+BLOCKED = [((63, 37), 20 * 37 * 8), ((45, 23, 19), 14 * 23 * 19 * 8), ((31, 40), 1),
+           ((14, 12, 13), 1), ((512, 512), None), ((64, 64, 64), None)]
+
+
+@pytest.mark.parametrize("shape, budget", BLOCKED, ids=[str(s) for s, _ in BLOCKED])
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, shape, budget):
+    g = np.random.default_rng(sum(shape))
+    ref = g.random(shape) * 50.0
+    test = 0.9 * ref + 5.0 * g.random(shape)
+    if budget is not None:
+        monkeypatch.setattr(structural, "_BLOCK_BYTES", budget)
+    assert len(structural._row_blocks(shape)) > 1
+    blocked = structural._ref_moments(ref)
+    got = structural.ssim_and_cs(blocked, test, 50.0)
+    monkeypatch.setattr(structural, "_BLOCK_BYTES", 2 ** 62)
+    assert len(structural._row_blocks(shape)) == 1
+    whole = structural._ref_moments(ref)
+    want = structural.ssim_and_cs(whole, test, 50.0)
+    assert np.array_equal(_bits(blocked.mu), _bits(whole.mu))
+    assert np.array_equal(_bits(blocked.sq), _bits(whole.sq))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_a_192_image_is_one_block():
+    assert structural._row_blocks((192, 192)) == [slice(0, 182)]
