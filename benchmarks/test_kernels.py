@@ -59,7 +59,8 @@ def _phantom_pair(dims):
 STRUCTURAL = {"192": (lambda: _pair(192, lambda img: translate(img, (2, 0))), 5),
               "512": (lambda: _pair(512, lambda img: translate(img, (2, 0))), 5),
               "426x362": (lambda: _phantom_pair((426, 362)), 5),
-              "64^3": (lambda: _volume(64), 3)}
+              "64^3": (lambda: _volume(64), 3),
+              "128^3": (lambda: _volume(128), 4)}
 
 
 def _clear_memos():

@@ -12,8 +12,9 @@ on-disk formats are supported:
   sidecar at ``<path>.meta`` holding ``{"dims": [h, w] | [d, h, w],
   "dtype": "f32le"}``.
 
-Images and masks are immutable after construction; every operation here
-is pure.
+Images and masks are immutable after construction: each holds a read-only
+copy of the array it was given, never the caller's own. Every operation
+here is pure.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, the array made from ``given``, read-only and C-contiguous in
+    memory of its own: it is copied when it shares memory with ``given``, so
+    no caller keeps a handle that could write to it or turn writes back on."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    else:
+        arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -60,7 +67,7 @@ class Image:
             raise RefmetError(f"image dims must be >= 1, got {data.shape}")
         if not np.all(np.isfinite(data)):
             raise RefmetError("image contains non-finite values")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _freeze(data, self.data))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,7 +90,7 @@ class Mask:
             raise RefmetError(f"mask data must be boolean, got {data.dtype}")
         if data.ndim not in (2, 3):
             raise RefmetError(f"mask must be 2D or 3D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _freeze(data, self.data))
 
     @property
     def shape(self) -> tuple[int, ...]:

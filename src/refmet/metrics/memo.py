@@ -21,8 +21,8 @@ def _same_bits(held: np.ndarray, arr: np.ndarray) -> bool:
 
 def _held(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself if it and every array it views are read-only, as an
-    Image's data is: then writing to it takes re-enabling writes on its
-    owner first. Else a copy."""
+    Image's data is: an Image copies whatever array it is given, so no
+    caller holds the memory its data views. Else a copy."""
     base = arr
     while isinstance(base, np.ndarray):
         if base.flags.writeable:
@@ -39,8 +39,9 @@ class PairMemo(threading.local):
     bits in the same shape and ``extra`` is equal; else it drops the held
     entry, computes, and keeps both arrays with the result: read-only ones
     (an Image's data) as they are, others as copies, so writing to an array
-    later cannot make a hit stale. It holds one entry at most, which keeps
-    its pair alive until the next miss or :meth:`clear`, and threads never
+    later cannot make a hit stale. A read-only array that is not an Image's
+    is taken to stay unwritten. It holds one entry at most, which keeps its
+    pair alive until the next miss or :meth:`clear`, and threads never
     share one. A computation that raises keeps nothing.
     """
 

@@ -113,9 +113,11 @@ class RefMoments(NamedTuple):
 def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
     """Blocks of valid positions along axis 0. Block ``rows`` reads input
     rows ``rows.start`` to ``rows.stop + _HALO``: at most ``_BLOCK_BYTES``
-    of float64, or one valid row's worth when even that is larger."""
+    of float64, but never fewer than ``_HALO`` valid rows, so no block
+    squares more than twice the rows it keeps (rows wider than the budget
+    allows, as the planes of a 96^3 volume, take ``_HALO`` rows a block)."""
     valid = shape[0] - _HALO
-    step = max(1, _BLOCK_BYTES // (8 * prod(shape[1:])) - _HALO)
+    step = max(_HALO, _BLOCK_BYTES // (8 * prod(shape[1:])) - _HALO)
     return [slice(i, min(i + step, valid)) for i in range(0, valid, step)]
 
 

@@ -30,6 +30,16 @@ def test_image_data_is_read_only():
         img.data[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("make", (Image, lambda a: Mask(a > 0.0)), ids=("image", "mask"))
+def test_a_later_write_to_the_given_array_does_not_reach_the_data(make):
+    arr = np.zeros((2, 4, 4))
+    obj = make(arr[0])
+    arr[0] += 1.0
+    assert arr.flags.writeable
+    assert not obj.data.any()
+    assert not obj.data.flags.writeable
+
+
 def test_dims_properties():
     img = Image(np.zeros((3, 4)))
     assert (img.shape, img.ndim) == ((3, 4), 2)

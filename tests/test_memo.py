@@ -111,6 +111,19 @@ def test_writing_to_an_array_after_a_call_cannot_make_a_hit_stale():
     assert memo.get(ref, test, 1, lambda: "second") == "second"
 
 
+def test_writing_to_the_array_an_image_was_made_from_cannot_make_a_hit_stale():
+    ref, a = _pair()
+    ctx = EvalContext()
+    first = evaluate("ssim", Image(ref), Image(a), ctx)
+    a.flags.writeable = True
+    a[:] = 0.5 * ref
+    second = evaluate("ssim", Image(ref), Image(a), ctx)
+    structural._SCALE0.clear()
+    cold = evaluate("ssim", Image(ref), Image(a), ctx)
+    assert second.value != first.value
+    assert second.value.hex() == cold.value.hex()
+
+
 def test_a_failed_computation_keeps_nothing():
     ref, test = _pair()
     memo = PairMemo()

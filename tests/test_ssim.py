@@ -159,11 +159,12 @@ def _bits(arr):
     return arr.view(np.int64)
 
 
-# (shape, block budget): 6 and 9 blocks, the last one short; one valid row
+# (shape, block budget): 6 and 9 blocks, the last one short; 10 valid rows
 # per block (a budget smaller than one row); 512x512 (5 blocks, the last
-# short) and 64^3 (9) at the module's own budget.
+# short), 64^3 (9) and rows wider than the module's own budget (3).
 BLOCKED = [((63, 37), 20 * 37 * 8), ((45, 23, 19), 14 * 23 * 19 * 8), ((31, 40), 1),
-           ((14, 12, 13), 1), ((512, 512), None), ((64, 64, 64), None)]
+           ((27, 12, 13), 1), ((512, 512), None), ((64, 64, 64), None),
+           ((40, 6000), None)]
 
 
 @pytest.mark.parametrize("shape, budget", BLOCKED, ids=[str(s) for s, _ in BLOCKED])
@@ -185,5 +186,13 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, shape, budget):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_a_192_image_is_one_block():
-    assert structural._row_blocks((192, 192)) == [slice(0, 182)]
+def _steps(start, stop, step):
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+# A 192x192 image (every audit image) is one block; a 96^3 volume's planes
+# are wider than the budget, so its blocks keep 10 valid planes each.
+@pytest.mark.parametrize("shape, blocks", [((192, 192), [slice(0, 182)]),
+                                           ((96, 96, 96), _steps(0, 86, 10))])
+def test_row_block_layout(shape, blocks):
+    assert structural._row_blocks(shape) == blocks
