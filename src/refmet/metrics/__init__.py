@@ -28,9 +28,8 @@ histogram range are fixed, and each score's fingerprint prints them.
 keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
 for all its tests; the harness keeps one per scenario run, and it holds
 one reference at a time. With or without one, ms_ssim reuses ssim's scale
-0 and nmi reuses mi's joint histogram on one pair: each is kept per
-thread for the last pair, keyed on the bits of both arrays (and L or the
-bin count), which keeps that pair alive. Neither moves a bit.
+0 on one pair: it is kept per thread for the last pair, keyed on the bits
+of both images and L, which keeps that pair alive. Neither moves a bit.
 """
 
 from __future__ import annotations

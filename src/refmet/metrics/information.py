@@ -5,9 +5,7 @@ Entropies use the natural logarithm. The joint histogram has
 bin edges cover that image's own min/max (``hist_range=per_image`` in the
 fingerprint). Marginal entropies are derived from the same joint
 histogram, so mi(R, R) = H(R) holds exactly. :func:`mi` and :func:`nmi`
-take two equal-shape value arrays: full images or masked values. Both read
-:func:`entropies`, which keeps the last pair's result per thread, so mi
-and nmi of one pair build one joint histogram.
+take two equal-shape value arrays: full images or masked values.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import DegenerateRangeError
-from .memo import PairMemo
 from .score import MetricScore, fingerprint
 
 if TYPE_CHECKING:
@@ -63,25 +60,12 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _entropies(ref_vals: np.ndarray, test_vals: np.ndarray,
-               bins: int) -> tuple[float, float, float]:
+def entropies(ref_vals: np.ndarray, test_vals: np.ndarray,
+              bins: int) -> tuple[float, float, float]:
+    """(H(R), H(I), H(R,I)) from one shared joint histogram."""
     hist = joint_histogram(ref_vals, test_vals, bins)
     p = hist / hist.sum()
     return _entropy(p.sum(axis=1)), _entropy(p.sum(axis=0)), _entropy(p.ravel())
-
-
-# The last pair's entropies per thread, keyed on the bits of both value
-# arrays and on the bin count.
-_ENTROPIES = PairMemo()
-
-
-def entropies(ref_vals: np.ndarray, test_vals: np.ndarray,
-              bins: int) -> tuple[float, float, float]:
-    """(H(R), H(I), H(R,I)) from one shared joint histogram. The last
-    float64 pair's result is kept per thread, keyed on the bits of both
-    arrays and ``bins``, so mi and nmi of one pair build one histogram."""
-    return _ENTROPIES.get(ref_vals, test_vals, bins,
-                          lambda: _entropies(ref_vals, test_vals, bins))
 
 
 def mi(ref_vals: np.ndarray, test_vals: np.ndarray, ctx: EvalContext) -> MetricScore:

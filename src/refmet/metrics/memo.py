@@ -1,6 +1,5 @@
 """A per-thread memory of one computation's last result, keyed on the bits
-of the two arrays it read: what ssim and ms_ssim share at scale 0, and mi
-and nmi share as one joint histogram."""
+of the two arrays it read: what ssim and ms_ssim share at scale 0."""
 
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ def _held(arr: np.ndarray) -> np.ndarray:
 
 class PairMemo(threading.local):
     """The last result of one computation on two float64 arrays and a
-    hashable ``extra`` key (a data range, a bin count), per thread.
+    hashable ``extra`` key (a data range), per thread.
 
     :meth:`get` returns the held result only when both arrays hold the same
     bits in the same shape and ``extra`` is equal; else it drops the held

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import refmet.metrics.information as information
 import refmet.metrics.structural as structural
 from refmet.errors import ConfigError, NonRectangularMaskError, RefmetError
 from refmet.harness import EvalPlan
@@ -84,9 +83,8 @@ def test_rect_mask_bit_equal_to_crop(pair, metric_id):
     # 176 halves to exactly 11 after four poolings, so 5 ms_ssim scales fit
     rect = Rect((8, 8), (176, 176))
     masked = masked_evaluate(metric_id, ref, test, _rect_mask(ref.shape, rect))
-    # cold: the crop's scale 0 and entropies are computed, not taken from the memo
+    # cold: the crop's scale 0 is computed, not taken from the memo
     structural._SCALE0.clear()
-    information._ENTROPIES.clear()
     cropped = evaluate(metric_id, crop(ref, rect), crop(test, rect))
     assert masked.value == cropped.value  # bit-identical, no tolerance
 

@@ -1,7 +1,6 @@
-"""The per-thread last-pair memos behind ssim/ms_ssim's shared scale 0 and
-mi/nmi's shared joint histogram: a hit needs equal bits and an equal extra
-key, gives the bits of a cold computation, and stays on its thread; one
-pair at most is held."""
+"""The per-thread last-pair memo behind ssim/ms_ssim's shared scale 0: a
+hit needs equal bits and an equal extra key, gives the bits of a cold
+computation, and stays on its thread; one pair at most is held."""
 
 import gc
 import threading
@@ -10,7 +9,6 @@ import weakref
 import numpy as np
 import pytest
 
-import refmet.metrics.information as information
 import refmet.metrics.structural as structural
 from refmet.image import Image, Mask
 from refmet.metrics import EvalContext, evaluate, masked_evaluate
@@ -24,9 +22,8 @@ def _pair(shape=(40, 44), seed=3):
 
 
 def _counted(monkeypatch, module, name):
-    """Clears both memos, then counts calls of ``module.name``."""
+    """Clears the scale-0 memo, then counts calls of ``module.name``."""
     structural._SCALE0.clear()
-    information._ENTROPIES.clear()
     calls = []
     fn = getattr(module, name)
 
@@ -194,19 +191,3 @@ def test_rect_mask_ssim_equals_a_cold_crop():
     structural._SCALE0.clear()
     assert masked[1] == evaluate("ms_ssim", crop_ref, crop_test).value
 
-
-def test_mi_and_nmi_of_one_pair_build_one_histogram(monkeypatch):
-    calls = _counted(monkeypatch, information, "joint_histogram")
-    ref, test = (Image(a) for a in _pair())
-    ctx = EvalContext(nmi_bins=64)
-    mi_nmi = [evaluate(m, ref, test, ctx).value for m in ("mi", "nmi")]
-    assert len(calls) == 1
-    # another bin count and another pair miss
-    evaluate("mi", ref, test, EvalContext(nmi_bins=32))
-    evaluate("mi", test, ref, ctx)
-    assert len(calls) == 3
-    information._ENTROPIES.clear()
-    cold = [evaluate("nmi", ref, test, ctx).value]
-    information._ENTROPIES.clear()
-    cold.insert(0, evaluate("mi", ref, test, ctx).value)
-    assert _hex(mi_nmi) == _hex(cold)
