@@ -20,8 +20,7 @@ from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
                             builtin_scenario, generate_phantoms, lint_configuration,
                             run_scenario)
 from refmet.image import Image
-from refmet.metrics import (EvalContext, RefWorkspace, cw_ssim, evaluate, ms_ssim, ssim,
-                            truncated_weights)
+from refmet.metrics import EvalContext, cw_ssim, evaluate, ms_ssim, ssim, truncated_weights
 from refmet.metrics.information import joint_histogram
 from refmet.normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from refmet.phantom import PhantomParams, generate_phantom
@@ -63,10 +62,10 @@ STRUCTURAL = {"192": (lambda: _pair(192, lambda img: translate(img, (2, 0))), 5)
 
 
 def _cold(*args):
-    """Setup for rounds that each compute scale 0: the memo of the last
-    pair is cleared before every round, outside the timing."""
+    """Setup for cold rounds: the SSIM memo (the last reference's pyramid
+    and scale 0) is cleared before every round, outside the timing."""
     def setup():
-        structural._SCALE0.clear()
+        structural._PYRAMID.clear()
         return args, {}
     return setup
 
@@ -88,7 +87,7 @@ def test_ms_ssim(benchmark, size):
 
 
 # score_large's calling pattern for one pair: every metric of the panel by
-# id, without a workspace, so ms_ssim takes ssim's scale 0 from the memo.
+# id, so ms_ssim takes ssim's scale 0 from the memo.
 # Every round starts cold.
 PANEL_LARGE = {"512": (("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim", "pcc", "mi",
                         "nmi"), 5),
@@ -116,26 +115,28 @@ def test_registered_metric(benchmark, size, metric_id):
     assert score.value > 0.0
 
 
-# Every round scores a fresh test object after clearing the scale-0 memo,
-# so no round reuses an earlier round's scale 0.
-# Cold: a new RefWorkspace per round, as in one ``refmet compare`` (ms_ssim
-# still takes ssim's scale 0). Warm: one RefWorkspace across rounds already
-# holds the reference's SSIM moments, as for the second and later tests of
-# one reference in the harness.
+# Every round scores a fresh test object, and no round reuses an earlier
+# round's scale 0. Cold: the SSIM memo is cleared before every round, as in
+# one ``refmet compare`` (ms_ssim still takes ssim's scale 0). Warm: the memo
+# is kept, so it already holds the reference's SSIM moments, as for the
+# second and later tests of one reference in the harness; only the held
+# test's scale 0 is dropped.
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 def test_evaluate_panel_full_loop(benchmark, warm):
     ref, test = _pair(192, lambda img: translate(img, (2, 0)))
     plan = EvalPlan(metrics=PANEL_FULL)
-    shared = RefWorkspace()
 
     def fresh_test():
-        structural._SCALE0.clear()
-        return (Image(test.data), shared if warm else RefWorkspace()), {}
+        if warm:
+            structural._PYRAMID.entry[2].scale0.clear()
+        else:
+            structural._PYRAMID.clear()
+        return (Image(test.data),), {}
 
-    def score_panel(t, ws):
-        return [evaluate(m, ref, t, plan, ws) for m in PANEL_FULL]
+    def score_panel(t):
+        return [evaluate(m, ref, t, plan) for m in PANEL_FULL]
 
-    score_panel(*fresh_test()[0])  # fills the shared workspace when warm
+    score_panel(Image(test.data))  # fills the memo
     scores = benchmark.pedantic(score_panel, setup=fresh_test, rounds=20)
     assert [s.metric_id for s in scores] == list(PANEL_FULL)
 

@@ -21,7 +21,7 @@ from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
 from .image import (Image, load_image, mask_from_image, mask_to_image,
                     require_same_shape, save_image)
-from .metrics import RefWorkspace, format_score
+from .metrics import format_score
 from .normalize import DataRangePolicy, NormMethod
 # Not called here (EvalPlan's methods call them), but perfbench/tracer.py
 # hooks these names on this module, so they must stay importable from it.
@@ -125,11 +125,10 @@ def _cmd_compare(args) -> int:
         return EXIT_LINT
     ref, test = plan.prepare(ref, test)
     rows = []
-    ws = RefWorkspace()
     # Each line is printed before the next metric runs, so a failing metric
     # leaves the lines of the ones before it.
     for metric_id in plan.metrics:
-        score = plan.score(metric_id, ref, test, ws)
+        score = plan.score(metric_id, ref, test)
         print(f"{score.metric_id}\t{format_score(score.value)}\t"
               f"{score.params_fingerprint}")
         rows.append(Row("pair", "compare", "direct", score.metric_id,

@@ -27,8 +27,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_re
 from .downstream import task_similarity  # noqa: F401
 from .errors import ConfigError, RefmetError, check_ids, config_value
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
-from .metrics import (METRIC_IDS, EvalContext, MetricScore, RefWorkspace, evaluate,
-                      masked_evaluate, metric_kind, rect_of_mask)
+from .metrics import (METRIC_IDS, EvalContext, MetricScore, evaluate, masked_evaluate,
+                      metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -94,12 +94,11 @@ class EvalPlan(EvalContext):
             ref, test = crop(ref, self.mask), crop(test, self.mask)
         return ref, test
 
-    def score(self, metric_id: str, ref: Image, test: Image,
-              ws: RefWorkspace | None = None) -> MetricScore:
+    def score(self, metric_id: str, ref: Image, test: Image) -> MetricScore:
         """Score a prepared pair: ``masked_evaluate`` under a ``Mask``, else ``evaluate``."""
         if isinstance(self.mask, Mask):
             return masked_evaluate(metric_id, ref, test, self.mask, self)
-        return evaluate(metric_id, ref, test, self, ws)
+        return evaluate(metric_id, ref, test, self)
 
 
 @dataclass(frozen=True)
@@ -304,8 +303,9 @@ def _case_id(phantom: Phantom) -> str:
 def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
     """Evaluate every variant of ``scenario`` on every phantom.
 
-    Phantoms are the outer loop, so every variant of one phantom scores
-    against one :class:`RefWorkspace`, which holds one reference at a time.
+    Phantoms are the outer loop, so the variants of one phantom that score
+    ssim or ms_ssim against equal reference bits share its SSIM moments
+    through the per-thread memo of :mod:`.metrics.structural`.
     Each (case, variant) runs one plan, :meth:`Variant.case_plan`: the first
     phantom's chained pair is linted against it, in variant order, and every
     metric scores, through :meth:`EvalPlan.score`, the pair it prepares (and
@@ -319,7 +319,6 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
         raise ConfigError("run_scenario needs a non-empty phantom list")
     report = Report()
     scores: dict[tuple[str, str], list[float]] = {}
-    ws = RefWorkspace()
     for case, phantom in enumerate(phantoms):
         for variant in scenario.variants:
             where = (f"scenario {scenario.scenario_id}, variant {variant.label!r}, "
@@ -335,7 +334,7 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
             pipeline = variant.pipeline_fingerprint(plan)
             for metric_id in plan.metrics:
                 with _context(f"{where}, metric {metric_id}"):
-                    score = plan.score(metric_id, ref, test, ws)
+                    score = plan.score(metric_id, ref, test)
                 fp = merge_fingerprints(score.params_fingerprint, pipeline)
                 report.rows.append(Row(_case_id(phantom), scenario.scenario_id,
                                        variant.label, metric_id, fp, score.value))

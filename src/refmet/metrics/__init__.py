@@ -13,7 +13,7 @@ Metrics come in two kinds:
 
 Scores are made by id through :func:`evaluate` or :func:`masked_evaluate`.
 The metric table lists the kernels themselves: ``ssim`` and ``ms_ssim``
-take ``(ref, test, ctx, ws=None)``, ``information.mi`` and ``nmi`` take
+take ``(ref, test, ctx)``, ``information.mi`` and ``nmi`` take
 ``(ref_vals, test_vals, ctx)``, and each resolves what it needs from
 ``ctx`` (the data range L from ``ctx.range_policy``, as psnr does).
 
@@ -24,12 +24,11 @@ last three once, when it is built. Nothing else about them is settable:
 the SSIM window and constants, the CW-SSIM filter bank and the per-image
 histogram range are fixed, and each score's fingerprint prints them.
 
-:func:`evaluate` takes an optional :class:`RefWorkspace` that the caller
-keeps across calls, so ssim and ms_ssim reuse one reference's SSIM moments
-for all its tests; the harness keeps one per scenario run, and it holds
-one reference at a time. With or without one, ms_ssim reuses ssim's scale
-0 on one pair: it is kept per thread for the last pair, keyed on the bits
-of both images and L, which keeps that pair alive. Neither moves a bit.
+ssim and ms_ssim reuse work across calls through one per-thread memo keyed
+on bits (see :mod:`.structural`): the last reference's SSIM moments serve
+all its tests, and ms_ssim reuses ssim's scale 0 on the last pair. It keeps
+that reference's pyramid and test alive until the next reference on the
+thread, and it never moves a bit.
 """
 
 from __future__ import annotations
@@ -46,13 +45,13 @@ from .information import mi, nmi
 from .overlap import dice
 from .pointwise import mae_values, mse_values, pcc_values, psnr_score
 from .score import MetricScore, fingerprint, format_score
-from .structural import DEFAULT_MSSSIM_WEIGHTS, RefWorkspace, ms_ssim, ssim, truncated_weights
+from .structural import DEFAULT_MSSSIM_WEIGHTS, ms_ssim, ssim, truncated_weights
 from .wavelet import cw_ssim
 
 __all__ = [
     "MetricScore", "fingerprint", "format_score",
     "ssim", "ms_ssim", "cw_ssim", "dice",
-    "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
+    "EvalContext", "evaluate", "masked_evaluate",
     "METRIC_IDS", "metric_kind", "truncated_weights",
 ]
 
@@ -88,7 +87,7 @@ class EvalContext:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
-def _task_similarity(ref, test, ctx, ws=None):
+def _task_similarity(ref, test, ctx):
     # Imported per call: downstream imports this package, and perfbench hooks it there.
     from ..downstream import task_similarity
     return task_similarity(ref, test)
@@ -96,7 +95,7 @@ def _task_similarity(ref, test, ctx, ws=None):
 
 # id -> (kind, fn). A pointwise fn is fn(ref_vals, test_vals, ctx) over two
 # equal-shape value arrays (the full data, or the masked values); a windowed
-# fn is fn(ref, test, ctx, ws=None) over Images. METRIC_IDS and the
+# fn is fn(ref, test, ctx) over Images. METRIC_IDS and the
 # unknown-metric error print this order.
 _METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
     "mae": ("pointwise", lambda r, t, ctx: MetricScore("mae", mae_values(r, t))),
@@ -107,7 +106,7 @@ _METRICS: dict[str, tuple[str, Callable[..., MetricScore]]] = {
     "nmi": ("pointwise", nmi),
     "ssim": ("windowed", ssim),
     "ms_ssim": ("windowed", ms_ssim),
-    "cw_ssim": ("windowed", lambda r, t, ctx, ws=None: cw_ssim(r, t)),
+    "cw_ssim": ("windowed", lambda r, t, ctx: cw_ssim(r, t)),
     "dice": ("windowed", _task_similarity),
 }
 METRIC_IDS = tuple(_METRICS)
@@ -125,17 +124,14 @@ def metric_kind(metric_id: str) -> str:
 
 
 def evaluate(metric_id: str, ref: Image, test: Image,
-             ctx: EvalContext | None = None,
-             ws: RefWorkspace | None = None) -> MetricScore:
-    """Evaluate one metric on a full image pair. ``ws``, a
-    workspace kept across calls, lets ssim and ms_ssim reuse the reference's
-    moments; other metrics ignore it."""
+             ctx: EvalContext | None = None) -> MetricScore:
+    """Evaluate one metric on a full image pair."""
     ctx = ctx or EvalContext()
     kind, fn = _lookup(metric_id)
     if kind == "pointwise":
         require_same_shape(ref, test)
         return fn(ref.data, test.data, ctx)
-    return fn(ref, test, ctx, ws)
+    return fn(ref, test, ctx)
 
 
 def rect_of_mask(m: Mask):

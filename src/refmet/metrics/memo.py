@@ -1,5 +1,5 @@
 """A per-thread memory of one computation's last result, keyed on the bits
-of the two arrays it read: what ssim and ms_ssim share at scale 0."""
+of the float64 array it read: what ssim and ms_ssim share across calls."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-__all__ = ["PairMemo"]
+__all__ = ["BitsMemo"]
 
 T = TypeVar("T")
 
@@ -30,32 +30,31 @@ def _held(arr: np.ndarray) -> np.ndarray:
     return arr if base is None else arr.copy()
 
 
-class PairMemo(threading.local):
-    """The last result of one computation on two float64 arrays and a
-    hashable ``extra`` key (a data range), per thread.
+class BitsMemo(threading.local):
+    """The last result of one computation on a float64 array and a hashable
+    ``extra`` key, per thread.
 
-    :meth:`get` returns the held result only when both arrays hold the same
+    :meth:`get` returns the held result only when the array holds the same
     bits in the same shape and ``extra`` is equal; else it drops the held
-    entry, computes, and keeps both arrays with the result: read-only ones
-    (an Image's data) as they are, others as copies, so writing to an array
+    entry, computes, and keeps the array with the result: a read-only one
+    (an Image's data) as it is, another as a copy, so writing to an array
     later cannot make a hit stale. A read-only array that is not an Image's
     is taken to stay unwritten. It holds one entry at most, which keeps its
-    pair alive until the next miss or :meth:`clear`, and threads never
-    share one. A computation that raises keeps nothing.
+    array and result alive until the next miss or :meth:`clear`, and
+    threads never share one. A computation that raises keeps nothing.
     """
 
-    entry: tuple | None = None  # (a, b, extra, result)
+    entry: tuple | None = None  # (arr, extra, result)
 
-    def get(self, a: np.ndarray, b: np.ndarray, extra, compute: Callable[[], T]) -> T:
-        if a.dtype != np.float64 or b.dtype != np.float64:
+    def get(self, arr: np.ndarray, extra, compute: Callable[[], T]) -> T:
+        if arr.dtype != np.float64:
             return compute()
         held = self.entry
-        if (held is not None and held[2] == extra
-                and _same_bits(held[0], a) and _same_bits(held[1], b)):
-            return held[3]
+        if held is not None and held[1] == extra and _same_bits(held[0], arr):
+            return held[2]
         self.entry = None
         result = compute()
-        self.entry = _held(a), _held(b), extra, result
+        self.entry = _held(arr), extra, result
         return result
 
     def clear(self) -> None:

@@ -22,12 +22,14 @@ are dropped.
 Both metrics accept 2D and 3D grids via separable windows. The moments
 are computed in blocks of rows (axis 0), each with its 10-row halo, so a
 large image's temporaries stay in cache; every element takes the same
-operations as in one pass, so the bits do not depend on the blocks. The
-reference's moments do not depend on L, so a :class:`RefWorkspace` keeps
-them for every test scored against one reference. MS-SSIM's scale 0 is
-SSIM's: the last pair's scale-0 result is kept per thread, keyed on the
-bits of both images and L, so ms_ssim after ssim on one pair (or on an
-equal crop of it) computes scale 0 once. Neither moves a bit.
+operations as in one pass, so the bits do not depend on the blocks.
+
+Reuse across calls is one per-thread memo keyed on bits. It holds the last
+reference's pyramid: per scale, its downsampled data and its moments, which
+do not depend on L, each built on first use. The pyramid holds the last
+test's scale-0 result, keyed on the test's bits and L: MS-SSIM's scale 0 is
+SSIM's, so ms_ssim after ssim on one pair (or on an equal crop of it)
+computes scale 0 once. Neither moves a bit.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ import numpy as np
 from ..errors import ConfigError, RefmetError
 from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape
 from ..normalize import resolve_data_range_values
-from .memo import PairMemo
+from .memo import BitsMemo
 from .score import MetricScore, fingerprint
 
 if TYPE_CHECKING:
     from . import EvalContext
 
-__all__ = ["RefWorkspace", "ssim", "ms_ssim"]
+__all__ = ["ssim", "ms_ssim"]
 
 K1 = 0.01
 K2 = 0.03
@@ -175,77 +177,64 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[f
     return float(np.mean(full)), float(np.mean(cs))
 
 
-# The last pair's scale-0 ssim_and_cs result per thread, keyed on the bits
-# of the reference and test data and on L.
-_SCALE0 = PairMemo()
+class _Pyramid:
+    """One reference's per-scale downsampled data and moments
+    (:class:`RefMoments`), each built on first use, and the last test's
+    scale-0 ``ssim_and_cs`` result, keyed on the test's bits and L."""
 
+    def __init__(self, data: np.ndarray):
+        self.levels = [data]
+        self.moments: dict[int, RefMoments] = {}
+        self.scale0 = BitsMemo()
 
-class RefWorkspace:
-    """What ssim and ms_ssim reuse across calls for one reference Image:
-    per scale, its downsampled data and its moments (:class:`RefMoments`),
-    each built on first use.
-
-    Keyed on Image identity: another reference object, even one with equal
-    values, drops everything, so it holds one reference at most, never
-    serves a stale value, and scores never depend on it. A pair's scale-0
-    result is not kept here but in a per-thread memo keyed on the bits of
-    both images and L, which keeps the last pair scored alive; a memo hit
-    needs no scale-0 moments, so none are built for it.
-    """
-
-    def __init__(self):
-        self._ref: Image | None = None
-        self._levels: list[np.ndarray] = []
-        self._moments: dict[int, RefMoments] = {}
-
-    def moments(self, ref: Image, scale: int) -> RefMoments:
-        if ref is not self._ref:
-            self._ref, self._levels, self._moments = ref, [ref.data], {}
-        levels = self._levels
+    def at(self, scale: int) -> RefMoments:
+        levels = self.levels
         while len(levels) <= scale:
             levels.append(_downsample2(levels[-1]))
-        if scale not in self._moments:
-            self._moments[scale] = _ref_moments(levels[scale])
-        return self._moments[scale]
-
-    def scale0(self, ref: Image, test: Image, data_range: float) -> tuple[float, float]:
-        require_same_shape(ref, test)
-        return _SCALE0.get(ref.data, test.data, data_range,
-                           lambda: ssim_and_cs(self.moments(ref, 0), test.data, data_range))
+        if scale not in self.moments:
+            self.moments[scale] = _ref_moments(levels[scale])
+        return self.moments[scale]
 
 
-def ssim(ref: Image, test: Image, ctx: EvalContext,
-         ws: RefWorkspace | None = None) -> MetricScore:
+# The last reference's pyramid per thread, keyed on the bits of its data.
+_PYRAMID = BitsMemo()
+
+
+def _scale0(ref: Image, test: Image,
+            data_range: float) -> tuple[_Pyramid, tuple[float, float]]:
+    """The pyramid of ``ref`` and the scale-0 (ssim, cs) of the pair at L."""
+    require_same_shape(ref, test)
+    pyramid = _PYRAMID.get(ref.data, None, lambda: _Pyramid(ref.data))
+    return pyramid, pyramid.scale0.get(
+        test.data, data_range, lambda: ssim_and_cs(pyramid.at(0), test.data, data_range))
+
+
+def ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
     """Single-scale structural similarity at the L ``ctx.range_policy``
-    resolves; identical images score 1. ``ws`` lets calls share work (see
-    :class:`RefWorkspace`)."""
+    resolves; identical images score 1."""
     L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
-    value, _ = (ws or RefWorkspace()).scale0(ref, test, L)
+    _, (value, _) = _scale0(ref, test, L)
     return MetricScore("ssim", value, fingerprint(
         data_range=L, k1=K1, k2=K2, range_policy=ctx.range_policy.spec_string(),
         window=_WINDOW_NAME))
 
 
-def ms_ssim(ref: Image, test: Image, ctx: EvalContext,
-            ws: RefWorkspace | None = None) -> MetricScore:
+def ms_ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
     """Multi-scale structural similarity over ``ctx.scales`` scales with
     ``ctx.weights`` (default: the standard weights cut to ``scales``).
 
     With a single scale and weight (1.0,) this degenerates to plain SSIM.
-    Negative per-scale terms are clamped to 0 before weighting. ``ws`` lets
-    calls share work (see :class:`RefWorkspace`).
+    Negative per-scale terms are clamped to 0 before weighting.
     """
     L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
     scales = ctx.scales
     weights = truncated_weights(scales) if ctx.weights is None else ctx.weights
-    ws = ws or RefWorkspace()
+    pyramid, (full, cs) = _scale0(ref, test, L)
     t = test.data
     factors = []
     for scale in range(scales):
-        if scale == 0:
-            full, cs = ws.scale0(ref, test, L)
-        else:
-            r = ws.moments(ref, scale)
+        if scale > 0:
+            r = pyramid.at(scale)
             t = _downsample2(t)
             full, cs = ssim_and_cs(r, t, L)
         factors.append(full if scale == scales - 1 else cs)

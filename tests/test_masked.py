@@ -84,7 +84,7 @@ def test_rect_mask_bit_equal_to_crop(pair, metric_id):
     rect = Rect((8, 8), (176, 176))
     masked = masked_evaluate(metric_id, ref, test, _rect_mask(ref.shape, rect))
     # cold: the crop's scale 0 is computed, not taken from the memo
-    structural._SCALE0.clear()
+    structural._PYRAMID.clear()
     cropped = evaluate(metric_id, crop(ref, rect), crop(test, rect))
     assert masked.value == cropped.value  # bit-identical, no tolerance
 

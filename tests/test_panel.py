@@ -1,7 +1,7 @@
-"""Scoring a plan's metrics over one shared RefWorkspace must give exactly the
-scores and errors of scoring each metric without one, the workspace must
-never serve another image's moments or scale 0, and the harness and
-``refmet compare`` must keep the reuse it gives."""
+"""Scoring a plan's metrics with the per-thread SSIM memo kept across calls
+must give exactly the scores and errors of scoring each metric from a
+cleared memo, the memo must never serve other bits' moments or scale 0, and
+the harness and ``refmet compare`` must keep the reuse it gives."""
 
 import gc
 import random
@@ -18,7 +18,7 @@ from refmet.errors import RefmetError
 from refmet.harness import (SCENARIO_IDS, EvalPlan, HarnessConfig, builtin_scenario,
                             generate_phantoms, run_scenario)
 from refmet.image import Image, Mask, Rect, mask_to_image, save_image
-from refmet.metrics import METRIC_IDS, RefWorkspace
+from refmet.metrics import METRIC_IDS, EvalContext
 from refmet.phantom import generate_phantom
 
 
@@ -71,13 +71,19 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _outcomes(plan, ref, test, mask, ws=None):
+def _outcomes(plan, ref, test, mask, cold=True):
     """(metric_id, float.hex or error) of every metric of ``plan`` under
     ``mask``, routed by ``EvalPlan.score`` as ``refmet compare`` routes them,
-    on a pair that ``plan`` has already prepared. ``ws=None`` gives every
-    metric a workspace of its own."""
+    on a pair that ``plan`` has already prepared. ``cold`` clears the memo
+    before every metric; else the memo is kept."""
     plan = replace(plan, mask=mask)
-    return [(m, _outcome(lambda: plan.score(m, ref, test, ws))) for m in plan.metrics]
+
+    def score(m):
+        if cold:
+            structural._PYRAMID.clear()
+        return plan.score(m, ref, test)
+
+    return [(m, _outcome(lambda: score(m))) for m in plan.metrics]
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "rect", "crop", "nonrect"])
@@ -97,53 +103,75 @@ def test_panel_equals_per_metric_calls(name, plan, dim, mask_kind):
         (ref, test), other = plan.prepare(ref, test), plan.prepare(ref, other)[1]
         assert ref.shape == mask.extent
     expected = {id(t): _outcomes(plan, ref, t, mask) for t in (test, other)}
-    # One workspace, cold, warm, for another test of the reference, and for
-    # an equal-valued but distinct reference; a metric's error leaves it
-    # usable by the next one.
-    ws = RefWorkspace()
+    # One memo, cold, warm, for another test of the reference, and for an
+    # equal-valued but distinct reference; a metric's error leaves it usable
+    # by the next one.
+    structural._PYRAMID.clear()
     for r, t in ((ref, test), (ref, test), (ref, other), (Image(ref.data.copy()), other)):
-        assert _outcomes(plan, r, t, mask, ws) == expected[id(t)]
+        assert _outcomes(plan, r, t, mask, cold=False) == expected[id(t)]
 
 
-def test_shared_workspace_follows_the_reference():
-    # one workspace across different and equal-valued-but-distinct references
+def test_shared_memo_follows_the_reference():
+    # one memo across different and equal-valued-but-distinct references
     # and tests
     plan = EvalPlan(metrics=("ssim", "ms_ssim", "mae"), scales=3)
     ref_a, test = _pair((96, 100), 3)
     ref_b, test_b = _pair((96, 100), 4)
     ref_a2, test2 = Image(ref_a.data.copy()), Image(test.data.copy())
-    ws = RefWorkspace()
-    for ref, t in ((ref_a, test), (ref_b, test), (ref_a2, test), (ref_a2, test_b),
-                   (ref_a2, test2), (ref_a, test2), (ref_b, test)):
-        assert _outcomes(plan, ref, t, None, ws) == _outcomes(plan, ref, t, None)
+    pairs = ((ref_a, test), (ref_b, test), (ref_a2, test), (ref_a2, test_b),
+             (ref_a2, test2), (ref_a, test2), (ref_b, test))
+    expected = [_outcomes(plan, ref, t, None) for ref, t in pairs]
+    structural._PYRAMID.clear()
+    assert [_outcomes(plan, ref, t, None, cold=False) for ref, t in pairs] == expected
 
 
-def test_workspace_rebuilds_for_an_equal_but_distinct_reference():
-    ws = RefWorkspace()
+def _pyramid(ref, scales=2):
+    """The memo's pyramid after ms_ssim over ``scales`` scales of ``ref``
+    against itself."""
+    structural.ms_ssim(ref, ref, EvalContext(scales=scales))
+    return structural._PYRAMID.entry[2]
+
+
+def test_an_equal_bits_distinct_reference_shares_the_pyramid(monkeypatch):
+    counts = _count_calls(monkeypatch, "_ref_moments")
     ref = Image(np.random.default_rng(5).random((40, 40)))
     twin = Image(ref.data.copy())
-    first = ws.moments(ref, 1)
-    assert ws.moments(ref, 1) is first
-    again = ws.moments(twin, 1)
-    assert again is not first and again.mu is not first.mu
-    assert np.array_equal(again.mu, first.mu) and np.array_equal(again.sq, first.sq)
-    assert ws.moments(twin, 0).data is twin.data
+    pyramid = _pyramid(ref)
+    first = pyramid.at(1)
+    assert pyramid.at(1) is first and counts["_ref_moments"] == 2
+    assert _pyramid(twin) is pyramid and pyramid.at(1) is first
+    assert counts["_ref_moments"] == 2
+    # the memo keeps the first reference's data, not the twin's
+    assert pyramid.at(0).data is ref.data
 
 
-def test_workspace_holds_one_reference_at_most():
-    ws = RefWorkspace()
+def test_a_reference_one_ulp_apart_rebuilds_the_pyramid(monkeypatch):
+    counts = _count_calls(monkeypatch, "_ref_moments")
+    ref = Image(np.random.default_rng(5).random((40, 40)))
+    bits = ref.data.copy()
+    bits[7, 9] = np.nextafter(bits[7, 9], np.inf)
+    near = Image(bits)
+    first = _pyramid(ref).at(1)
+    again = _pyramid(near)
+    assert counts["_ref_moments"] == 4
+    assert again.at(1) is not first and again.at(1).mu is not first.mu
+    assert again.at(0).data is near.data
+
+
+def test_memo_holds_one_reference_at_most():
+    structural._PYRAMID.clear()
     g = np.random.default_rng(6)
     ref = Image(g.random((48, 48)))
-    moments = ws.moments(ref, 2)
+    moments = _pyramid(ref, scales=3).moments[2]
     held = [weakref.ref(ref), weakref.ref(moments.mu), weakref.ref(moments.data)]
     del ref, moments
-    ws.moments(Image(g.random((48, 48))), 0)
+    _pyramid(Image(g.random((48, 48))), scales=1)
     gc.collect()
     assert [r() for r in held] == [None, None, None]
 
 
 def _count_calls(monkeypatch, *names):
-    structural._SCALE0.clear()  # count from a cold memo
+    structural._PYRAMID.clear()  # count from a cold memo
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _fn=getattr(structural, name), _name=name):
@@ -153,33 +181,34 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
-def test_workspace_holds_one_test_at_most(monkeypatch):
+def test_memo_holds_one_test_at_most(monkeypatch):
     counts = _count_calls(monkeypatch, "ssim_and_cs")
-    ws, L = RefWorkspace(), 1.0
+    L = 1.0
     g = np.random.default_rng(8)
     ref, test = Image(g.random((32, 32))), Image(g.random((32, 32)))
-    first = ws.scale0(ref, test, L)
-    assert ws.scale0(ref, test, L) is first and counts["ssim_and_cs"] == 1
+    first = structural._scale0(ref, test, L)[1]
+    assert structural._scale0(ref, test, L)[1] is first and counts["ssim_and_cs"] == 1
     # an equal-valued but distinct test has the same bits: a hit; the scale-0
     # memo keeps the old test's data, not the Image
     twin = Image(test.data.copy())
-    held = weakref.ref(test)
+    held, held_data = weakref.ref(test), weakref.ref(test.data)
     del test
-    assert ws.scale0(ref, twin, L) is first and counts["ssim_and_cs"] == 1
+    assert structural._scale0(ref, twin, L)[1] is first and counts["ssim_and_cs"] == 1
     gc.collect()
-    assert held() is None
+    assert held() is None and held_data() is not None
     # another reference drops the test too
     held = weakref.ref(twin)
     del twin
-    ws.moments(Image(g.random((32, 32))), 0)
+    other = Image(g.random((32, 32)))
+    structural._scale0(other, other, L)
     gc.collect()
-    assert held() is None
+    assert held() is None and held_data() is None
 
 
 # (ssim_and_cs, _ref_moments) calls of run_scenario on 2 phantoms: ms_ssim
 # takes ssim's scale 0, and every variant of a phantom shares its reference
 # moments (a crop or a normalization makes a new reference).
-REUSE_COUNTS = {"pitfall1": (44, 40), "pitfall2": (40, 10), "pitfall3": (24, 24),
+REUSE_COUNTS = {"pitfall1": (44, 30), "pitfall2": (40, 10), "pitfall3": (24, 24),
                 "pitfall4": (160, 10), "pitfall5": (10, 10)}
 
 

@@ -16,7 +16,7 @@ MODULES = sorted(m.name for m in pkgutil.walk_packages(refmet.__path__, "refmet.
 METRICS_ALL = [
     "MetricScore", "fingerprint", "format_score",
     "ssim", "ms_ssim", "cw_ssim", "dice",
-    "EvalContext", "evaluate", "masked_evaluate", "RefWorkspace",
+    "EvalContext", "evaluate", "masked_evaluate",
     "METRIC_IDS", "metric_kind", "truncated_weights",
 ]
 
