@@ -155,6 +155,24 @@ def correlate_valid(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
     return np.moveaxis(out, 0, axis)
 
 
+# Bytes of float64 one block of rows reads from each image: with its
+# temporaries, a block stays in a core's cache. A 192x192 image fits in one
+# block.
+_BLOCK_BYTES = 512 * 1024
+
+
+def row_blocks(shape: tuple[int, ...], halo: int) -> list[slice]:
+    """Blocks of valid positions along axis 0 of a stencil that reaches
+    ``halo`` rows past each valid row. Block ``rows`` reads input rows
+    ``rows.start`` to ``rows.stop + halo``: at most ``_BLOCK_BYTES`` of
+    float64, but never fewer than ``halo`` valid rows, so no block reads more
+    than twice the rows it keeps (rows wider than the budget allows, as the
+    planes of a 96^3 volume, take ``halo`` rows a block)."""
+    valid = shape[0] - halo
+    step = max(halo, _BLOCK_BYTES // (8 * math.prod(shape[1:])) - halo)
+    return [slice(i, min(i + step, valid)) for i in range(0, valid, step)]
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian taps, truncated at radius ceil(3 sigma)."""
     radius = int(np.ceil(3.0 * sigma))

@@ -34,13 +34,12 @@ computes scale 0 once. Neither moves a bit.
 
 from __future__ import annotations
 
-from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, RefmetError
-from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape
+from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape, row_blocks
 from ..normalize import resolve_data_range_values
 from .memo import BitsMemo
 from .score import MetricScore, fingerprint
@@ -59,9 +58,6 @@ _WINDOW.flags.writeable = False
 _WINDOW_NAME = f"gaussian(radius={len(_WINDOW) // 2},sigma={_SIGMA!r})"
 # Rows a valid position's window reaches beyond it along axis 0.
 _HALO = len(_WINDOW) - 1
-# Input bytes one block of rows reads from each image: with its temporaries,
-# a block stays in a core's cache. A 192x192 image fits in one block.
-_BLOCK_BYTES = 512 * 1024
 
 # Weights from the standard multi-scale construction.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -112,22 +108,11 @@ class RefMoments(NamedTuple):
     sq: np.ndarray
 
 
-def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
-    """Blocks of valid positions along axis 0. Block ``rows`` reads input
-    rows ``rows.start`` to ``rows.stop + _HALO``: at most ``_BLOCK_BYTES``
-    of float64, but never fewer than ``_HALO`` valid rows, so no block
-    squares more than twice the rows it keeps (rows wider than the budget
-    allows, as the planes of a 96^3 volume, take ``_HALO`` rows a block)."""
-    valid = shape[0] - _HALO
-    step = max(_HALO, _BLOCK_BYTES // (8 * prod(shape[1:])) - _HALO)
-    return [slice(i, min(i + step, valid)) for i in range(0, valid, step)]
-
-
 def _by_row_blocks(maps, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """``maps(rows)``, a tuple of maps over the valid positions of
     ``shape``, called once per row block and joined into full-size maps;
     one block returns ``maps``' own arrays."""
-    blocks = _row_blocks(shape)
+    blocks = row_blocks(shape, _HALO)
     if len(blocks) == 1:
         return maps(blocks[0])
     valid = tuple(n - _HALO for n in shape)

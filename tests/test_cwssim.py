@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from oracles import naive_box_sum, naive_cw_ssim, naive_cw_ssim_index, naive_filter_bank
+import refmet.image as image
 from refmet.errors import RefmetError
-from refmet.image import Image
+from refmet.image import Image, row_blocks
 from refmet.metrics import EvalContext, cw_ssim, ssim
 from refmet.metrics import wavelet
-from refmet.metrics.wavelet import _K, _filter_bank, _neighborhood_sum
+from refmet.metrics.wavelet import _HALO, _K, _filter_bank, _neighborhood_sum
 from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
 from refmet.phantom import PhantomParams, generate_phantom
 
@@ -302,3 +303,116 @@ def test_forked_child_makes_its_own_worker(two_cpus):
     expected = _score_flipped(1000)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.map_async(_score_flipped, [1000]).get(timeout=60) == [expected]
+
+
+def _bits(arr):
+    return arr.view(np.int64)
+
+
+def _rough_pair(shape):
+    g = np.random.default_rng(sum(shape))
+    ref = g.normal(size=shape)
+    return Image(ref), Image(ref + 0.3 * g.normal(size=shape))
+
+
+# (shape, block budget): 2 blocks; 3 blocks, the last one short; a 179-point
+# axis, which takes pocketfft's slow path; prime-factor axes (353, 19^2);
+# 6 valid rows per block (a budget smaller than one row), the last short.
+CW_BLOCKED = [((300, 360), None), ((420, 360), None), ((426, 358), None),
+              ((353, 361), None), ((40, 33), 1)]
+
+
+@pytest.mark.parametrize("shape, budget", CW_BLOCKED, ids=[str(s) for s, _ in CW_BLOCKED])
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, shape, budget):
+    ref, test = _rough_pair(shape)
+    fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
+    if budget is not None:
+        monkeypatch.setattr(image, "_BLOCK_BYTES", budget)
+    assert len(row_blocks(shape, _HALO)) > 1
+    blocked = [wavelet._subband_index(fr, ft, m).hex() for m in _masks(shape)]
+    blocked_score = cw_ssim(ref, test).value.hex()
+    monkeypatch.setattr(image, "_BLOCK_BYTES", 2 ** 62)
+    assert len(row_blocks(shape, _HALO)) == 1
+    assert [wavelet._subband_index(fr, ft, m).hex() for m in _masks(shape)] == blocked
+    assert cw_ssim(ref, test).value.hex() == blocked_score
+
+
+# 192x192 (every audit image) is one block; the bounding-box crops of a
+# 512x512 phantom are 3 and the image itself 5.
+@pytest.mark.parametrize("shape, count", [((192, 192), 1), ((426, 358), 3), ((512, 512), 5)])
+def test_row_block_count(shape, count):
+    assert len(row_blocks(shape, _HALO)) == count
+
+
+def _run_kind(runs, height):
+    """"one" or "wrapped" when ``runs`` skips some rows and is one run, or two
+    runs joined across the last row to row 0; None otherwise."""
+    if sum(r.stop - r.start for r in runs) == height:
+        return None
+    if len(runs) == 1:
+        return "one"
+    return "wrapped" if len(runs) == 2 and runs[0].start == 0 and runs[1].stop == height else None
+
+
+@pytest.mark.parametrize("shape", [(28, 31), (192, 192), (426, 358), (512, 512)])
+def test_row_skipping_inverse_transform_gives_the_bits_of_ifft2(shape):
+    g = np.random.default_rng(sum(shape))
+    f = np.fft.fft2(g.normal(size=shape))
+    kinds = []
+    for mask in _masks(shape):
+        runs = wavelet._row_runs(mask)
+        rows = np.concatenate([np.arange(shape[0])[r] for r in runs])
+        assert np.array_equal(rows, np.flatnonzero(mask.any(axis=1)))
+        kinds.append(_run_kind(runs, shape[0]))
+        got = wavelet._masked_ifft2(f, mask, runs)
+        assert np.array_equal(_bits(got), _bits(np.fft.ifft2(f * mask)))
+    # Masks with one run of rows (the half-planes above the horizontal axis)
+    # and with two runs that wrap around row 0, both skipping rows.
+    assert "one" in kinds and "wrapped" in kinds
+
+
+def _recording(monkeypatch, module, name):
+    """Wrap ``module.name`` so that it records, per call, whether it ran on
+    the worker and its first argument."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(arg, *args, **kwargs):
+        calls.append((threading.current_thread().name.startswith("refmet-cw_ssim"), arg))
+        return fn(arg, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_worker_built_bank_and_transformed_test_give_the_serial_bits(two_cpus, monkeypatch):
+    pairs = [_rough_pair(shape) for shape in ((40, 33), (40, 33), (56, 44))]
+    with monkeypatch.context() as serial_path:
+        serial_path.setattr(wavelet, "_pool", lambda: None)
+        serial = [cw_ssim(r, t).value.hex() for r, t in pairs]
+    serial_bank = wavelet._build_bank((40, 33))
+    monkeypatch.setattr(wavelet, "_bank", None)
+    monkeypatch.setattr(wavelet, "_last_shape", None)
+    built = _recording(monkeypatch, wavelet, "_build_bank")
+    transformed = _recording(monkeypatch, np.fft, "fft2")
+    got = []
+    for r, t in pairs:
+        built.clear()
+        transformed.clear()
+        got.append(cw_ssim(r, t).value.hex())
+        fft_threads = {(on_worker, arg is t.data) for on_worker, arg in transformed}
+        if len(got) == 2:
+            # A cached shape: the worker transforms the test image, the
+            # caller the reference.
+            assert not built and fft_threads == {(True, True), (False, False)}
+        else:
+            # An uncached shape: the worker builds the bank, the caller
+            # transforms both images.
+            assert built == [(True, r.shape)]
+            assert fft_threads == {(False, True), (False, False)}
+    assert got == serial
+    # The first shape was cached from the worker's bank: the serial bits.
+    shape, (bands, angular) = wavelet._bank
+    assert shape == (40, 33)
+    for got_factor, want in zip(bands + angular, serial_bank[0] + serial_bank[1], strict=True):
+        assert np.array_equal(_bits(got_factor), _bits(want))

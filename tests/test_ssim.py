@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import gaussian_kernel2d, naive_ms_ssim, naive_ssim
+import refmet.image as image
 import refmet.metrics.structural as structural
 from refmet.errors import RefmetError
-from refmet.image import Image, gaussian_kernel
+from refmet.image import Image, gaussian_kernel, row_blocks
 from refmet.metrics import EvalContext, ms_ssim, ssim
 from refmet.metrics.structural import _WINDOW, truncated_weights
 from refmet.normalize import DataRangePolicy
@@ -173,12 +174,12 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, shape, budget):
     ref = g.random(shape) * 50.0
     test = 0.9 * ref + 5.0 * g.random(shape)
     if budget is not None:
-        monkeypatch.setattr(structural, "_BLOCK_BYTES", budget)
-    assert len(structural._row_blocks(shape)) > 1
+        monkeypatch.setattr(image, "_BLOCK_BYTES", budget)
+    assert len(row_blocks(shape, structural._HALO)) > 1
     blocked = structural._ref_moments(ref)
     got = structural.ssim_and_cs(blocked, test, 50.0)
-    monkeypatch.setattr(structural, "_BLOCK_BYTES", 2 ** 62)
-    assert len(structural._row_blocks(shape)) == 1
+    monkeypatch.setattr(image, "_BLOCK_BYTES", 2 ** 62)
+    assert len(row_blocks(shape, structural._HALO)) == 1
     whole = structural._ref_moments(ref)
     want = structural.ssim_and_cs(whole, test, 50.0)
     assert np.array_equal(_bits(blocked.mu), _bits(whole.mu))
@@ -195,4 +196,4 @@ def _steps(start, stop, step):
 @pytest.mark.parametrize("shape, blocks", [((192, 192), [slice(0, 182)]),
                                            ((96, 96, 96), _steps(0, 86, 10))])
 def test_row_block_layout(shape, blocks):
-    assert structural._row_blocks(shape) == blocks
+    assert row_blocks(shape, structural._HALO) == blocks
