@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import refmet.metrics.structural as structural
+import refmet.metrics.wavelet as wavelet
 from refmet.downstream import _label, threshold_segment
 from refmet.distort import (DistortionSpec, apply_chain, gamma_transform, gaussian_blur,
                             linear_scale, translate)
@@ -41,13 +42,17 @@ def _phantom_pair(dims):
 
 # 192x192 and 512x512 phantoms, and two shapes of a 512x512 phantom's
 # bounding-box crop: 426x358 has a 179-point axis, which takes pocketfft's
-# slow path. Repeated calls on one shape use the cached filter bank.
+# slow path. Repeated calls on one shape use the cached filter bank. The
+# one-CPU cases run the same schedule with no worker: the caller runs every
+# step, as under a one-CPU affinity.
 CW_SHAPES = {"192": (192, 192), "512": (512, 512), "426x362": (426, 362),
-             "426x358": (426, 358)}
+             "426x358": (426, 358), "192-1cpu": (192, 192), "512-1cpu": (512, 512)}
 
 
 @pytest.mark.parametrize("size", CW_SHAPES)
-def test_cw_ssim(benchmark, size):
+def test_cw_ssim(benchmark, monkeypatch, size):
+    if size.endswith("-1cpu"):
+        monkeypatch.setattr(wavelet, "_pool", lambda: None)
     ref, test = _phantom_pair(CW_SHAPES[size])
     score = benchmark(cw_ssim, ref, test)
     assert 0.0 < score.value < 1.0

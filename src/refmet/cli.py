@@ -15,8 +15,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .distort import apply_chain, chain_fingerprint, parse_chain
-from .errors import RefmetError, config_value
+from .distort import apply_chain, chain_fingerprint, chain_from_json, parse_chain
+from .errors import RefmetError, config_value, read_json
 from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
                       generate_phantoms, lint_configuration, run_scenario)
 from .image import (Image, load_image, mask_from_image, mask_to_image,
@@ -142,8 +142,10 @@ def _cmd_distort(args) -> int:
     img = load_image(args.input)
     # Inline JSON is an array or object; anything else names a file.
     spec = args.spec
-    text = spec if spec.lstrip()[:1] in ("[", "{") else Path(spec).read_text()
-    chain = parse_chain(text)
+    if spec.lstrip()[:1] in ("[", "{"):
+        chain = parse_chain(spec)
+    else:
+        chain = chain_from_json(read_json(spec, "an object or array", "distortion chain"))
     out = apply_chain(chain, img)
     save_image(out, args.output)
     print(chain_fingerprint(chain))
@@ -203,9 +205,7 @@ def _cmd_audit(args) -> int:
 def _cmd_lint(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
-    config = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(config, dict):
-        raise RefmetError("lint config must be a JSON object")
+    config = read_json(args.config, "an object", "lint config") if args.config else {}
     known = {"metrics", "norm", "range", "prebin", "nmi_bins", "chain", "mask"}
     extra = set(config) - known
     if extra:
@@ -214,7 +214,7 @@ def _cmd_lint(args) -> int:
     plan = _plan(ref, get("metrics", "a list of strings", ("mae", "mse", "psnr", "ssim")),
                  get("norm", "a string", "none"), get("range", "a string", "joint"),
                  get("prebin", "an integer"), get("nmi_bins", "an integer", 256),
-                 parse_chain(json.dumps(get("chain", "an object or array", []))),
+                 chain_from_json(get("chain", "an object or array", [])),
                  get("mask", "a string"))
     lints = lint_configuration(ref, test, plan)
     for lint in lints:
@@ -240,9 +240,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"refmet {args.command}: i/o error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"refmet {args.command}: bad JSON: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

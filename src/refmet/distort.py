@@ -272,6 +272,11 @@ def parse_chain(text: str) -> tuple[DistortionSpec, ...]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad distortion JSON: {exc}") from None
+    return chain_from_json(obj)
+
+
+def chain_from_json(obj) -> tuple[DistortionSpec, ...]:
+    """A distortion chain from its parsed JSON, a single object or an array of objects."""
     if isinstance(obj, dict):
         obj = [obj]
     if not isinstance(obj, list):

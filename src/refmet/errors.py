@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and JSON value and id-list checks."""
+"""Exception types shared across the package, and JSON file, value and id-list checks."""
 
 import json
 import sys
+from pathlib import Path
 
 
 class RefmetError(ValueError):
@@ -52,6 +53,17 @@ def check_kind(value, kind: str, name: str):
     if not JSON_KINDS[kind](value):
         raise ConfigError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
     return value
+
+
+def read_json(path, kind: str, what: str):
+    """The JSON value in the file at ``path``, ``what`` (``"lint config"``); a
+    ConfigError naming the file when its text is not JSON (nor UTF-8) or its
+    value is not of JSON ``kind``."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{path}: bad {what} JSON: {exc}") from None
+    return check_kind(value, kind, f"{path}: {what}")
 
 
 def config_value(obj: dict, path: str, kind: str, default=None):

@@ -13,10 +13,8 @@ configurations before any score is trusted. Lints never change scores.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +23,7 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_re
 # Not called here (the metric table scores dice), but perfbench/tracer.py
 # hooks this name on this module, so it must stay importable from it.
 from .downstream import task_similarity  # noqa: F401
-from .errors import ConfigError, RefmetError, check_ids, config_value
+from .errors import ConfigError, RefmetError, check_ids, config_value, read_json
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
 from .metrics import (METRIC_IDS, EvalContext, MetricScore, evaluate, masked_evaluate,
                       metric_kind, rect_of_mask)
@@ -200,10 +198,7 @@ class HarnessConfig:
 
     @classmethod
     def load(cls, path) -> "HarnessConfig":
-        try:
-            return cls.from_json(json.loads(Path(path).read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config JSON: {exc}") from None
+        return cls.from_json(read_json(path, "an object", "harness config"))
 
 
 def generate_phantoms(config: HarnessConfig) -> list[Phantom]:

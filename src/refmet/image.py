@@ -173,6 +173,25 @@ def row_blocks(shape: tuple[int, ...], halo: int) -> list[slice]:
     return [slice(i, min(i + step, valid)) for i in range(0, valid, step)]
 
 
+def by_row_blocks(maps, shape: tuple[int, ...], halo: int) -> tuple[np.ndarray, ...]:
+    """``maps(rows, span)``, a tuple of maps over the valid positions of a
+    stencil on ``shape`` that reaches ``halo`` rows past each valid row,
+    called once per block of :func:`row_blocks` with its valid ``rows`` and
+    the input rows ``span`` they read, and joined into full-size maps. One
+    block returns the arrays ``maps`` made, not a copy."""
+    blocks = row_blocks(shape, halo)
+    if len(blocks) == 1:
+        return maps(blocks[0], slice(0, shape[0]))
+    out = None
+    for rows in blocks:
+        parts = maps(rows, slice(rows.start, rows.stop + halo))
+        out = out or tuple(np.empty((shape[0] - halo, *p.shape[1:]), p.dtype) for p in parts)
+        for full, part in zip(out, parts):
+            full[rows] = part
+        del parts, part  # the next block's maps run without this block's
+    return out
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian taps, truncated at radius ceil(3 sigma)."""
     radius = int(np.ceil(3.0 * sigma))
@@ -262,10 +281,10 @@ def _load_rawf32(path: Path) -> Image:
         raise FormatError(f"missing rawf32 sidecar {meta_path}")
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad rawf32 sidecar JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{meta_path}: bad rawf32 sidecar JSON: {exc}") from None
     if not isinstance(meta, dict):
-        raise FormatError("rawf32 sidecar must be a JSON object")
+        raise FormatError(f"{meta_path}: rawf32 sidecar must be a JSON object")
     dims = meta.get("dims")
     dtype = meta.get("dtype")
     if dtype != "f32le":

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import DegenerateRangeError
+
 __all__ = ["MetricScore", "fingerprint", "format_score"]
 
 
@@ -37,6 +39,15 @@ def format_score(value: float) -> str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return repr(value)
+
+
+def finite_value(metric_id: str, value: float) -> float:
+    """``value``, or a DegenerateRangeError naming ``metric_id`` when it is not
+    finite: on finite images, a windowed sum overflowed float64."""
+    if not math.isfinite(value):
+        raise DegenerateRangeError(
+            f"{metric_id} undefined: its windowed sums overflow float64 (score {value})")
+    return value
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ correction.
 
 MS-SSIM evaluates cs at every scale and luminance only at the coarsest,
 combining them as a weighted geometric product. Downsampling halves each
-axis by non-overlapping 2x2 (2x2x2 in 3D) mean pooling; trailing odd rows
-are dropped.
+axis by non-overlapping 2x2 (2x2x2 in 3D) mean pooling, one N-d reshape
+for either; trailing odd rows are dropped.
 
 Both metrics accept 2D and 3D grids via separable windows. The moments
-are computed in blocks of rows (axis 0), each with its 10-row halo, so a
+are computed in blocks of rows (axis 0), each with its 10-row halo, by
+``image.by_row_blocks``, the walker CW-SSIM's statistics use too, so a
 large image's temporaries stay in cache; every element takes the same
-operations as in one pass, so the bits do not depend on the blocks.
+operations as in one pass, so the bits do not depend on the blocks. A
+score that is not finite (a windowed sum overflowed float64, as for
+images near 1e154) is a ``DegenerateRangeError``.
 
 Reuse across calls is one per-thread memo keyed on bits. It holds the last
 reference's pyramid: per scale, its downsampled data and its moments, which
@@ -39,10 +42,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, RefmetError
-from ..image import Image, correlate_valid, gaussian_kernel, require_same_shape, row_blocks
+from ..image import Image, by_row_blocks, correlate_valid, gaussian_kernel, require_same_shape
 from ..normalize import resolve_data_range_values
 from .memo import BitsMemo
-from .score import MetricScore, fingerprint
+from .score import MetricScore, finite_value, fingerprint
 
 if TYPE_CHECKING:
     from . import EvalContext
@@ -90,13 +93,9 @@ def _downsample2(arr: np.ndarray) -> np.ndarray:
     halved = tuple(n // 2 for n in arr.shape)
     if any(n < 1 for n in halved):
         raise RefmetError(f"cannot halve shape {arr.shape}")
-    sl = tuple(slice(0, 2 * n) for n in halved)
-    arr = arr[sl]
-    if arr.ndim == 2:
-        h, w = halved
-        return arr.reshape(h, 2, w, 2).mean(axis=(1, 3))
-    d, h, w = halved
-    return arr.reshape(d, 2, h, 2, w, 2).mean(axis=(1, 3, 5))
+    arr = arr[tuple(slice(0, 2 * n) for n in halved)]
+    return arr.reshape([k for n in halved for k in (n, 2)]).mean(
+        axis=tuple(range(1, 2 * arr.ndim, 2)))
 
 
 class RefMoments(NamedTuple):
@@ -108,37 +107,16 @@ class RefMoments(NamedTuple):
     sq: np.ndarray
 
 
-def _by_row_blocks(maps, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """``maps(rows)``, a tuple of maps over the valid positions of
-    ``shape``, called once per row block and joined into full-size maps;
-    one block returns ``maps``' own arrays."""
-    blocks = row_blocks(shape, _HALO)
-    if len(blocks) == 1:
-        return maps(blocks[0])
-    valid = tuple(n - _HALO for n in shape)
-    out = None
-    for rows in blocks:
-        parts = maps(rows)
-        out = out or tuple(np.empty(valid) for _ in parts)
-        for full, part in zip(out, parts):
-            full[rows] = part
-    return out
-
-
-def _with_halo(rows: slice) -> slice:
-    return slice(rows.start, rows.stop + _HALO)
-
-
 def _ref_moments(ref: np.ndarray) -> RefMoments:
     if any(n < len(_WINDOW) for n in ref.shape):
         raise RefmetError(
             f"window support {len(_WINDOW)} does not fit image shape {ref.shape}")
 
-    def maps(rows):
-        r = ref[_with_halo(rows)]
+    def maps(rows, span):
+        r = ref[span]
         return _windowed_mean(r), _windowed_mean(r * r)
 
-    return RefMoments(ref, *_by_row_blocks(maps, ref.shape))
+    return RefMoments(ref, *by_row_blocks(maps, ref.shape, _HALO))
 
 
 def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[float, float]:
@@ -147,8 +125,8 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[f
     c1 = (K1 * data_range) ** 2
     c2 = (K2 * data_range) ** 2
 
-    def maps(rows):
-        r, t = ref.data[_with_halo(rows)], test[_with_halo(rows)]
+    def maps(rows, span):
+        r, t = ref.data[span], test[span]
         mu_r = ref.mu[rows]
         mu_t = _windowed_mean(t)
         var_r = ref.sq[rows] - mu_r * mu_r
@@ -158,7 +136,7 @@ def ssim_and_cs(ref: RefMoments, test: np.ndarray, data_range: float) -> tuple[f
         cs = (2.0 * cov + c2) / (var_r + var_t + c2)
         return lum * cs, cs
 
-    full, cs = _by_row_blocks(maps, test.shape)
+    full, cs = by_row_blocks(maps, test.shape, _HALO)
     return float(np.mean(full)), float(np.mean(cs))
 
 
@@ -198,8 +176,9 @@ def ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
     """Single-scale structural similarity at the L ``ctx.range_policy``
     resolves; identical images score 1."""
     L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
-    _, (value, _) = _scale0(ref, test, L)
-    return MetricScore("ssim", value, fingerprint(
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, (value, _) = _scale0(ref, test, L)
+    return MetricScore("ssim", finite_value("ssim", value), fingerprint(
         data_range=L, k1=K1, k2=K2, range_policy=ctx.range_policy.spec_string(),
         window=_WINDOW_NAME))
 
@@ -214,19 +193,20 @@ def ms_ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
     L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
     scales = ctx.scales
     weights = truncated_weights(scales) if ctx.weights is None else ctx.weights
-    pyramid, (full, cs) = _scale0(ref, test, L)
-    t = test.data
-    factors = []
-    for scale in range(scales):
-        if scale > 0:
-            r = pyramid.at(scale)
-            t = _downsample2(t)
-            full, cs = ssim_and_cs(r, t, L)
-        factors.append(full if scale == scales - 1 else cs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pyramid, (full, cs) = _scale0(ref, test, L)
+        t = test.data
+        factors = []
+        for scale in range(scales):
+            if scale > 0:
+                r = pyramid.at(scale)
+                t = _downsample2(t)
+                full, cs = ssim_and_cs(r, t, L)
+            factors.append(full if scale == scales - 1 else cs)
     value = 1.0
     for f, w in zip(factors, weights):
         value *= max(f, 0.0) ** w
-    return MetricScore("ms_ssim", float(value), fingerprint(
+    return MetricScore("ms_ssim", finite_value("ms_ssim", float(value)), fingerprint(
         data_range=L, downsample="mean2", k1=K1, k2=K2,
         range_policy=ctx.range_policy.spec_string(), scales=scales, weights=weights,
         window=_WINDOW_NAME))

@@ -19,27 +19,31 @@ variant tolerant to small misalignments. There is no data-range parameter
 anywhere in the computation, and no setting at all: levels, orientations,
 k and the neighborhood are fixed.
 
-The 12 subbands are independent until the final mean. When the process may
-run on more than one CPU, one worker thread, created by the first call that
-can use it, scores the odd subbands while the caller scores the even ones.
-Before that, while the caller transforms both images, the worker builds the
-filter bank when its shape is not cached (as for every bounding-box crop),
-or else transforms the test image. The 12 means are averaged in subband
-order, so the score is bit-identical to the serial one. Only the caller
-reads and writes the filter-bank cache; the worker runs this module's bank
-builder, ``np.fft.fft2`` and subband kernel, and nothing else.
+The 12 subbands are independent until the final mean. Every call runs one
+schedule of two steps: the filter bank is built when its shape is not
+cached (as for every bounding-box crop), or else the test image is
+transformed, while the caller transforms the rest; then the odd subbands
+are scored while the caller scores the even ones. When the process may run
+on more than one CPU, one worker thread, made by the first call that can
+use it, runs the first task of each step; on one CPU the caller runs it at
+once, and no thread starts. The 12 means are averaged in subband order, so
+the bits are the same either way. Only the caller reads and writes the
+filter-bank cache; the worker runs this module's bank builder, transform
+and subband kernel, and nothing else. A score that is not finite (a sum
+overflowed float64) is a ``DegenerateRangeError``.
 
 Two steps save work per subband with the bits unchanged:
 
 * ``ifft2`` is ``ifft`` along the rows and then along the columns, and the
   row pass runs only on the one or two runs of rows where the subband's
   mask is nonzero (about 60% of the rows on average); the rest are zero;
-* an image larger than one block of rows (the rule SSIM uses, with the
-  6-row halo of the 7x7 neighbourhood: a 192x192 image is one block, a
-  512x512 one five) has its statistics computed per block of valid rows,
-  each reading its rows of the two subbands plus the halo, into one
-  full-size ratio map, whose mean is the subband's; every element takes
-  the operations of one pass, so its temporaries stay in cache.
+* an image larger than one block of rows (SSIM's walker,
+  ``image.by_row_blocks``, with the 6-row halo of the 7x7 neighbourhood:
+  a 192x192 image is one block, a 512x512 one five) has its statistics
+  computed per block of valid rows, each reading its rows of the two
+  subbands plus the halo, into one full-size ratio map, whose mean is the
+  subband's; every element takes the operations of one pass, so its
+  temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from math import factorial
 import numpy as np
 
 from ..errors import RefmetError
-from ..image import Image, correlate_valid, require_same_shape, row_blocks
-from .score import MetricScore, fingerprint
+from ..image import Image, by_row_blocks, correlate_valid, require_same_shape, row_blocks
+from .score import MetricScore, finite_value, fingerprint
 
 __all__ = ["cw_ssim"]
 
@@ -136,20 +140,21 @@ def _keep_bank(shape: tuple[int, int], factors, keep: bool):
     return factors
 
 
-def _filter_bank(shape: tuple[int, int]):
-    """``(bands, angular)`` for one shape: subband ``i`` has the mask
-    ``bands[i // 6] * angular[i % 6]``. Cached as described above, so
-    callers share the arrays."""
-    factors, keep = _cached_bank(shape)
-    if factors is None:
-        factors = _keep_bank(shape, _build_bank(shape), keep)
-    return factors
-
-
 def _subband_means(fr: np.ndarray, ft: np.ndarray, bank, subbands) -> list[float]:
+    """The mean index of each of ``subbands``: subband ``i`` has the mask
+    ``bands[i // 6] * angular[i % 6]``. Overflow is left to ``cw_ssim``'s
+    check of its score; errstate is per thread, so it is set here, where
+    the worker runs."""
     bands, angular = bank
-    return [_subband_index(fr, ft, bands[i // _ORIENTATIONS] * angular[i % _ORIENTATIONS])
-            for i in subbands]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_subband_index(fr, ft, bands[i // _ORIENTATIONS] * angular[i % _ORIENTATIONS])
+                for i in subbands]
+
+
+def _spectrum(data: np.ndarray) -> np.ndarray:
+    """``np.fft.fft2(data)``, which may overflow like ``_subband_means``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft2(data)
 
 
 def _pool():
@@ -169,6 +174,15 @@ def _pool():
             _worker = os.getpid(), ThreadPoolExecutor(max_workers=1,
                                                       thread_name_prefix="refmet-cw_ssim")
         return _worker[1]
+
+
+def _later(pool, fn, *args):
+    """A callable that gives ``fn(*args)``: submitted to the worker ``pool``,
+    or, when there is none, run at once on the caller."""
+    if pool is not None:
+        return pool.submit(fn, *args).result
+    value = fn(*args)
+    return lambda: value
 
 
 def _neighborhood_sum(arr: np.ndarray) -> np.ndarray:
@@ -213,15 +227,13 @@ def _masked_ifft2(f: np.ndarray, mask: np.ndarray, runs: list[slice]) -> np.ndar
 def _subband_index(fr: np.ndarray, ft: np.ndarray, mask: np.ndarray) -> float:
     """Mean CW-SSIM index of one subband, from the two images' spectra."""
     runs = _row_runs(mask)
-    blocks = row_blocks(fr.shape, _HALO)
-    if len(blocks) == 1:
+    if len(row_blocks(fr.shape, _HALO)) == 1:
+        # No name holds the subbands, so _ratio_map frees them before its box sums.
         return np.mean(_ratio_map(_masked_ifft2(fr, mask, runs), _masked_ifft2(ft, mask, runs)))
     cr = _masked_ifft2(fr, mask, runs)
     ct = _masked_ifft2(ft, mask, runs)
-    ratio = np.empty((fr.shape[0] - _HALO, fr.shape[1] - _HALO))
-    for block in blocks:
-        halo = slice(block.start, block.stop + _HALO)
-        ratio[block] = _ratio_map(cr[halo], ct[halo])
+    ratio, = by_row_blocks(lambda rows, span: (_ratio_map(cr[span], ct[span]),),
+                           fr.shape, _HALO)
     return np.mean(ratio)
 
 
@@ -237,23 +249,19 @@ def cw_ssim(ref: Image, test: Image) -> MetricScore:
             f"(needs >= {min_extent} per axis)")
     shape = ref.data.shape
     n = _LEVELS * _ORIENTATIONS
+    # Each _later step runs on the worker, or at once on the caller on one CPU.
     pool = _pool()
-    if pool is None:
-        fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
-        subband_means = _subband_means(fr, ft, _filter_bank(shape), range(n))
-        return MetricScore("cw_ssim", float(np.mean(subband_means)), _FINGERPRINT)
-    # The worker builds a bank the cache lacks while the caller transforms
-    # both images; with the bank cached, it transforms the test image.
     bank, keep = _cached_bank(shape)
     if bank is None:
-        built = pool.submit(_build_bank, shape)
-        fr, ft = np.fft.fft2(ref.data), np.fft.fft2(test.data)
-        bank = _keep_bank(shape, built.result(), keep)
+        built = _later(pool, _build_bank, shape)
+        fr, ft = _spectrum(ref.data), _spectrum(test.data)
+        bank = _keep_bank(shape, built(), keep)
     else:
-        spectrum = pool.submit(np.fft.fft2, test.data)
-        fr = np.fft.fft2(ref.data)
-        ft = spectrum.result()
-    odd = pool.submit(_subband_means, fr, ft, bank, range(1, n, 2))
+        spectrum = _later(pool, _spectrum, test.data)
+        fr = _spectrum(ref.data)
+        ft = spectrum()
+    odd = _later(pool, _subband_means, fr, ft, bank, range(1, n, 2))
     even = _subband_means(fr, ft, bank, range(0, n, 2))
-    subband_means = [m for pair in zip(even, odd.result()) for m in pair]
-    return MetricScore("cw_ssim", float(np.mean(subband_means)), _FINGERPRINT)
+    subband_means = [m for pair in zip(even, odd()) for m in pair]
+    return MetricScore("cw_ssim", finite_value("cw_ssim", float(np.mean(subband_means))),
+                       _FINGERPRINT)

@@ -662,3 +662,27 @@ def test_lint_config_non_chain_value_exits_1(workdir):
 def test_lint_bad_path_exits_1(workdir):
     res = run_cli("lint", str(workdir / "missing.rawf32"), str(workdir / "ref.rawf32"))
     assert res.returncode == 1
+
+
+# --- JSON files ----------------------------------------------------------------
+
+# Bad JSON, bytes that are not UTF-8, or a top-level value of the wrong
+# kind, in each JSON file a command reads: no message named the file,
+# lint's bad JSON took a catch-all branch of main, and bytes that are not
+# UTF-8 ended in a traceback.
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe", b"42"])
+@pytest.mark.parametrize("command", ["audit", "lint", "distort", "compare"])
+def test_bad_json_file_error_names_the_file(workdir, tmp_path, command, text):
+    ref, test = str(workdir / "ref.rawf32"), str(workdir / "test.rawf32")
+    path = tmp_path / ("in.rawf32.meta" if command == "compare" else "in.json")
+    path.write_bytes(text)
+    (tmp_path / "in.rawf32").write_bytes(bytes(64))
+    argv = {"audit": ["--config", str(path), "--out", str(tmp_path / "out")],
+            "lint": [ref, test, "--config", str(path)],
+            "distort": [ref, str(path), str(tmp_path / "out.rawf32")],
+            "compare": [str(tmp_path / "in.rawf32")] * 2}[command]
+    res = run_cli(command, *argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"refmet {command}: error: {path}: ")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""

@@ -16,7 +16,7 @@ from refmet.errors import RefmetError
 from refmet.image import Image, row_blocks
 from refmet.metrics import EvalContext, cw_ssim, ssim
 from refmet.metrics import wavelet
-from refmet.metrics.wavelet import _HALO, _K, _filter_bank, _neighborhood_sum
+from refmet.metrics.wavelet import _HALO, _K, _build_bank, _neighborhood_sum
 from refmet.distort import gamma_transform, linear_scale, mirror_replace, translate
 from refmet.phantom import PhantomParams, generate_phantom
 
@@ -111,13 +111,13 @@ def test_neighborhood_sum_complex_sums_parts_separately(ndimage):
 
 
 def _masks(shape):
-    bands, angular = _filter_bank(shape)
+    bands, angular = _build_bank(shape)
     return [band * a for band in bands for a in angular]
 
 
 def test_filter_bank_masks_are_read_only():
     assert len(_masks((64, 64))) == 12
-    bands, angular = _filter_bank((64, 64))
+    bands, angular = _build_bank((64, 64))
     with pytest.raises(ValueError):
         bands[0][0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -174,14 +174,17 @@ def test_filter_bank_cache_budget(rng):
         assert cached <= 12 * max(h * w for h, w in shapes) * 8
 
 
-def test_filter_bank_cache_keeps_the_image_while_crops_vary(rng):
+def test_filter_bank_cache_keeps_the_image_while_crops_vary(rng, monkeypatch):
     # An image, then a crop of another shape each time: the image's bank
     # stays cached, so it is built once.
+    monkeypatch.setattr(wavelet, "_bank", None)
+    monkeypatch.setattr(wavelet, "_last_shape", None)
     _score(rng, (96, 96))
-    image_bank = _filter_bank((96, 96))
+    image_bank = wavelet._bank
+    assert image_bank[0] == (96, 96)
     for crop in ((80, 70), (78, 72), (82, 69), (40, 40)):
         _score(rng, crop)
-        assert _filter_bank((96, 96)) is image_bank
+        assert wavelet._bank is image_bank
 
 
 def test_filter_bank_cache_moves_to_a_new_shape(rng):

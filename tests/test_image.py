@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import refmet.image as image
 from refmet.errors import FormatError, RefmetError
-from refmet.image import Image, Mask, Rect, bounding_box, crop, load_image, save_image
+from refmet.image import (Image, Mask, Rect, bounding_box, by_row_blocks, correlate_valid, crop,
+                          load_image, row_blocks, save_image)
 
 
 def test_image_rejects_nan():
@@ -190,3 +192,30 @@ def test_pgm_payload_count_mismatch(tmp_path):
     (tmp_path / "t.pgm").write_text("P2\n2 2\n255\n0 1 2\n")
     with pytest.raises(FormatError):
         load_image(tmp_path / "t.pgm")
+
+
+@pytest.mark.parametrize("shape", [(40, 9), (31, 5, 4)])
+def test_by_row_blocks_returns_one_blocks_arrays_and_joins_several(monkeypatch, shape):
+    # A 7-row box sum (halo 6) and its complex multiple: one block hands
+    # back the arrays maps made, which the audit's memory relies on;
+    # several blocks give the same bits.
+    arr = np.random.default_rng(sum(shape)).normal(size=shape) * 1e3
+    made, calls = [], []
+
+    def maps(rows, span):
+        calls.append((rows, span))
+        sums = correlate_valid(arr[span], np.ones(7), 0)
+        made.append((sums, sums * (1 + 2j)))
+        return made[-1]
+
+    whole = by_row_blocks(maps, shape, 6)
+    assert calls == [(slice(0, shape[0] - 6), slice(0, shape[0]))]
+    assert len(whole) == 2 and all(got is own for got, own in zip(whole, made[0]))
+    monkeypatch.setattr(image, "_BLOCK_BYTES", 1)  # 6 valid rows a block
+    calls.clear()
+    blocked = by_row_blocks(maps, shape, 6)
+    assert [rows for rows, _ in calls] == row_blocks(shape, 6) and len(calls) > 1
+    assert all(span == slice(rows.start, rows.stop + 6) for rows, span in calls)
+    for got, want in zip(blocked, whole, strict=True):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()

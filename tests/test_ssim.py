@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import gaussian_kernel2d, naive_ms_ssim, naive_ssim
 import refmet.image as image
 import refmet.metrics.structural as structural
-from refmet.errors import RefmetError
+from refmet.errors import DegenerateRangeError, RefmetError
 from refmet.image import Image, gaussian_kernel, row_blocks
-from refmet.metrics import EvalContext, ms_ssim, ssim
+from refmet.metrics import EvalContext, evaluate, ms_ssim, ssim, wavelet
 from refmet.metrics.structural import _WINDOW, truncated_weights
 from refmet.normalize import DataRangePolicy
 
@@ -197,3 +199,24 @@ def _steps(start, stop, step):
                                            ((96, 96, 96), _steps(0, 86, 10))])
 def test_row_block_layout(shape, blocks):
     assert row_blocks(shape, structural._HALO) == blocks
+
+
+# Finite 64x64 images with one pixel halved, whose windowed sums overflow
+# float64: near 1e154 for ssim and ms_ssim (beyond it L^2 is refused
+# first), and near 1e155 (squares) and 1e306 (the FFT) for cw_ssim. Each
+# scored nan, with raw numpy warnings.
+OVERFLOWING = [("ssim", 1e154), ("ms_ssim", 1e154), ("cw_ssim", 1e155), ("cw_ssim", 1e306)]
+
+
+@pytest.mark.parametrize("path", ["serial", "worker"])
+@pytest.mark.parametrize("metric_id, scale", OVERFLOWING)
+def test_windowed_metrics_raise_on_overflow(two_cpus, monkeypatch, path, metric_id, scale):
+    if path == "serial":
+        monkeypatch.setattr(wavelet, "_pool", lambda: None)
+    ref = np.random.default_rng(0).random((64, 64)) * scale
+    test = ref.copy()
+    test[10, 10] /= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRangeError, match=f"^{metric_id} undefined"):
+            evaluate(metric_id, Image(ref), Image(test), EvalContext(scales=2))
