@@ -21,7 +21,7 @@ from refmet.harness import (PANEL_FULL, SCENARIO_IDS, EvalPlan, HarnessConfig,
                             builtin_scenario, generate_phantoms, lint_configuration,
                             run_scenario)
 from refmet.image import Image
-from refmet.metrics import EvalContext, cw_ssim, evaluate, ms_ssim, ssim, truncated_weights
+from refmet.metrics import EvalContext, cw_ssim, evaluate, ms_ssim, ssim
 from refmet.metrics.information import joint_histogram
 from refmet.normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from refmet.phantom import PhantomParams, generate_phantom
@@ -110,7 +110,7 @@ PANEL_LARGE = {"512": (("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim", "pcc
 def test_evaluate_panel_large(benchmark, size):
     ref, test = STRUCTURAL[size][0]()
     panel, scales = PANEL_LARGE[size]
-    ctx = EvalContext(scales=scales, weights=truncated_weights(scales))
+    ctx = EvalContext(scales=scales)
 
     def score_panel():
         return [evaluate(m, ref, test, ctx) for m in panel]

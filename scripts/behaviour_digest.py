@@ -6,7 +6,9 @@ with relative paths and captured stdout/stderr: the phantom and distortion
 runs that make the inputs, ``distort`` once per distortion kind and once
 on a PGM input (the foreground mask), a set of ``compare`` flag sets (under
 masks the script writes: a filled rectangle and an empty mask; a ``--norm``
-that names a number twice; and a panel that names a metric twice), ``lint``
+that names a number twice; and a panel that names a metric twice),
+``compare`` on a test image the readers refuse (a rawf32 whose sidecar
+dims hold a boolean, a binary PGM with a short payload), ``lint``
 without a config, with a valid one, with one that fires W03, with a mask of
 another shape than the images and with an empty panel, ``audit`` with an
 unknown scenario and with a config that sets the segmenter, which has no
@@ -40,6 +42,8 @@ MASK = "in/phantom_1000_foreground.pgm"
 RECT_MASK = "rect_mask.pgm"
 EMPTY_MASK = "empty_mask.pgm"
 SMALL_MASK = "checker64_mask.pgm"
+BAD_DIMS = "bad_dims.rawf32"
+TRUNCATED_PGM = "truncated.pgm"
 
 # One spec per distortion kind, applied to the reference.
 DISTORTIONS = {
@@ -116,6 +120,8 @@ def runs() -> list[tuple[str, list[str]]]:
                                 "d_pgm.rawf32"]))
     out += [(f"compare_{name}", ["compare", REF, TEST, *flags])
             for name, flags in COMPARE.items()]
+    out += [("compare_bad_rawf32_dims", ["compare", REF, BAD_DIMS]),
+            ("compare_truncated_pgm", ["compare", REF, TRUNCATED_PGM])]
     out += [("lint_no_config", ["lint", REF, TEST]),
             ("lint_valid_config", ["lint", REF, TEST, "--config", "lint_valid.json"]),
             ("lint_w03_config", ["lint", REF, TEST, "--config", "lint_w03.json"]),
@@ -165,6 +171,9 @@ def digest(phantoms: int) -> list[str]:
             (root / RECT_MASK).write_bytes(_rect_mask_pgm())
             (root / EMPTY_MASK).write_bytes(_rect_mask_pgm(rows=(0, 0)))
             (root / SMALL_MASK).write_bytes(_checker_pgm())
+            (root / BAD_DIMS).write_bytes(bytes(16))
+            (root / f"{BAD_DIMS}.meta").write_text('{"dims": [true, 4], "dtype": "f32le"}')
+            (root / TRUNCATED_PGM).write_bytes(b"P5\n3 3\n255\n\x00\x00")
             for name, argv in runs():
                 before = _files(root)
                 code, out, err = _run(argv)

@@ -61,8 +61,6 @@ class EvalPlan(EvalContext):
     a windowed one, ``dice`` included. A plan does not know the image shape:
     the caller checks the mask's shape, as ``refmet.cli._plan`` does."""
 
-    # Not settable: a plan's ms_ssim uses the standard weights cut to ``scales``.
-    weights: tuple[float, ...] | None = field(default=None, init=False)
     metrics: tuple[str, ...]
     norm: NormMethod = field(default_factory=NormMethod.none)
     prebin: int | None = None

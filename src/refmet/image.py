@@ -217,18 +217,18 @@ def bounding_box(m: Mask) -> Rect:
 _TOKEN = re.compile(rb"\S+")
 
 
-def _pgm_tokens(buf: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
-    """Next ``count`` whitespace-separated tokens, skipping '#' comments."""
+def _pgm_tokens(path: Path, buf: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
+    """Next ``count`` tokens of ``path``'s bytes ``buf``, skipping '#' comments."""
     out: list[bytes] = []
     while len(out) < count:
         m = _TOKEN.search(buf, pos)
         if m is None:
-            raise FormatError("truncated PGM header")
+            raise FormatError(f"{path}: truncated PGM header")
         tok = m.group(0)
         if tok.startswith(b"#"):
             nl = buf.find(b"\n", m.start())
             if nl < 0:
-                raise FormatError("truncated PGM comment")
+                raise FormatError(f"{path}: truncated PGM comment")
             pos = nl + 1
             continue
         out.append(tok)
@@ -238,47 +238,47 @@ def _pgm_tokens(buf: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
 
 def _load_pgm(path: Path) -> Image:
     buf = path.read_bytes()
-    (magic,), pos = _pgm_tokens(buf, 1, 0)
+    (magic,), pos = _pgm_tokens(path, buf, 1, 0)
     if magic not in (b"P2", b"P5"):
-        raise FormatError(f"not a PGM file (magic {magic!r})")
-    (w_tok, h_tok, maxval_tok), pos = _pgm_tokens(buf, 3, pos)
+        raise FormatError(f"{path}: not a PGM file (magic {magic!r})")
+    (w_tok, h_tok, maxval_tok), pos = _pgm_tokens(path, buf, 3, pos)
     try:
         w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except ValueError as exc:
-        raise FormatError(f"bad PGM header field: {exc}") from None
+        raise FormatError(f"{path}: bad PGM header field: {exc}") from None
     if w < 1 or h < 1:
-        raise FormatError(f"bad PGM dims {w}x{h}")
+        raise FormatError(f"{path}: bad PGM dims {w}x{h}")
     if maxval not in (255, 65535):
-        raise FormatError(f"unsupported PGM maxval {maxval} (need 255 or 65535)")
+        raise FormatError(f"{path}: unsupported PGM maxval {maxval} (need 255 or 65535)")
     n = w * h
     if magic == b"P2":
         toks = buf[pos:].split()
         if len(toks) != n:
-            raise FormatError(f"PGM payload has {len(toks)} values, expected {n}")
+            raise FormatError(f"{path}: PGM payload has {len(toks)} values, expected {n}")
         try:
             vals = np.array([int(t) for t in toks], dtype=np.int64)
         except ValueError as exc:
-            raise FormatError(f"bad PGM sample: {exc}") from None
+            raise FormatError(f"{path}: bad PGM sample: {exc}") from None
         except OverflowError:
-            raise FormatError(f"PGM sample out of range [0, {maxval}]") from None
+            raise FormatError(f"{path}: PGM sample out of range [0, {maxval}]") from None
     else:
         pos += 1  # single whitespace byte after maxval
         itemsize = 1 if maxval < 256 else 2
         payload = buf[pos:pos + n * itemsize]
         if len(payload) != n * itemsize:
             raise FormatError(
-                f"PGM payload has {len(payload)} bytes, expected {n * itemsize}")
+                f"{path}: PGM payload has {len(payload)} bytes, expected {n * itemsize}")
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
         vals = np.frombuffer(payload, dtype=dtype).astype(np.int64)
     if vals.min() < 0 or vals.max() > maxval:
-        raise FormatError(f"PGM sample out of range [0, {maxval}]")
+        raise FormatError(f"{path}: PGM sample out of range [0, {maxval}]")
     return Image(vals.reshape(h, w).astype(np.float64))
 
 
 def _load_rawf32(path: Path) -> Image:
     meta_path = Path(str(path) + ".meta")
     if not meta_path.exists():
-        raise FormatError(f"missing rawf32 sidecar {meta_path}")
+        raise FormatError(f"{path}: missing rawf32 sidecar {meta_path.name}")
     try:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -288,17 +288,17 @@ def _load_rawf32(path: Path) -> Image:
     dims = meta.get("dims")
     dtype = meta.get("dtype")
     if dtype != "f32le":
-        raise FormatError(f"unsupported rawf32 dtype {dtype!r}")
+        raise FormatError(f"{meta_path}: unsupported rawf32 dtype {json.dumps(dtype)}")
     if not isinstance(dims, list) or len(dims) not in (2, 3) or \
             not all(type(v) is int and v >= 1 for v in dims):
-        raise FormatError(f"bad rawf32 dims {dims!r}")
+        raise FormatError(f"{meta_path}: bad rawf32 dims {json.dumps(dims)}")
     n = math.prod(dims)
     payload = path.read_bytes()
     if len(payload) != 4 * n:
-        raise FormatError(f"rawf32 payload has {len(payload)} bytes, expected {4 * n}")
+        raise FormatError(f"{path}: rawf32 payload has {len(payload)} bytes, expected {4 * n}")
     vals = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if not np.all(np.isfinite(vals)):
-        raise FormatError("rawf32 contains non-finite values")
+        raise FormatError(f"{path}: rawf32 contains non-finite values")
     return Image(vals.astype(np.float64))
 
 
@@ -306,7 +306,7 @@ def load_image(path) -> Image:
     """Load an image: PGM for a ``.pgm`` extension, rawf32 otherwise."""
     path = Path(path)
     if not path.exists():
-        raise FormatError(f"no such file: {path}")
+        raise FormatError(f"{path}: no such file")
     return _load_pgm(path) if path.suffix.lower() == ".pgm" else _load_rawf32(path)
 
 

@@ -19,10 +19,11 @@ take ``(ref, test, ctx)``, ``information.mi`` and ``nmi`` take
 
 The ``ctx`` a metric receives is an :class:`EvalContext`, often a
 ``harness.EvalPlan``. Built-in metrics read only its ``range_policy``,
-``scales``, ``weights`` and ``nmi_bins``, and ``EvalContext`` checks the
-last three once, when it is built. Nothing else about them is settable:
-the SSIM window and constants, the CW-SSIM filter bank and the per-image
-histogram range are fixed, and each score's fingerprint prints them.
+``scales`` and ``nmi_bins``, and ``EvalContext`` checks the last two once,
+when it is built. Nothing else about them is settable: the MS-SSIM weights
+(the standard ones cut to ``scales``), the SSIM window and constants, the
+CW-SSIM filter bank and the per-image histogram range are fixed, and each
+score's fingerprint prints them.
 
 ssim and ms_ssim reuse work across calls through one per-thread memo keyed
 on bits (see :mod:`.structural`): the last reference's SSIM moments serve
@@ -45,7 +46,7 @@ from .information import mi, nmi
 from .overlap import dice
 from .pointwise import mae_values, mse_values, pcc_values, psnr_score
 from .score import MetricScore, fingerprint, format_score
-from .structural import DEFAULT_MSSSIM_WEIGHTS, ms_ssim, ssim, truncated_weights
+from .structural import ms_ssim, ssim, truncated_weights
 from .wavelet import cw_ssim
 
 __all__ = [
@@ -58,9 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """The knobs a string-keyed evaluation reads, each checked here once.
-    ``weights=None`` means the standard MS-SSIM weights truncated to
-    ``scales``; ``nmi_bins`` is the mi/nmi joint-histogram bin count."""
+    """The knobs a string-keyed evaluation reads, each checked here once:
+    ``scales`` is the MS-SSIM scale count (1..5) and ``nmi_bins`` the mi/nmi
+    joint-histogram bin count. ms_ssim always weights its scales with
+    ``truncated_weights(scales)``; ``weights``, if given, must equal them,
+    and the context keeps ``None``."""
 
     range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
     scales: int = 5
@@ -70,21 +73,11 @@ class EvalContext:
     def __post_init__(self):
         if self.nmi_bins < 2:
             raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
-        if self.weights is None:
-            if not 1 <= self.scales <= len(DEFAULT_MSSSIM_WEIGHTS):
-                raise ConfigError(f"scales must be in 1..{len(DEFAULT_MSSSIM_WEIGHTS)}")
-            return
-        if self.scales < 1:
-            raise ConfigError("scales must be >= 1")
-        if len(self.weights) != self.scales:
-            raise ConfigError(f"need one weight per scale: {len(self.weights)} weights, "
-                              f"{self.scales} scales")
-        if any(w <= 0 for w in self.weights):
-            raise ConfigError("weights must be positive")
-        # 1e-3 slack: the standard published weights sum to 1.0001.
-        if abs(sum(self.weights) - 1.0) > 1e-3:
-            raise ConfigError(f"weights must sum to 1, got {sum(self.weights)}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        standard = truncated_weights(self.scales)
+        if self.weights is not None and tuple(self.weights) != standard:
+            raise ConfigError(f"weights for {self.scales} scales must be the standard "
+                              f"{standard}, got {tuple(self.weights)}")
+        object.__setattr__(self, "weights", None)
 
 
 def _task_similarity(ref, test, ctx):

@@ -62,15 +62,16 @@ _WINDOW_NAME = f"gaussian(radius={len(_WINDOW) // 2},sigma={_SIGMA!r})"
 # Rows a valid position's window reaches beyond it along axis 0.
 _HALO = len(_WINDOW) - 1
 
-# Weights from the standard multi-scale construction.
+# The published MS-SSIM weights (Wang, Simoncelli & Bovik, Asilomar 2003).
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
 def truncated_weights(scales: int) -> tuple[float, ...]:
-    """First ``scales`` standard weights, renormalized to sum to 1.
+    """First ``scales`` standard weights, renormalized to sum to 1: the
+    weights ms_ssim uses, and the one check of ``scales``.
 
-    The full 5-scale set is returned verbatim (its published sum is 1.0001,
-    accepted by the validation slack).
+    The full 5-scale set is returned verbatim, though its published sum is
+    1.0001, so that 5-scale ms_ssim keeps the bits it has always had.
     """
     if not 1 <= scales <= len(DEFAULT_MSSSIM_WEIGHTS):
         raise ConfigError(f"scales must be in 1..{len(DEFAULT_MSSSIM_WEIGHTS)}")
@@ -184,15 +185,15 @@ def ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
 
 
 def ms_ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:
-    """Multi-scale structural similarity over ``ctx.scales`` scales with
-    ``ctx.weights`` (default: the standard weights cut to ``scales``).
+    """Multi-scale structural similarity over ``ctx.scales`` scales, weighted
+    by the standard weights cut to ``scales`` (``truncated_weights``).
 
-    With a single scale and weight (1.0,) this degenerates to plain SSIM.
+    With a single scale (weight 1.0) this degenerates to plain SSIM.
     Negative per-scale terms are clamped to 0 before weighting.
     """
     L = resolve_data_range_values(ref.data, test.data, ctx.range_policy)
     scales = ctx.scales
-    weights = truncated_weights(scales) if ctx.weights is None else ctx.weights
+    weights = truncated_weights(scales)
     with np.errstate(over="ignore", invalid="ignore"):
         pyramid, (full, cs) = _scale0(ref, test, L)
         t = test.data

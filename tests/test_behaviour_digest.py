@@ -16,6 +16,7 @@ COMPARES = ("full_panel", "minmax_fixed_range_bins", "prebin", "mask_pointwise_d
             "unknown_metric", "metrics_repeated", "range_test_out")
 RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
         + ["distort_pgm"] + [f"compare_{c}" for c in COMPARES]
+        + ["compare_bad_rawf32_dims", "compare_truncated_pgm"]
         + ["lint_no_config", "lint_valid_config", "lint_w03_config",
            "lint_mask_other_shape", "lint_metrics_empty", "audit_scenario_unknown",
            "audit_config_segmenter", "audit_all"])
@@ -54,5 +55,5 @@ def test_digest_is_deterministic_and_lists_every_run():
     # bad input is refused before any line prints
     for name in ("compare_mask_empty", "compare_norm_duplicate_key", "lint_mask_other_shape",
                  "compare_metrics_repeated", "lint_metrics_empty", "audit_scenario_unknown",
-                 "audit_config_segmenter"):
+                 "audit_config_segmenter", "compare_bad_rawf32_dims", "compare_truncated_pgm"):
         assert runs[name][:2] == ["exit=1", f"stdout={EMPTY}"]

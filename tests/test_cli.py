@@ -243,21 +243,46 @@ def test_compare_missing_file_exits_1(workdir):
     assert res.returncode == 1
 
 
+def _reader_case(name, payload, sidecar=None):
+    return pytest.param(name, payload, sidecar, id=name)
+
+
+RAWF32_2X2 = '{"dims": [2, 2], "dtype": "f32le"}'
+
+
+# One case per error of the image readers (payload None: no file at all).
 @pytest.mark.parametrize("name, payload, sidecar", [
     ("array_sidecar.rawf32", bytes(64), "[4, 4]"),
     ("bool_dims.rawf32", bytes(16), '{"dims": [true, 4], "dtype": "f32le"}'),
     # 2**62 * 4 elements wrap to 0 in int64, matching the empty payload
     ("wrapping_dims.rawf32", b"", '{"dims": [4611686018427387904, 4], "dtype": "f32le"}'),
     ("huge_sample.pgm", b"P2\n2 1\n255\n0 99999999999999999999999\n", None),
+    _reader_case("missing.rawf32", None),
+    _reader_case("no_sidecar.rawf32", bytes(16)),
+    _reader_case("sidecar_not_json.rawf32", bytes(16), "{bad"),
+    _reader_case("f64_dtype.rawf32", bytes(16), '{"dims": [2, 2], "dtype": "f64le"}'),
+    _reader_case("short_payload.rawf32", bytes(12), RAWF32_2X2),
+    _reader_case("nan.rawf32", np.full(4, np.nan, "<f4").tobytes(), RAWF32_2X2),
+    _reader_case("truncated_header.pgm", b"P5\n2"),
+    _reader_case("truncated_comment.pgm", b"P5\n# no newline"),
+    _reader_case("ppm_magic.pgm", b"P6\n2 1\n255\n\x00\x00"),
+    _reader_case("header_field.pgm", b"P2\n2 x\n255\n0 0\n"),
+    _reader_case("zero_width.pgm", b"P2\n0 1\n255\n"),
+    _reader_case("maxval.pgm", b"P2\n2 1\n100\n0 0\n"),
+    _reader_case("ascii_count.pgm", b"P2\n2 1\n255\n0\n"),
+    _reader_case("ascii_sample.pgm", b"P2\n2 1\n255\n0 1.5\n"),
+    _reader_case("ascii_range.pgm", b"P2\n2 1\n255\n0 256\n"),
+    _reader_case("truncated_payload.pgm", b"P5\n3 3\n255\n\x00\x00"),
 ])
 def test_compare_malformed_file_exits_1(tmp_path, name, payload, sidecar):
     bad = tmp_path / name
-    bad.write_bytes(payload)
+    if payload is not None:
+        bad.write_bytes(payload)
     if sidecar is not None:
         (tmp_path / f"{name}.meta").write_text(sidecar)
     res = run_cli("compare", str(bad), str(bad), "--metrics", "mae")
     assert res.returncode == 1
-    assert res.stderr.startswith("refmet compare: error:")
+    assert res.stderr.startswith(f"refmet compare: error: {bad}")
     assert "Traceback" not in res.stderr
 
 

@@ -18,7 +18,7 @@ from refmet.harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, Scenario,
                             Variant, builtin_scenario, generate_phantoms,
                             lint_configuration, reevaluate_row, run_scenario)
 from refmet.image import Image, Mask, Rect, bounding_box, crop
-from refmet.metrics import EvalContext, evaluate
+from refmet.metrics import EvalContext, evaluate, truncated_weights
 from refmet.normalize import DataRangePolicy, NormMethod
 from refmet.phantom import PhantomParams, generate_phantom
 from refmet.report import (CSV_COLUMNS, Report, Row, render_csv, render_markdown,
@@ -430,9 +430,10 @@ def test_plan_rejects_bin_count_below_2(field_name, value):
 
 
 def test_plan_weights_not_settable():
-    with pytest.raises(TypeError, match="weights"):
-        EvalPlan(metrics=("ms_ssim",), weights=(1.0,))
-    assert EvalPlan(metrics=("ms_ssim",)).weights is None
+    message = f"weights for 2 scales must be the standard {truncated_weights(2)}, got (0.5, 0.5)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EvalPlan(metrics=("ms_ssim",), scales=2, weights=(0.5, 0.5))
+    assert EvalPlan(metrics=("ms_ssim",), weights=truncated_weights(5)).weights is None
 
 
 def test_evaluation_spec_fields():

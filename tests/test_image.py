@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -180,6 +181,17 @@ def test_rawf32_payload_length_mismatch(tmp_path):
     (tmp_path / "s.rawf32.meta").write_text('{"dims": [2, 2], "dtype": "f32le"}')
     with pytest.raises(FormatError):
         load_image(tmp_path / "s.rawf32")
+
+
+def test_rawf32_sidecar_errors_print_its_json(tmp_path):
+    (tmp_path / "b.rawf32").write_bytes(bytes(16))
+    meta = tmp_path / "b.rawf32.meta"
+    meta.write_text('{"dims": [true, 4], "dtype": "f32le"}')
+    with pytest.raises(FormatError, match=re.escape(f"{meta}: bad rawf32 dims [true, 4]")):
+        load_image(tmp_path / "b.rawf32")
+    meta.write_text('{"dims": [2, 2]}')
+    with pytest.raises(FormatError, match=re.escape(f"{meta}: unsupported rawf32 dtype null")):
+        load_image(tmp_path / "b.rawf32")
 
 
 def test_pgm_truncated_header(tmp_path):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,16 +171,28 @@ def test_ms_ssim_context_defaults_to_truncated_weights(pair, scales):
     assert implicit.params_fingerprint == explicit.params_fingerprint
 
 
+def test_replaced_scales_take_their_own_weights(pair):
+    # The context keeps no weights, so none go stale when scales change.
+    ref, test = pair
+    replaced = replace(EvalContext(scales=5, weights=truncated_weights(5)), scales=3)
+    got = evaluate("ms_ssim", ref, test, replaced)
+    want = evaluate("ms_ssim", ref, test, EvalContext(scales=3))
+    assert got.value.hex() == want.value.hex()
+    assert got.params_fingerprint == want.params_fingerprint
+
 
 # An invalid metric knob is a ConfigError with its own message, raised when
-# the context is built, before anything is scored.
+# the context is built, before anything is scored. Weights other than the
+# standard ones cut to ``scales`` are refused by one message naming those.
+_NOT_STANDARD_2 = f"scales must be the standard {truncated_weights(2)}, got"
+
+
 @pytest.mark.parametrize("metric_id, knobs, message", [
     ("ms_ssim", {"scales": 6}, "scales must be in 1..5"),
-    ("ms_ssim", {"scales": 0, "weights": ()}, "scales must be >= 1"),
-    ("ms_ssim", {"scales": 2, "weights": (1.0,)},
-     "need one weight per scale: 1 weights, 2 scales"),
-    ("ms_ssim", {"scales": 2, "weights": (1.5, -0.5)}, "weights must be positive"),
-    ("ms_ssim", {"scales": 2, "weights": (0.5, 0.6)}, "weights must sum to 1, got 1.1"),
+    ("ms_ssim", {"scales": 0, "weights": ()}, "scales must be in 1..5"),
+    ("ms_ssim", {"scales": 2, "weights": (1.0,)}, f"{_NOT_STANDARD_2} (1.0,)"),
+    ("ms_ssim", {"scales": 2, "weights": (1.5, -0.5)}, f"{_NOT_STANDARD_2} (1.5, -0.5)"),
+    ("ms_ssim", {"scales": 2, "weights": (0.5, 0.5)}, f"{_NOT_STANDARD_2} (0.5, 0.5)"),
     ("mi", {"nmi_bins": 1}, "must be >= 2, got 1"),
     ("nmi", {"nmi_bins": 1}, "must be >= 2, got 1"),
 ])
