@@ -11,8 +11,9 @@ that names a number twice; and a panel that names a metric twice),
 dims hold a boolean, a binary PGM with a short payload), ``lint``
 without a config, with a valid one, with one that fires W03, with a mask of
 another shape than the images and with an empty panel, ``audit`` with an
-unknown scenario and with a config that sets the segmenter, which has no
-settings, and ``audit --scenario all``. Each line holds the run
+unknown scenario, with a config that sets the segmenter, which has no
+settings, and with one that sets the tumor's half, which is fixed, and
+``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
 when their outputs are equal (diff them).
@@ -131,7 +132,9 @@ def runs() -> list[tuple[str, list[str]]]:
             ("audit_scenario_unknown", ["audit", "--scenario", "pitfall9", "--config",
                                         "audit.json", "--out", "audit_out"]),
             ("audit_config_segmenter", ["audit", "--config", "audit_segmenter.json",
-                                        "--out", "audit_segmenter_out"])]
+                                        "--out", "audit_segmenter_out"]),
+            ("audit_config_tumor_half", ["audit", "--config", "audit_tumor_half.json",
+                                         "--out", "audit_tumor_half_out"])]
     out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
                               "--out", "audit_out"]))
     return out
@@ -165,7 +168,9 @@ def digest(phantoms: int) -> list[str]:
         try:
             audit = {"phantoms": {"count": phantoms}}
             inputs = {**LINT_CONFIGS, "audit.json": audit,
-                      "audit_segmenter.json": {**audit, "segmenter": {"threshold_rel": 0.9}}}
+                      "audit_segmenter.json": {**audit, "segmenter": {"threshold_rel": 0.9}},
+                      "audit_tumor_half.json":
+                          {"phantoms": {**audit["phantoms"], "tumor_half": "lower"}}}
             for name, obj in inputs.items():
                 (root / name).write_text(json.dumps(obj))
             (root / RECT_MASK).write_bytes(_rect_mask_pgm())

@@ -74,8 +74,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=1000)
     p.add_argument("--dims", default="192,192", help="H,W")
-    p.add_argument("--tumor-half", default="lower",
-                   choices=("lower", "upper", "either"))
 
     p = sub.add_parser("audit", help="run built-in pitfall scenarios")
     p.add_argument("--scenario", default="all", choices=(*SCENARIO_IDS, "all"))
@@ -157,7 +155,7 @@ def _cmd_phantom(args) -> int:
         raise RefmetError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = PhantomParams(dims=_parse_dims(args.dims), tumor_half=args.tumor_half)
+    params = PhantomParams(dims=_parse_dims(args.dims))
     entries = []
     for i in range(args.count):
         seed = args.seed + i
@@ -171,8 +169,7 @@ def _cmd_phantom(args) -> int:
         entries.append({"seed": seed, "image": img_name, "tumor_mask": tumor_name,
                         "foreground_mask": fg_name})
     manifest = {"count": args.count, "base_seed": args.seed,
-                "dims": list(params.dims), "tumor_half": params.tumor_half,
-                "phantoms": entries}
+                "dims": list(params.dims), "phantoms": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {args.count} phantoms to {out_dir}")
     return EXIT_OK

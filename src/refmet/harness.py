@@ -25,8 +25,8 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_re
 from .downstream import task_similarity  # noqa: F401
 from .errors import ConfigError, RefmetError, check_ids, config_value, read_json
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
-from .metrics import (METRIC_IDS, EvalContext, MetricScore, evaluate, masked_evaluate,
-                      metric_kind, rect_of_mask)
+from .metrics import (METRIC_IDS, EvalContext, MetricScore, check_int, evaluate,
+                      masked_evaluate, metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
 from .phantom import Phantom, PhantomParams, generate_phantom
@@ -71,8 +71,10 @@ class EvalPlan(EvalContext):
         if not self.metrics:
             raise ConfigError("empty metric list")
         check_ids(self.metrics, METRIC_IDS, "metrics")
-        if self.prebin is not None and self.prebin < 2:
-            raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
+        if self.prebin is not None:
+            check_int("prebin", self.prebin)
+            if self.prebin < 2:
+                raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
         if isinstance(self.mask, Mask):
             if not self.mask.data.any():
                 raise RefmetError("evaluation mask is empty")
@@ -144,7 +146,6 @@ _CONFIG_KEYS = {
     "phantoms.count": ("an integer", 20),
     "phantoms.seed": ("an integer", 1000),
     "phantoms.dims": ("a list of integers", PhantomParams.dims),
-    "phantoms.tumor_half": ("a string", PhantomParams.tumor_half),
     "scenarios": ("a list of strings", SCENARIO_IDS),
     "output.dir": ("a string", "audit_out"),
     "output.formats": ("a list of strings", OUTPUT_FORMATS),
@@ -188,7 +189,7 @@ class HarnessConfig:
         return cls(
             phantom_count=v["phantoms.count"],
             phantom_seed=v["phantoms.seed"],
-            phantom_params=PhantomParams(tuple(v["phantoms.dims"]), v["phantoms.tumor_half"]),
+            phantom_params=PhantomParams(tuple(v["phantoms.dims"])),
             scenarios=tuple(v["scenarios"]),
             out_dir=v["output.dir"],
             out_formats=tuple(v["output.formats"]),

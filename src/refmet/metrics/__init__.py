@@ -57,13 +57,21 @@ __all__ = [
 ]
 
 
+def check_int(name: str, value) -> None:
+    """A ConfigError naming plan field ``name`` unless ``value`` is a Python
+    or numpy integer; a bool is not one."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"plan field {name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """The knobs a string-keyed evaluation reads, each checked here once:
     ``scales`` is the MS-SSIM scale count (1..5) and ``nmi_bins`` the mi/nmi
-    joint-histogram bin count. ms_ssim always weights its scales with
-    ``truncated_weights(scales)``; ``weights``, if given, must equal them,
-    and the context keeps ``None``."""
+    joint-histogram bin count (at least 2). Both must be integers, Python or
+    numpy; a float or a bool is a ConfigError naming the field. ms_ssim always
+    weights its scales with ``truncated_weights(scales)``; ``weights``, if
+    given, must equal them, and the context keeps ``None``."""
 
     range_policy: DataRangePolicy = field(default_factory=DataRangePolicy.joint)
     scales: int = 5
@@ -71,6 +79,8 @@ class EvalContext:
     nmi_bins: int = 256
 
     def __post_init__(self):
+        check_int("scales", self.scales)
+        check_int("nmi_bins", self.nmi_bins)
         if self.nmi_bins < 2:
             raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
         standard = truncated_weights(self.scales)

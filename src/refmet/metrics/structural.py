@@ -168,9 +168,9 @@ def _scale0(ref: Image, test: Image,
             data_range: float) -> tuple[_Pyramid, tuple[float, float]]:
     """The pyramid of ``ref`` and the scale-0 (ssim, cs) of the pair at L."""
     require_same_shape(ref, test)
-    pyramid = _PYRAMID.get(ref.data, None, lambda: _Pyramid(ref.data))
+    pyramid = _PYRAMID.get(ref, None, lambda: _Pyramid(ref.data))
     return pyramid, pyramid.scale0.get(
-        test.data, data_range, lambda: ssim_and_cs(pyramid.at(0), test.data, data_range))
+        test, data_range, lambda: ssim_and_cs(pyramid.at(0), test.data, data_range))
 
 
 def ssim(ref: Image, test: Image, ctx: EvalContext) -> MetricScore:

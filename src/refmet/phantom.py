@@ -2,8 +2,11 @@
 
 A phantom is an elliptical bright "brain" on a zero background, textured
 with a smoothed random field, plus one elliptical high-intensity "tumor"
-placed uniformly at random strictly inside one vertical half of the
-foreground, and a tiny bright "vessel" marker in the upper half. The
+placed uniformly at random strictly inside the lower half of the
+foreground, and a tiny bright "vessel" marker in the upper half. The tumor
+sits in the lower half because ``mirror_replace(axis=0)`` overwrites that
+half with the mirrored upper one: the pitfall-5 audit scenario relies on it
+to remove the tumor while image metrics stay high. The
 marker is smaller than the segmenter's minimum component size, so
 it never appears in segmentations, but it anchors the intensity range of
 images whose tumor was removed (e.g. by the mirror-replace distortion).
@@ -48,7 +51,6 @@ TEXTURE_SMOOTHNESS = 1.5  # blur sigma of the texture field, px
 @dataclass(frozen=True)
 class PhantomParams:
     dims: tuple[int, int] = (192, 192)
-    tumor_half: str = "lower"  # "lower" | "upper" | "either"
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -56,8 +58,6 @@ class PhantomParams:
             raise ConfigError("phantoms are 2D")
         if any(n < 64 for n in self.dims):
             raise ConfigError(f"phantom dims must be >= 64 per axis, got {self.dims}")
-        if self.tumor_half not in ("lower", "upper", "either"):
-            raise ConfigError(f"unknown tumor_half {self.tumor_half!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +96,13 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> Phantom:
     data = np.zeros((h, w))
     data[brain] = tissue[brain]
 
-    # Tumor: ellipse with an intensity dome, strictly inside one vertical half.
+    # Tumor: ellipse with an intensity dome, strictly inside the lower half,
+    # the half that mirror_replace(axis=0) overwrites (pitfall 5).
     r_scale = min(h, w)
     ry = (0.045 + stream.uniform(0.0, 0.02)) * r_scale
     rx = (0.045 + stream.uniform(0.0, 0.02)) * r_scale
-    half = p.tumor_half
-    if half == "either":
-        half = "lower" if stream.uniform() < 0.5 else "upper"
-    midline = (h + 1) // 2
     margin = 3.0
-    if half == "lower":
-        row_lo, row_hi = midline + ry + margin, cy + ay - ry - margin
-    else:
-        row_lo, row_hi = cy - ay + ry + margin, midline - 1 - ry - margin
+    row_lo, row_hi = (h + 1) // 2 + ry + margin, cy + ay - ry - margin
     if row_hi <= row_lo:
         raise ConfigError(f"phantom dims {p.dims} too small to place a tumor")
     for _ in range(256):

@@ -408,6 +408,7 @@ def test_phantom_writes_expected_files(workdir):
     assert len(images) == 3 and len(masks) == 6
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["count"] == 3 and len(manifest["phantoms"]) == 3
+    assert sorted(manifest) == ["base_seed", "count", "dims", "phantoms"]
 
 
 def test_phantom_same_seed_identical_files(workdir):
@@ -417,6 +418,15 @@ def test_phantom_same_seed_identical_files(workdir):
                        "--dims", "96,96").returncode == 0
     assert (d1 / "phantom_9.rawf32").read_bytes() == \
         (d2 / "phantom_9.rawf32").read_bytes()
+
+
+def test_phantom_tumor_half_flag_exits_1(workdir):
+    # the tumor always sits in the half mirror_replace overwrites
+    out = workdir / "tumor_half"
+    res = run_cli("phantom", str(out), "--tumor-half", "lower")
+    assert res.returncode == 1
+    assert "unrecognized arguments: --tumor-half lower" in res.stderr
+    assert res.stdout == "" and not out.exists()
 
 
 def test_phantom_bad_dims_exits_1(workdir):
@@ -562,6 +572,16 @@ def test_audit_unknown_nested_config_key_exits_1(workdir):
     assert res.stderr == ("refmet audit: error: unknown harness config keys "
                           "['output.format', 'phantoms.cnt', 'phantoms.dim']\n")
     assert not (workdir / "audit_typo").exists()
+
+
+def test_audit_tumor_half_config_key_exits_1(workdir):
+    cfg = workdir / "tumor_half.json"
+    cfg.write_text(json.dumps({"phantoms": {"tumor_half": "lower"}}))
+    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_half"))
+    assert res.returncode == 1
+    assert res.stderr == ("refmet audit: error: unknown harness config keys "
+                          "['phantoms.tumor_half']\n")
+    assert res.stdout == "" and not (workdir / "audit_half").exists()
 
 
 def test_audit_error_names_scenario_variant_case_and_metric(workdir):

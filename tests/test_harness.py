@@ -216,7 +216,7 @@ def test_load_closes_config_file(tmp_path):
     ({"phantoms": {"count": "x"}}, "phantoms.count"),
     ({"phantoms": {"seed": 1.5}}, "phantoms.seed"),
     ({"phantoms": {"dims": 5}}, "phantoms.dims"),
-    ({"phantoms": {"tumor_half": 1}}, "phantoms.tumor_half"),
+    ({"output": {"dir": 1}}, "output.dir"),
     ({"scenarios": "pitfall1"}, "scenarios"),
     ({"output": {"formats": "csv"}}, "output.formats"),
     ({"scenarios": []}, "scenarios"),
@@ -541,6 +541,8 @@ def test_rect_plan_mask_refuses_images_of_two_shapes():
     ({"phantoms": {"cnt": 4}}, ["phantoms.cnt"]),
     # the segmenter has no settings, so its section is an unknown key
     ({"segmenter": {"threshold_rel": 0.9}}, ["segmenter"]),
+    # the tumor always sits in the half mirror_replace overwrites
+    ({"phantoms": {"tumor_half": "lower"}}, ["phantoms.tumor_half"]),
     ({"output": {"format": ["csv"]}}, ["output.format"]),
     ({"phantoms": {"cnt": 4, "dim": [96, 96]}, "output": {"format": ["csv"]}},
      ["output.format", "phantoms.cnt", "phantoms.dim"]),
@@ -556,4 +558,4 @@ def test_from_json_defaults_are_the_dataclass_defaults():
 
 
 def test_phantom_params_settable_fields():
-    assert [f.name for f in fields(PhantomParams)] == ["dims", "tumor_half"]
+    assert [f.name for f in fields(PhantomParams)] == ["dims"]

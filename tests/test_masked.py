@@ -200,3 +200,29 @@ def test_invalid_metric_knob_raises_config_error(pair, metric_id, knobs, message
     ref, test = pair
     with pytest.raises(ConfigError, match=re.escape(message)):
         evaluate(metric_id, ref, test, EvalContext(**knobs))
+
+
+# An integer knob is a Python or numpy integer: a float or a bool is a
+# ConfigError naming the field when the context or plan is built.
+@pytest.mark.parametrize("build, name", [
+    (lambda: EvalContext(scales=2.0), "scales"),
+    (lambda: EvalContext(scales=True), "scales"),
+    (lambda: EvalContext(nmi_bins=2.5), "nmi_bins"),
+    (lambda: EvalPlan(metrics=("nmi",), prebin=2.5), "prebin"),
+], ids=["scales-float", "scales-bool", "nmi_bins-float", "prebin-float"])
+def test_integer_knob_refuses_float_and_bool(build, name):
+    with pytest.raises(ConfigError, match=f"^plan field '{name}' must be an integer, got "):
+        build()
+
+
+def test_numpy_integer_knobs_score_as_python_ints(pair):
+    ref, test = pair
+    for metric_id, knobs in (("ms_ssim", {"scales": 3}), ("nmi", {"nmi_bins": 64})):
+        want = evaluate(metric_id, ref, test, EvalContext(**knobs))
+        got = evaluate(metric_id, ref, test,
+                       EvalContext(**{k: np.int64(v) for k, v in knobs.items()}))
+        assert (got.value.hex(), got.params_fingerprint) == \
+            (want.value.hex(), want.params_fingerprint)
+    plan = EvalPlan(metrics=("mae",), prebin=np.int32(16))
+    assert [a.data.tobytes() for a in plan.prepare(ref, test)] == \
+        [a.data.tobytes() for a in EvalPlan(metrics=("mae",), prebin=16).prepare(ref, test)]

@@ -102,14 +102,6 @@ def test_ms_ssim_after_ssim_without_a_workspace_reuses_scale_0(monkeypatch):
     assert (len(calls), len(moments)) == (3, 3)
 
 
-def test_writing_to_an_array_after_a_call_cannot_make_a_hit_stale():
-    _, test = _pair()
-    memo = BitsMemo()
-    assert memo.get(test, 1, lambda: "first") == "first"
-    test[0, 0] += 1.0
-    assert memo.get(test, 1, lambda: "second") == "second"
-
-
 def test_writing_to_the_array_an_image_was_made_from_cannot_make_a_hit_stale():
     ref, a = _pair()
     ctx = EvalContext()
@@ -124,7 +116,7 @@ def test_writing_to_the_array_an_image_was_made_from_cannot_make_a_hit_stale():
 
 
 def test_a_failed_computation_keeps_nothing():
-    _, test = _pair()
+    test = Image(_pair()[1])
     memo = BitsMemo()
     memo.get(test, 1, lambda: "kept")
 
@@ -137,16 +129,8 @@ def test_a_failed_computation_keeps_nothing():
     assert memo.get(test, 2, lambda: "fresh") == "fresh"
 
 
-def test_other_dtypes_are_never_held():
-    memo = BitsMemo()
-    ints = np.arange(12).reshape(3, 4)
-    assert memo.get(ints, 1, lambda: "a") == "a"
-    assert memo.get(ints, 1, lambda: "b") == "b"
-    assert memo.entry is None
-
-
 def test_threads_do_not_share_an_entry():
-    _, test = _pair()
+    test = Image(_pair()[1])
     memo = BitsMemo()
     memo.get(test, 1, lambda: "main")
     seen = []
@@ -175,17 +159,6 @@ def test_the_memo_holds_one_pair_at_most():
     assert [h() for h in held] == [None, None]
     # an Image's read-only data is held as it is, not copied
     assert all(h is img.data for h, img in zip(_held_pair(), other))
-
-
-def test_a_read_only_view_of_a_writable_array_is_copied():
-    base = np.random.default_rng(2).random((2, 8, 9))
-    view = base[0]
-    view.setflags(write=False)
-    memo = BitsMemo()
-    assert memo.get(view, 1, lambda: "first") == "first"
-    assert memo.entry[0] is not view
-    base[0, 0, 0] += 1.0
-    assert memo.get(view, 1, lambda: "second") == "second"
 
 
 def test_rect_mask_ssim_equals_a_cold_crop():

@@ -48,12 +48,6 @@ def test_tumor_in_lower_half(phantoms):
         assert rows.min() >= p.image.shape[0] // 2
 
 
-def test_tumor_in_upper_half_when_requested():
-    p = generate_phantom(77, PhantomParams(tumor_half="upper"))
-    rows = np.nonzero(p.tumor_mask.data.any(axis=1))[0]
-    assert rows.max() < p.image.shape[0] // 2
-
-
 def test_segmenter_recovers_tumor(phantoms):
     for p in phantoms:
         seg = threshold_segment(p.image)
