@@ -12,7 +12,8 @@ dims hold a boolean, a binary PGM with a short payload), ``lint``
 without a config, with a valid one, with one that fires W03, with a mask of
 another shape than the images and with an empty panel, ``audit`` with an
 unknown scenario, with a config that sets the segmenter, which has no
-settings, and with one that sets the tumor's half, which is fixed, and
+settings, with one that sets the tumor's half and with one that sets the
+phantoms' seed and dims and the scenario list, all fixed, and
 ``audit --scenario all``. Each line holds the run
 name, its exit code and the sha256 of its stdout, its stderr and every file
 it wrote, so two versions of refmet behave the same on these runs exactly
@@ -134,7 +135,9 @@ def runs() -> list[tuple[str, list[str]]]:
             ("audit_config_segmenter", ["audit", "--config", "audit_segmenter.json",
                                         "--out", "audit_segmenter_out"]),
             ("audit_config_tumor_half", ["audit", "--config", "audit_tumor_half.json",
-                                         "--out", "audit_tumor_half_out"])]
+                                         "--out", "audit_tumor_half_out"]),
+            ("audit_config_phantom_set", ["audit", "--config", "audit_phantom_set.json",
+                                          "--out", "audit_phantom_set_out"])]
     out.append(("audit_all", ["audit", "--scenario", "all", "--config", "audit.json",
                               "--out", "audit_out"]))
     return out
@@ -170,7 +173,10 @@ def digest(phantoms: int) -> list[str]:
             inputs = {**LINT_CONFIGS, "audit.json": audit,
                       "audit_segmenter.json": {**audit, "segmenter": {"threshold_rel": 0.9}},
                       "audit_tumor_half.json":
-                          {"phantoms": {**audit["phantoms"], "tumor_half": "lower"}}}
+                          {"phantoms": {**audit["phantoms"], "tumor_half": "lower"}},
+                      "audit_phantom_set.json":
+                          {"phantoms": {**audit["phantoms"], "seed": 1000, "dims": [192, 192]},
+                           "scenarios": ["pitfall1", "pitfall5"]}}
             for name, obj in inputs.items():
                 (root / name).write_text(json.dumps(obj))
             (root / RECT_MASK).write_bytes(_rect_mask_pgm())

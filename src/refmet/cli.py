@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .distort import apply_chain, chain_fingerprint, chain_from_json, parse_chain
 from .errors import RefmetError, config_value, read_json
-from .harness import (EvalPlan, HarnessConfig, SCENARIO_IDS, builtin_scenario,
-                      generate_phantoms, lint_configuration, run_scenario)
+from .harness import (EvalPlan, HarnessConfig, PHANTOM_SEED, SCENARIO_IDS,
+                      builtin_scenario, generate_phantoms, lint_configuration, run_scenario)
 from .image import (Image, load_image, mask_from_image, mask_to_image,
                     require_same_shape, save_image)
 from .metrics import format_score
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("phantom", help="generate synthetic phantoms")
     p.add_argument("out_dir")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=PHANTOM_SEED)
     p.add_argument("--dims", default="192,192", help="H,W")
 
     p = sub.add_parser("audit", help="run built-in pitfall scenarios")
@@ -177,7 +177,7 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_audit(args) -> int:
     config = HarnessConfig.load(args.config) if args.config else HarnessConfig()
-    ids = config.scenarios if args.scenario == "all" else (args.scenario,)
+    ids = SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
     out_dir = Path(args.out if args.out else config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     phantoms = generate_phantoms(config)

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and JSON file, value and id-list checks."""
+"""Shared exception types and JSON file, value, integer and id-list checks."""
 
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 class RefmetError(ValueError):
@@ -55,6 +57,14 @@ def check_kind(value, kind: str, name: str):
     return value
 
 
+def check_int(value, name: str):
+    """``value`` if it is a Python or numpy integer (a bool is not one), else a
+    ConfigError naming ``name`` (``"plan field 'scales'"``)."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def read_json(path, kind: str, what: str):
     """The JSON value in the file at ``path``, ``what`` (``"lint config"``); a
     ConfigError naming the file when its text is not JSON (nor UTF-8) or its
@@ -78,7 +88,7 @@ def config_value(obj: dict, path: str, kind: str, default=None):
 
 def check_ids(ids, known, what: str) -> None:
     """A ConfigError unless every id of ``ids`` is one of ``known`` and none is
-    listed twice; ``what`` names the list (``"metrics"``, ``"scenario ids"``)."""
+    listed twice; ``what`` names the list (``"metrics"``, ``"output formats"``)."""
     unknown = [i for i in ids if i not in known]
     if unknown:
         raise ConfigError(f"unknown {what} {unknown}; available: {', '.join(known)}")

@@ -7,6 +7,9 @@ the plan's mask per phantom: a ``Rect`` crop, or the foreground ``Mask``.
 Running a scenario applies every variant to every phantom, appends one row
 per metric, and finishes with mean rows (case_id ``"mean"``) per (variant, metric).
 
+The audit runs all five scenarios, or one, on default 192x192 phantoms of
+seeds ``PHANTOM_SEED + i``; a run sets only their count and the report's output.
+
 Lint rules (W01..W05) check an evaluation plan against the known pitfall
 configurations before any score is trusted. Lints never change scores.
 """
@@ -23,22 +26,23 @@ from .distort import DistortionSpec, apply_chain, chain_fingerprint, fraction_re
 # Not called here (the metric table scores dice), but perfbench/tracer.py
 # hooks this name on this module, so it must stay importable from it.
 from .downstream import task_similarity  # noqa: F401
-from .errors import ConfigError, RefmetError, check_ids, config_value, read_json
+from .errors import ConfigError, RefmetError, check_ids, check_int, config_value, read_json
 from .image import Image, Mask, Rect, bounding_box, crop, require_same_shape
-from .metrics import (METRIC_IDS, EvalContext, MetricScore, check_int, evaluate,
-                      masked_evaluate, metric_kind, rect_of_mask)
+from .metrics import (METRIC_IDS, EvalContext, MetricScore, evaluate, masked_evaluate,
+                      metric_kind, rect_of_mask)
 from .metrics.score import fingerprint, merge_fingerprints
 from .normalize import DataRangePolicy, NormMethod, bin_quantize, normalize
-from .phantom import Phantom, PhantomParams, generate_phantom
+from .phantom import Phantom, generate_phantom
 from .report import Lint, Report, Row
 
 __all__ = [
     "Variant", "Scenario", "HarnessConfig", "EvalPlan",
-    "builtin_scenario", "SCENARIO_IDS",
+    "builtin_scenario", "SCENARIO_IDS", "PHANTOM_SEED",
     "run_scenario", "lint_configuration", "reevaluate_row", "generate_phantoms",
 ]
 
 SCENARIO_IDS = ("pitfall1", "pitfall2", "pitfall3", "pitfall4", "pitfall5")
+PHANTOM_SEED = 1000  # the audit's phantom i has seed PHANTOM_SEED + i
 
 PANEL_FULL = ("mae", "mse", "psnr", "ssim", "ms_ssim", "cw_ssim", "pcc", "nmi")
 PANEL_WINDOW_SAFE = ("mae", "mse", "psnr", "ssim", "ms_ssim", "pcc", "nmi")
@@ -72,7 +76,7 @@ class EvalPlan(EvalContext):
             raise ConfigError("empty metric list")
         check_ids(self.metrics, METRIC_IDS, "metrics")
         if self.prebin is not None:
-            check_int("prebin", self.prebin)
+            check_int(self.prebin, "plan field 'prebin'")
             if self.prebin < 2:
                 raise ConfigError(f"plan field 'prebin' must be >= 2, got {self.prebin}")
         if isinstance(self.mask, Mask):
@@ -144,9 +148,6 @@ class Scenario:
 # Every harness config key, dotted under its section: (JSON kind, default).
 _CONFIG_KEYS = {
     "phantoms.count": ("an integer", 20),
-    "phantoms.seed": ("an integer", 1000),
-    "phantoms.dims": ("a list of integers", PhantomParams.dims),
-    "scenarios": ("a list of strings", SCENARIO_IDS),
     "output.dir": ("a string", "audit_out"),
     "output.formats": ("a list of strings", OUTPUT_FORMATS),
 }
@@ -154,24 +155,19 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Run-wide knobs; ``_CONFIG_KEYS`` lists the JSON keys. ``scenarios`` and
-    ``out_formats`` each hold at least one known id, none twice (``check_ids``)."""
+    """What an audit run sets; ``_CONFIG_KEYS`` lists the JSON keys. The phantom
+    count is an integer (not a bool) >= 1; ``out_formats`` holds at least one
+    known id, none twice (``check_ids``)."""
 
     phantom_count: int = 20
-    phantom_seed: int = 1000
-    phantom_params: PhantomParams = field(default_factory=PhantomParams)
-    scenarios: tuple[str, ...] = SCENARIO_IDS
     out_dir: str = "audit_out"
     out_formats: tuple[str, ...] = OUTPUT_FORMATS
 
     def __post_init__(self):
-        if self.phantom_count < 1:
+        if check_int(self.phantom_count, "phantom count") < 1:
             raise ConfigError("phantom count must be >= 1")
-        if not self.scenarios:
-            raise ConfigError("config key 'scenarios' must be a non-empty list")
         if not self.out_formats:
             raise ConfigError("config key 'output.formats' must be a non-empty list")
-        check_ids(self.scenarios, SCENARIO_IDS, "scenario ids")
         check_ids(self.out_formats, OUTPUT_FORMATS, "output formats")
 
     @classmethod
@@ -188,9 +184,6 @@ class HarnessConfig:
         v = {path: config_value(obj, path, *spec) for path, spec in _CONFIG_KEYS.items()}
         return cls(
             phantom_count=v["phantoms.count"],
-            phantom_seed=v["phantoms.seed"],
-            phantom_params=PhantomParams(tuple(v["phantoms.dims"])),
-            scenarios=tuple(v["scenarios"]),
             out_dir=v["output.dir"],
             out_formats=tuple(v["output.formats"]),
         )
@@ -201,8 +194,7 @@ class HarnessConfig:
 
 
 def generate_phantoms(config: HarnessConfig) -> list[Phantom]:
-    return [generate_phantom(config.phantom_seed + i, config.phantom_params)
-            for i in range(config.phantom_count)]
+    return [generate_phantom(PHANTOM_SEED + i) for i in range(config.phantom_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +338,10 @@ def run_scenario(scenario: Scenario, phantoms: Sequence[Phantom]) -> Report:
     return report
 
 
-def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
-    """Recompute one report row from its coordinates (reproducibility check)
-    by running :func:`run_scenario` on its phantom, variant and metric alone."""
-    config = config or HarnessConfig()
+def reevaluate_row(row: Row) -> float:
+    """Recompute one audit row from its coordinates (reproducibility check) by
+    running :func:`run_scenario` on its phantom (the default-size one of seed
+    ``case_<seed>``, as in every audit), variant and metric alone."""
     scenario = builtin_scenario(row.scenario)
     variant = next((v for v in scenario.variants if v.label == row.variant), None)
     if variant is None:
@@ -357,7 +349,7 @@ def reevaluate_row(row: Row, config: HarnessConfig | None = None) -> float:
     if not row.case_id.startswith("case_"):
         raise ConfigError(f"cannot re-evaluate aggregate row {row.case_id!r}")
     seed = int(row.case_id[len("case_"):])
-    phantom = generate_phantom(seed, config.phantom_params)
+    phantom = generate_phantom(seed)
     # The plan rejects an unknown metric id and lists the registered ones.
     variant = replace(variant, plan=replace(variant.plan, metrics=(row.metric_id,)))
     cell = run_scenario(Scenario(row.scenario, (variant,)), [phantom]).rows[0]

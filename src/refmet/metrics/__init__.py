@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, NonRectangularMaskError, RefmetError
+from ..errors import ConfigError, NonRectangularMaskError, RefmetError, check_int
 from ..image import Image, Mask, bounding_box, crop, require_same_shape
 from ..normalize import DataRangePolicy
 from .information import mi, nmi
@@ -57,13 +57,6 @@ __all__ = [
 ]
 
 
-def check_int(name: str, value) -> None:
-    """A ConfigError naming plan field ``name`` unless ``value`` is a Python
-    or numpy integer; a bool is not one."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"plan field {name!r} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class EvalContext:
     """The knobs a string-keyed evaluation reads, each checked here once:
@@ -79,8 +72,8 @@ class EvalContext:
     nmi_bins: int = 256
 
     def __post_init__(self):
-        check_int("scales", self.scales)
-        check_int("nmi_bins", self.nmi_bins)
+        check_int(self.scales, "plan field 'scales'")
+        check_int(self.nmi_bins, "plan field 'nmi_bins'")
         if self.nmi_bins < 2:
             raise ConfigError(f"plan field 'nmi_bins' must be >= 2, got {self.nmi_bins}")
         standard = truncated_weights(self.scales)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distort import gaussian_blur
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .image import Image, Mask
 from .rng import Stream
 
@@ -53,7 +53,8 @@ class PhantomParams:
     dims: tuple[int, int] = (192, 192)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims",
+                           tuple(int(check_int(n, "phantom dim")) for n in self.dims))
         if len(self.dims) != 2:
             raise ConfigError("phantoms are 2D")
         if any(n < 64 for n in self.dims):

@@ -242,15 +242,15 @@ def test_criterion_09_identity_and_determinism(phantoms, tmp_path):
     save_image(img, tmp_path / "a.rawf32")
     save_image(_gamma_linear(img), tmp_path / "b.rawf32")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"phantoms": {"count": 1, "seed": 1000},
-                               "scenarios": ["pitfall5"]}))
+    cfg.write_text(json.dumps({"phantoms": {"count": 1}}))
     commands = [
         ("compare", str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32"),
          "--metrics", "mae,ssim,psnr,nmi"),
         ("distort", str(tmp_path / "a.rawf32"),
          '[{"kind": "gamma", "params": {"gamma": 0.5}}]', str(tmp_path / "d.rawf32")),
         ("phantom", str(tmp_path / "ph"), "--count", "1", "--dims", "96,96"),
-        ("audit", "--config", str(cfg), "--out", str(tmp_path / "audit")),
+        ("audit", "--scenario", "pitfall5", "--config", str(cfg),
+         "--out", str(tmp_path / "audit")),
         ("lint", str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32")),
     ]
     cli_ok = True

@@ -19,7 +19,8 @@ RUNS = (["phantom", "distort_test_pair"] + [f"distort_{k}" for k in KINDS]
         + ["compare_bad_rawf32_dims", "compare_truncated_pgm"]
         + ["lint_no_config", "lint_valid_config", "lint_w03_config",
            "lint_mask_other_shape", "lint_metrics_empty", "audit_scenario_unknown",
-           "audit_config_segmenter", "audit_config_tumor_half", "audit_all"])
+           "audit_config_segmenter", "audit_config_tumor_half", "audit_config_phantom_set",
+           "audit_all"])
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -55,6 +56,6 @@ def test_digest_is_deterministic_and_lists_every_run():
     # bad input is refused before any line prints
     for name in ("compare_mask_empty", "compare_norm_duplicate_key", "lint_mask_other_shape",
                  "compare_metrics_repeated", "lint_metrics_empty", "audit_scenario_unknown",
-                 "audit_config_segmenter", "audit_config_tumor_half", "compare_bad_rawf32_dims",
-                 "compare_truncated_pgm"):
+                 "audit_config_segmenter", "audit_config_tumor_half", "audit_config_phantom_set",
+                 "compare_bad_rawf32_dims", "compare_truncated_pgm"):
         assert runs[name][:2] == ["exit=1", f"stdout={EMPTY}"]

@@ -7,7 +7,7 @@ import pytest
 
 from refmet.distort import (add_stripes, chain_fingerprint, gaussian_blur, parse_chain,
                             translate)
-from refmet.harness import Scenario, builtin_scenario, run_scenario
+from refmet.harness import SCENARIO_IDS, Scenario, builtin_scenario, run_scenario
 from refmet.image import Image, Mask, load_image, mask_to_image, save_image
 from refmet.metrics import EvalContext, evaluate, masked_evaluate
 from refmet.phantom import generate_phantom
@@ -460,10 +460,7 @@ def test_compare_psnr_whose_ratio_underflows_scores(tmp_path):
 @pytest.fixture(scope="module")
 def audit_config(workdir):
     cfg = workdir / "audit.json"
-    cfg.write_text(json.dumps({
-        "phantoms": {"count": 2, "seed": 1000, "dims": [192, 192]},
-        "scenarios": ["pitfall1", "pitfall5"],
-    }))
+    cfg.write_text(json.dumps({"phantoms": {"count": 2}}))
     return cfg
 
 
@@ -508,8 +505,7 @@ def test_audit_all_from_config(workdir, audit_config):
     out = workdir / "audit_all"
     res = run_cli("audit", "--config", str(audit_config), "--out", str(out))
     assert res.returncode == 0
-    assert [l.split("\t")[0] for l in res.stdout.splitlines()] == \
-        ["pitfall1", "pitfall5"]
+    assert [l.split("\t")[0] for l in res.stdout.splitlines()] == list(SCENARIO_IDS)
     md = (out / "report.md").read_text()
     assert "## pitfall1" in md and "## pitfall5" in md
 
@@ -574,24 +570,26 @@ def test_audit_unknown_nested_config_key_exits_1(workdir):
     assert not (workdir / "audit_typo").exists()
 
 
-def test_audit_tumor_half_config_key_exits_1(workdir):
-    cfg = workdir / "tumor_half.json"
-    cfg.write_text(json.dumps({"phantoms": {"tumor_half": "lower"}}))
-    res = run_cli("audit", "--config", str(cfg), "--out", str(workdir / "audit_half"))
-    assert res.returncode == 1
-    assert res.stderr == ("refmet audit: error: unknown harness config keys "
-                          "['phantoms.tumor_half']\n")
-    assert res.stdout == "" and not (workdir / "audit_half").exists()
+# Settings the audit no longer has: the tumor's half, the phantoms' seed and
+# size (dims 64..175 passed the check, then failed pitfall1's 5-scale ms_ssim)
+# and the scenario list (--scenario picks one).
+REMOVED_AUDIT_KEYS = {
+    "phantoms.tumor_half": {"phantoms": {"tumor_half": "lower"}},
+    "phantoms.seed": {"phantoms": {"count": 1, "seed": 1000}},
+    "phantoms.dims": {"phantoms": {"count": 1, "dims": [64, 64]}},
+    "scenarios": {"scenarios": ["pitfall1"]},
+}
 
 
-def test_audit_error_names_scenario_variant_case_and_metric(workdir):
-    cfg = workdir / "small_dims.json"
-    cfg.write_text(json.dumps({"phantoms": {"count": 1, "dims": [64, 64]}}))
-    res = run_cli("audit", "--scenario", "pitfall1", "--config", str(cfg),
-                  "--out", str(workdir / "audit_small"))
+@pytest.mark.parametrize("key", REMOVED_AUDIT_KEYS)
+def test_audit_removed_config_key_exits_1(workdir, key):
+    cfg = workdir / f"{key}.json"
+    cfg.write_text(json.dumps(REMOVED_AUDIT_KEYS[key]))
+    out = workdir / f"audit_{key}"
+    res = run_cli("audit", "--scenario", "pitfall1", "--config", str(cfg), "--out", str(out))
     assert res.returncode == 1
-    assert ("scenario pitfall1, variant 'none_joint', case case_1000, "
-            "metric ms_ssim: window support") in res.stderr
+    assert res.stderr == f"refmet audit: error: unknown harness config keys ['{key}']\n"
+    assert res.stdout == "" and not out.exists()
 
 
 def test_audit_strict_with_warnings_exits_2(workdir, audit_config):

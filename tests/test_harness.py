@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import json
 import math
 import re
@@ -109,14 +110,14 @@ def test_mean_rows_match_case_means(pitfall1_report):
 def test_rows_reproducible_from_fingerprint(pitfall1_report):
     rows = [r for r in pitfall1_report.rows if r.case_id != "mean"]
     for row in rows[::17]:
-        assert reevaluate_row(row, CFG) == pytest.approx(row.score, abs=1e-12)
+        assert reevaluate_row(row) == pytest.approx(row.score, abs=1e-12)
 
 
 def test_reevaluate_row_names_an_unknown_metric_and_the_available_ones(pitfall1_report):
     row = replace(next(r for r in pitfall1_report.rows if r.case_id != "mean"),
                   metric_id="x")
     with pytest.raises(ConfigError, match=r"^unknown metrics \['x'\]; available: mae, "):
-        reevaluate_row(row, CFG)
+        reevaluate_row(row)
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
@@ -135,7 +136,7 @@ def test_each_pair_prepared_once(monkeypatch, scenario_id):
     assert len(calls) == len(scenario.variants) * len(phantoms)
     for row in rep.rows:
         if row.case_id != "mean":
-            assert reevaluate_row(row, cfg).hex() == row.score.hex()
+            assert reevaluate_row(row).hex() == row.score.hex()
     # The lints read the first case's chained pair, not the prepared one.
     expected = []
     first = phantoms[0]
@@ -164,14 +165,12 @@ def test_proxy_task_dice_zero(small_phantoms):
 
 def test_harness_config_json_roundtrip():
     cfg = HarnessConfig.from_json({
-        "phantoms": {"count": 4, "seed": 9, "dims": [96, 96]},
-        "scenarios": ["pitfall2"],
+        "phantoms": {"count": 4},
         "output": {"dir": "out", "formats": ["csv"]},
     })
     assert cfg.phantom_count == 4
-    assert cfg.phantom_params.dims == (96, 96)
+    assert cfg.out_dir == "out"
     assert cfg.out_formats == ("csv",)
-    assert cfg.scenarios == ("pitfall2",)
     with pytest.raises(ConfigError):
         HarnessConfig.from_json({"unknown_key": 1})
 
@@ -181,20 +180,14 @@ def test_unknown_output_format_rejected():
         HarnessConfig.from_json({"output": {"formats": ["CSV"]}})
 
 
-def test_duplicate_scenario_ids_rejected():
-    # ran pitfall5 twice and wrote each of its rows twice
-    with pytest.raises(ConfigError, match=r"^duplicate scenario ids \['pitfall5'\]$"):
-        HarnessConfig.from_json({"phantoms": {"count": 1},
-                                 "scenarios": ["pitfall5", "pitfall5"]})
-
-
 @pytest.mark.parametrize("kwargs, message", [
-    ({"scenarios": ("pitfall9",)},
-     "unknown scenario ids ['pitfall9']; available: "
-     "pitfall1, pitfall2, pitfall3, pitfall4, pitfall5"),
+    # was a raw TypeError in generate_phantoms
+    ({"phantom_count": 2.5}, "phantom count must be an integer, got 2.5"),
     ({"out_formats": ("CSV",)}, "unknown output formats ['CSV']; available: csv, markdown"),
     # was accepted
     ({"out_formats": ("csv", "csv")}, "duplicate output formats ['csv']"),
+    # ran 1 phantom
+    ({"phantom_count": True}, "phantom count must be an integer, got True"),
 ])
 def test_config_id_list_rejected(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -214,12 +207,12 @@ def test_load_closes_config_file(tmp_path):
 @pytest.mark.parametrize("obj, key", [
     ({"phantoms": [1]}, "phantoms"),
     ({"phantoms": {"count": "x"}}, "phantoms.count"),
-    ({"phantoms": {"seed": 1.5}}, "phantoms.seed"),
-    ({"phantoms": {"dims": 5}}, "phantoms.dims"),
+    ({"phantoms": {"count": 1.5}}, "phantoms.count"),
+    ({"phantoms": {"count": True}}, "phantoms.count"),
     ({"output": {"dir": 1}}, "output.dir"),
-    ({"scenarios": "pitfall1"}, "scenarios"),
+    ({"output": {"dir": ["out"]}}, "output.dir"),
     ({"output": {"formats": "csv"}}, "output.formats"),
-    ({"scenarios": []}, "scenarios"),
+    ({"output": {"formats": ["csv", 1]}}, "output.formats"),
     ({"output": {"formats": []}}, "output.formats"),
 ])
 def test_from_json_rejects_malformed_value_naming_its_key(obj, key):
@@ -228,14 +221,14 @@ def test_from_json_rejects_malformed_value_naming_its_key(obj, key):
 
 
 def test_from_json_null_means_default():
-    cfg = HarnessConfig.from_json({"phantoms": {"count": None}, "scenarios": None})
-    assert cfg.phantom_count == 20 and cfg.scenarios == SCENARIO_IDS
+    cfg = HarnessConfig.from_json({"phantoms": {"count": None}, "output": {"formats": None}})
+    assert cfg.phantom_count == 20 and cfg.out_formats == ("csv", "markdown")
 
 
 def test_scenario_error_names_scenario_variant_case_and_metric():
-    cfg = HarnessConfig(phantom_count=1, phantom_params=PhantomParams(dims=(64, 64)))
     with pytest.raises(RefmetError) as info:
-        run_scenario(builtin_scenario("pitfall1"), generate_phantoms(cfg))
+        run_scenario(builtin_scenario("pitfall1"),
+                     [generate_phantom(1000, PhantomParams(dims=(64, 64)))])
     assert type(info.value) is RefmetError
     assert str(info.value).startswith(
         "scenario pitfall1, variant 'none_joint', case case_1000, metric ms_ssim: "
@@ -547,6 +540,9 @@ def test_rect_plan_mask_refuses_images_of_two_shapes():
     ({"phantoms": {"cnt": 4, "dim": [96, 96]}, "output": {"format": ["csv"]}},
      ["output.format", "phantoms.cnt", "phantoms.dim"]),
     ({"phantom": {"count": 4}, "phantoms": {"count": 4}}, ["phantom"]),
+    # the audit's phantoms and scenarios are fixed; --scenario picks one
+    ({"phantoms": {"seed": 1000, "dims": [192, 192]}, "scenarios": ["pitfall1"]},
+     ["phantoms.dims", "phantoms.seed", "scenarios"]),
 ])
 def test_from_json_rejects_unknown_nested_key(obj, keys):
     with pytest.raises(ConfigError, match=re.escape(f"unknown harness config keys {keys}")):
@@ -559,3 +555,10 @@ def test_from_json_defaults_are_the_dataclass_defaults():
 
 def test_phantom_params_settable_fields():
     assert [f.name for f in fields(PhantomParams)] == ["dims"]
+
+
+def test_harness_config_settable_fields():
+    assert [f.name for f in fields(HarnessConfig)] == ["phantom_count", "out_dir",
+                                                       "out_formats"]
+    assert list(harness._CONFIG_KEYS) == ["phantoms.count", "output.dir", "output.formats"]
+    assert list(inspect.signature(reevaluate_row).parameters) == ["row"]

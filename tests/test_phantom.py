@@ -57,8 +57,18 @@ def test_segmenter_recovers_tumor(phantoms):
 def test_dims_knob():
     p = generate_phantom(5, PhantomParams(dims=(96, 128)))
     assert p.image.shape == (96, 128)
+    # numpy integers pass, as Python ints
+    dims = PhantomParams(dims=(np.int64(96), np.int32(128))).dims
+    assert dims == (96, 128) and all(type(n) is int for n in dims)
 
 
 def test_dims_too_small_rejected():
     with pytest.raises(ConfigError):
         PhantomParams(dims=(32, 192))
+
+
+# 96.9 was truncated to 96, and True read as 1
+@pytest.mark.parametrize("dims, value", [((96.9, 100), "96.9"), ((True, 96), "True")])
+def test_dims_refuse_float_and_bool(dims, value):
+    with pytest.raises(ConfigError, match=f"^phantom dim must be an integer, got {value}$"):
+        PhantomParams(dims=dims)
