@@ -216,7 +216,6 @@ DISTORTIONS = {
     "gaussian_noise": DistortionSpec("gaussian_noise", {"sigma_rel": 0.05}, seed=7),
     "stripes": DistortionSpec("stripes", {"period": 8, "amplitude_rel": 0.25, "axis": 0}),
     "gaussian_blur": DistortionSpec("gaussian_blur", {"sigma": 1.0}),
-    "crop_fraction": DistortionSpec("crop_fraction", {"fraction": 0.03}),
 }
 
 

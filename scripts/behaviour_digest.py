@@ -3,10 +3,13 @@
 
 Runs ``refmet.cli.main`` in-process inside a fresh temporary directory,
 with relative paths and captured stdout/stderr: the phantom and distortion
-runs that make the inputs, ``distort`` once per distortion kind and once
-on a PGM input (the foreground mask), a set of ``compare`` flag sets (under
-masks the script writes: a filled rectangle and an empty mask; a ``--norm``
-that names a number twice; and a panel that names a metric twice),
+runs that make the inputs, ``phantom`` with the removed ``--dims`` flag,
+``distort`` once per distortion kind, once with the removed
+``crop_fraction`` kind, once on a PGM input (the foreground mask) and once
+into a PGM that cannot hold its output, a set of ``compare`` flag sets
+(under masks the script writes: a filled rectangle and an empty mask; a
+``--norm`` that names a number twice; a panel that names a metric twice;
+and the removed ``--out`` flag),
 ``compare`` on a test image the readers refuse (a rawf32 whose sidecar
 dims hold a boolean, a binary PGM with a short payload), ``lint``
 without a config, with a valid one, with one that fires W03, with a mask of
@@ -57,8 +60,9 @@ DISTORTIONS = {
     "stripes": {"kind": "stripes",
                 "params": {"period": 8, "amplitude_rel": 0.25, "axis": 0}},
     "gaussian_blur": {"kind": "gaussian_blur", "params": {"sigma": 1.0}},
-    "crop_fraction": {"kind": "crop_fraction", "params": {"fraction": 0.03}},
 }
+# The removed kind, the one that changed the image's shape: refused.
+CROP_FRACTION = {"kind": "crop_fraction", "params": {"fraction": 0.03}}
 
 COMPARE = {
     "full_panel": ["--metrics", "mae,mse,psnr,ssim,ms_ssim,cw_ssim,pcc,mi,nmi,dice"],
@@ -81,6 +85,7 @@ COMPARE = {
     "zscore_prebin_range_ref": ["--norm", "zscore", "--prebin", "64", "--range", "ref"],
     "unknown_metric": ["--metrics", "lpips,ssim"],
     "metrics_repeated": ["--metrics", "mae,mae"],
+    # the removed --out flag: refused, no file written
     "range_test_out": ["--range", "test", "--out", "scores.csv"],
 }
 
@@ -114,12 +119,18 @@ def runs() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, in order; earlier runs write later inputs."""
     chain = json.dumps([DISTORTIONS["gamma"], DISTORTIONS["linear_scale"]])
     out = [("phantom", ["phantom", "in", "--count", "1"]),
+           ("phantom_dims", ["phantom", "in_dims", "--dims", "96,96"]),
            ("distort_test_pair", ["distort", REF, chain, TEST])]
     out += [(f"distort_{kind}", ["distort", REF, json.dumps(spec), f"d_{kind}.rawf32"])
             for kind, spec in DISTORTIONS.items()]
+    out.append(("distort_crop_fraction", ["distort", REF, json.dumps(CROP_FRACTION),
+                                          "d_crop_fraction.rawf32"]))
     # a PGM input: the only file format that once gave an image a range of its own
     out.append(("distort_pgm", ["distort", MASK, json.dumps(DISTORTIONS["gaussian_blur"]),
                                 "d_pgm.rawf32"]))
+    # a PGM output the writer refuses: gamma leaves non-integer values
+    out.append(("distort_pgm_writer", ["distort", REF, json.dumps(DISTORTIONS["gamma"]),
+                                       "d_gamma.pgm"]))
     out += [(f"compare_{name}", ["compare", REF, TEST, *flags])
             for name, flags in COMPARE.items()]
     out += [("compare_bad_rawf32_dims", ["compare", REF, BAD_DIMS]),

@@ -28,7 +28,7 @@ from .normalize import DataRangePolicy, NormMethod
 from .metrics import evaluate, masked_evaluate  # noqa: F401
 from .normalize import bin_quantize, normalize  # noqa: F401
 from .phantom import PhantomParams, generate_phantom
-from .report import Report, Row, write_report
+from .report import Report, write_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
                    help="internal histogram bins for mi/nmi")
     p.add_argument("--prebin", type=int, default=None,
                    help="bin-quantize both images to N bins before scoring")
-    p.add_argument("--out", default=None, help="also write scores as CSV")
     p.add_argument("--strict", action="store_true",
                    help="treat any lint as failure (exit 2)")
 
@@ -73,7 +72,6 @@ def _build_parser() -> _Parser:
     p.add_argument("out_dir")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=PHANTOM_SEED)
-    p.add_argument("--dims", default="192,192", help="H,W")
 
     p = sub.add_parser("audit", help="run built-in pitfall scenarios")
     p.add_argument("--scenario", default="all", choices=(*SCENARIO_IDS, "all"))
@@ -86,16 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("test")
     p.add_argument("--config", default=None, help="evaluation plan JSON")
     return parser
-
-
-def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise RefmetError(f"dims must look like H,W, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise RefmetError(f"bad dims {text!r}") from None
 
 
 def _plan(ref: Image, metrics, norm: str, range_policy: str, prebin, nmi_bins,
@@ -122,17 +110,12 @@ def _cmd_compare(args) -> int:
     if args.strict and lints:
         return EXIT_LINT
     ref, test = plan.prepare(ref, test)
-    rows = []
     # Each line is printed before the next metric runs, so a failing metric
     # leaves the lines of the ones before it.
     for metric_id in plan.metrics:
         score = plan.score(metric_id, ref, test)
         print(f"{score.metric_id}\t{format_score(score.value)}\t"
               f"{score.params_fingerprint}")
-        rows.append(Row("pair", "compare", "direct", score.metric_id,
-                        score.params_fingerprint, score.value))
-    if args.out:
-        write_report(Report(rows=rows, lints=lints), args.out, "csv")
     return EXIT_OK
 
 
@@ -155,11 +138,10 @@ def _cmd_phantom(args) -> int:
         raise RefmetError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = PhantomParams(dims=_parse_dims(args.dims))
     entries = []
     for i in range(args.count):
         seed = args.seed + i
-        ph = generate_phantom(seed, params)
+        ph = generate_phantom(seed)
         img_name = f"phantom_{seed}.rawf32"
         tumor_name = f"phantom_{seed}_tumor.pgm"
         fg_name = f"phantom_{seed}_foreground.pgm"
@@ -169,7 +151,7 @@ def _cmd_phantom(args) -> int:
         entries.append({"seed": seed, "image": img_name, "tumor_mask": tumor_name,
                         "foreground_mask": fg_name})
     manifest = {"count": args.count, "base_seed": args.seed,
-                "dims": list(params.dims), "phantoms": entries}
+                "dims": list(PhantomParams().dims), "phantoms": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {args.count} phantoms to {out_dir}")
     return EXIT_OK

@@ -3,7 +3,8 @@
 Every operation is pure and reproducible: equal inputs (and seed, where
 one applies) give bit-identical outputs, and each distortion's identity
 parameter (gamma=1, factor=1, zero shift, sigma_rel=0, amplitude_rel=0)
-returns the input image object unchanged.
+returns the input image object unchanged. Every distortion keeps the
+image's shape, so a distorted image can be scored against its source.
 
 Gaussian noise draws from the package's portable splitmix64 generator
 (see :mod:`refmet.rng`), never from global state.
@@ -18,12 +19,12 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DegenerateRangeError, RefmetError, check_kind
-from .image import Image, Rect, correlate_valid, crop, gaussian_kernel
+from .image import Image, Rect, correlate_valid, gaussian_kernel
 
 __all__ = [
     "DistortionSpec",
     "gamma_transform", "linear_scale", "translate", "mirror_replace",
-    "add_gaussian_noise", "add_stripes", "gaussian_blur", "crop_fraction",
+    "add_gaussian_noise", "add_stripes", "gaussian_blur",
     "fraction_rect", "apply", "apply_chain", "parse_chain",
 ]
 
@@ -36,8 +37,9 @@ def _span(img: Image) -> tuple[float, float]:
     return lo, hi
 
 
-# parameter -> (holds, message): each parameter's bound, checked by its
-# distortion function and by DistortionSpec on the JSON value.
+# parameter -> (holds, message): each parameter's bound, checked by the
+# function that takes it and, for a distortion parameter, by DistortionSpec
+# on the JSON value.
 _BOUNDS = {
     "gamma": (lambda v: v > 0, "gamma must be > 0, got {}"),
     "factor": (lambda v: v != 0, "linear scale factor must be nonzero"),
@@ -171,12 +173,6 @@ def fraction_rect(shape: tuple[int, ...], fraction: float) -> Rect:
     return Rect(margins, [n - 2 * m for m, n in zip(margins, shape)])
 
 
-def crop_fraction(img: Image, fraction: float) -> Image:
-    """Symmetric crop to :func:`fraction_rect`."""
-    rect = fraction_rect(img.shape, fraction)
-    return img if rect.extent == img.shape else crop(img, rect)
-
-
 # ---------------------------------------------------------------------------
 # Serializable specs and dispatch
 # ---------------------------------------------------------------------------
@@ -191,7 +187,6 @@ _KINDS = {
     "stripes": (add_stripes, {"period": "an integer", "amplitude_rel": "a number",
                               "axis": "an integer"}, False),
     "gaussian_blur": (gaussian_blur, {"sigma": "a number"}, False),
-    "crop_fraction": (crop_fraction, {"fraction": "a number"}, False),
 }
 
 

@@ -316,12 +316,12 @@ def save_image(img: Image, path) -> None:
     path = Path(path)
     if path.suffix.lower() == ".pgm":
         if img.ndim != 2:
-            raise FormatError("PGM only stores 2D images")
+            raise FormatError(f"{path}: PGM only stores 2D images")
         d = img.data
         if not np.all(d == np.floor(d)):
-            raise FormatError("PGM requires integer-valued data")
+            raise FormatError(f"{path}: PGM requires integer-valued data")
         if d.min() < 0 or d.max() > 65535:
-            raise FormatError("PGM values must lie in [0, 65535]")
+            raise FormatError(f"{path}: PGM values must lie in [0, 65535]")
         maxval = 255 if d.max() <= 255 else 65535
         h, w = d.shape
         header = f"P5\n{w} {h}\n{maxval}\n".encode()
@@ -332,7 +332,7 @@ def save_image(img: Image, path) -> None:
         with np.errstate(over="ignore"):
             payload = img.data.astype("<f4")
         if not np.all(np.isfinite(payload)):
-            raise FormatError("rawf32 stores float32, whose range is "
+            raise FormatError(f"{path}: rawf32 stores float32, whose range is "
                               f"±{np.finfo(np.float32).max:.8g}; the image exceeds it")
         path.write_bytes(payload.tobytes(order="C"))
         meta = {"dims": [int(v) for v in img.shape], "dtype": "f32le"}

@@ -17,8 +17,8 @@ import pytest
 
 from oracles import gaussian_kernel2d, naive_entropy_bits, naive_ms_ssim, naive_ssim
 from refmet.distort import (DistortionSpec, add_gaussian_noise, add_stripes,
-                            crop_fraction, gamma_transform, gaussian_blur,
-                            linear_scale, mirror_replace, translate)
+                            gamma_transform, gaussian_blur, linear_scale,
+                            mirror_replace, translate)
 from refmet.downstream import task_similarity
 from refmet.harness import EvalPlan, lint_configuration
 from refmet.image import Image, Mask, Rect, bounding_box, crop
@@ -235,31 +235,36 @@ def test_criterion_09_identity_and_determinism(phantoms, tmp_path):
         "translate": translate(img, (0, 0)) is img,
         "noise": add_gaussian_noise(img, 0.0, seed=1) is img,
         "stripes": add_stripes(img, 8, 0.0) is img,
-        "crop": crop_fraction(img, 0.004) is img,
     }
-    # CLI byte-determinism: every command, two runs, identical stdout
+    # CLI byte-determinism: every command runs twice, prints identical stdout
+    # and exits with its code both times (a command refused twice would also
+    # print identical stdout)
     from refmet.image import save_image
     save_image(img, tmp_path / "a.rawf32")
     save_image(_gamma_linear(img), tmp_path / "b.rawf32")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phantoms": {"count": 1}}))
-    commands = [
-        ("compare", str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32"),
-         "--metrics", "mae,ssim,psnr,nmi"),
-        ("distort", str(tmp_path / "a.rawf32"),
-         '[{"kind": "gamma", "params": {"gamma": 0.5}}]', str(tmp_path / "d.rawf32")),
-        ("phantom", str(tmp_path / "ph"), "--count", "1", "--dims", "96,96"),
-        ("audit", "--scenario", "pitfall5", "--config", str(cfg),
-         "--out", str(tmp_path / "audit")),
-        ("lint", str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32")),
-    ]
-    cli_ok = True
-    for cmd in commands:
-        runs = [subprocess.run([sys.executable, "-m", "refmet", *cmd],
+    # command -> (exit code, arguments)
+    commands = {
+        "compare": (0, (str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32"),
+                        "--metrics", "mae,ssim,psnr,nmi")),
+        "distort": (0, (str(tmp_path / "a.rawf32"),
+                        '[{"kind": "gamma", "params": {"gamma": 0.5}}]',
+                        str(tmp_path / "d.rawf32"))),
+        "phantom": (0, (str(tmp_path / "ph"), "--count", "1")),
+        "audit": (0, ("--scenario", "pitfall5", "--config", str(cfg),
+                      "--out", str(tmp_path / "audit"))),
+        # W01: the pair's data ranges differ
+        "lint": (2, (str(tmp_path / "a.rawf32"), str(tmp_path / "b.rawf32"))),
+    }
+    cli = {}
+    for command, (code, args) in commands.items():
+        runs = [subprocess.run([sys.executable, "-m", "refmet", command, *args],
                                capture_output=True) for _ in range(2)]
-        cli_ok &= runs[0].stdout == runs[1].stdout
-    ok = all(checks.values()) and all(idents.values()) and cli_ok
-    bad = [k for k, v in {**checks, **idents}.items() if not v]
+        cli[f"cli {command}"] = ([r.returncode for r in runs] == [code, code]
+                                 and runs[0].stdout == runs[1].stdout)
+    ok = all(checks.values()) and all(idents.values()) and all(cli.values())
+    bad = [k for k, v in {**checks, **idents, **cli}.items() if not v]
     _verdict(9, ok, f"self-scores perfect, identity params bit-exact, CLI "
                     f"byte-deterministic{'' if ok else ' (failed: ' + str(bad) + ')'}")
 

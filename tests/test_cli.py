@@ -286,16 +286,6 @@ def test_compare_malformed_file_exits_1(tmp_path, name, payload, sidecar):
     assert "Traceback" not in res.stderr
 
 
-def test_compare_writes_csv(workdir):
-    out = workdir / "scores.csv"
-    res = run_cli("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
-                  "--metrics", "mae,mse", "--norm", "minmax", "--out", str(out))
-    assert res.returncode == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "case_id,scenario,variant,metric_id,params_fingerprint,score"
-    assert len(lines) == 3
-
-
 def test_compare_byte_deterministic(workdir):
     args = ("compare", str(workdir / "ref.rawf32"), str(workdir / "test.rawf32"),
             "--metrics", "ssim,psnr,nmi,cw_ssim")
@@ -378,9 +368,18 @@ def test_distort_beyond_float32_exits_1(workdir):
     res = run_cli("distort", str(workdir / "ref.rawf32"),
                   '{"kind": "linear_scale", "params": {"factor": 1e300}}', str(out))
     assert res.returncode == 1
-    assert res.stderr.startswith("refmet distort: error:") and "float32" in res.stderr
+    assert res.stderr.startswith(f"refmet distort: error: {out}: rawf32 stores float32")
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
     assert not out.exists() and not (workdir / "big.rawf32.meta").exists()
+
+
+def test_distort_pgm_writer_error_names_the_output(workdir):
+    out = workdir / "gamma.pgm"
+    res = run_cli("distort", str(workdir / "ref.rawf32"),
+                  '{"kind": "gamma", "params": {"gamma": 0.4}}', str(out))
+    assert res.returncode == 1
+    assert res.stderr == f"refmet distort: error: {out}: PGM requires integer-valued data\n"
+    assert res.stdout == "" and not out.exists()
 
 
 def test_distort_blurs_a_pgm_mask(workdir):
@@ -400,8 +399,7 @@ def test_distort_blurs_a_pgm_mask(workdir):
 
 def test_phantom_writes_expected_files(workdir):
     out = workdir / "ph3"
-    res = run_cli("phantom", str(out), "--count", "3", "--seed", "50",
-                  "--dims", "96,96")
+    res = run_cli("phantom", str(out), "--count", "3", "--seed", "50")
     assert res.returncode == 0
     images = sorted(out.glob("phantom_*.rawf32"))
     masks = sorted(out.glob("phantom_*_*.pgm"))
@@ -409,29 +407,15 @@ def test_phantom_writes_expected_files(workdir):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["count"] == 3 and len(manifest["phantoms"]) == 3
     assert sorted(manifest) == ["base_seed", "count", "dims", "phantoms"]
+    assert manifest["dims"] == [192, 192]
 
 
 def test_phantom_same_seed_identical_files(workdir):
     d1, d2 = workdir / "pa", workdir / "pb"
     for d in (d1, d2):
-        assert run_cli("phantom", str(d), "--count", "1", "--seed", "9",
-                       "--dims", "96,96").returncode == 0
+        assert run_cli("phantom", str(d), "--count", "1", "--seed", "9").returncode == 0
     assert (d1 / "phantom_9.rawf32").read_bytes() == \
         (d2 / "phantom_9.rawf32").read_bytes()
-
-
-def test_phantom_tumor_half_flag_exits_1(workdir):
-    # the tumor always sits in the half mirror_replace overwrites
-    out = workdir / "tumor_half"
-    res = run_cli("phantom", str(out), "--tumor-half", "lower")
-    assert res.returncode == 1
-    assert "unrecognized arguments: --tumor-half lower" in res.stderr
-    assert res.stdout == "" and not out.exists()
-
-
-def test_phantom_bad_dims_exits_1(workdir):
-    res = run_cli("phantom", str(workdir / "px"), "--dims", "16,16")
-    assert res.returncode == 1
 
 
 @pytest.mark.parametrize("count", ["-1", "0"])
@@ -705,6 +689,42 @@ def test_lint_config_non_chain_value_exits_1(workdir):
 def test_lint_bad_path_exits_1(workdir):
     res = run_cli("lint", str(workdir / "missing.rawf32"), str(workdir / "ref.rawf32"))
     assert res.returncode == 1
+
+
+# --- removed surfaces ------------------------------------------------------------
+
+CROP_SPEC = {"kind": "crop_fraction", "params": {"fraction": 0.03}}
+
+
+# Each removed flag or distortion kind is refused by the check that refuses
+# any unknown one, before any output. {ref}, {out} and {lint} name the
+# reference image, a path no run may create and a lint config whose chain
+# holds CROP_SPEC; {crop} is CROP_SPEC inline.
+@pytest.mark.parametrize("argv, message", [
+    # the tumor always sits in the half mirror_replace overwrites
+    (["phantom", "{out}", "--tumor-half", "lower"],
+     "refmet: error: unrecognized arguments: --tumor-half lower"),
+    # phantoms of another size: generate_phantom(seed, PhantomParams(dims))
+    (["phantom", "{out}", "--dims", "96,96"],
+     "refmet: error: unrecognized arguments: --dims 96,96"),
+    # stdout already holds the scores
+    (["compare", "{ref}", "{ref}", "--out", "{out}"],
+     "refmet: error: unrecognized arguments: --out {out}"),
+    # the one kind that changed shape: its output could not be scored
+    (["distort", "{ref}", "{crop}", "{out}"],
+     "refmet distort: error: unknown distortion kind 'crop_fraction'"),
+    (["lint", "{ref}", "{ref}", "--config", "{lint}"],
+     "refmet lint: error: unknown distortion kind 'crop_fraction'"),
+], ids=["phantom --tumor-half", "phantom --dims", "compare --out",
+        "distort crop_fraction", "lint crop_fraction"])
+def test_removed_surface_exits_1(workdir, tmp_path, argv, message):
+    lint = tmp_path / "lint.json"
+    lint.write_text(json.dumps({"chain": [CROP_SPEC]}))
+    paths = {"ref": workdir / "ref.rawf32", "out": tmp_path / "out", "lint": lint,
+             "crop": json.dumps(CROP_SPEC)}
+    res = run_cli(*(arg.format(**paths) for arg in argv))
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", message.format(**paths) + "\n")
+    assert list(tmp_path.iterdir()) == [lint]
 
 
 # --- JSON files ----------------------------------------------------------------

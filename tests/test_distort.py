@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refmet import distort
 from refmet import rng as prng
 from refmet.errors import ConfigError, DegenerateRangeError
-from refmet.image import Image, load_image, save_image
+from refmet.image import Image, Rect, crop, load_image, save_image
 from refmet.normalize import NormMethod, normalize
 from refmet.distort import (DistortionSpec, add_gaussian_noise, add_stripes,
-                            apply, apply_chain, chain_fingerprint, crop_fraction,
+                            apply, apply_chain, chain_fingerprint, fraction_rect,
                             gamma_transform, gaussian_blur, linear_scale,
                             mirror_replace, parse_chain, translate)
 
@@ -209,21 +210,28 @@ def test_blur_preserves_mean(rng):
 
 
 # --- crop fraction ----------------------------------------------------------
+# fraction_rect is the rule of the audit's crop_fraction mask mode.
 
-def test_crop_fraction_small_is_identity(rng):
-    img = _phantom_like(rng)  # 24 px, 0.03 * 24 = 0.72 -> floor 0
-    assert crop_fraction(img, 0.03) is img
+def test_crop_fraction_small_is_identity():
+    # 24 px, 0.03 * 24 = 0.72 -> floor 0
+    assert fraction_rect((24, 24), 0.03) == Rect((0, 0), (24, 24))
 
 
 def test_crop_fraction_three_percent_of_100():
-    img = Image(np.zeros((100, 100)))
-    assert crop_fraction(img, 0.03).shape == (94, 94)
+    assert fraction_rect((100, 100), 0.03).extent == (94, 94)
 
 
 def test_crop_fraction_preserves_interior(rng):
     img = _phantom_like(rng)
-    out = crop_fraction(img, 0.1)  # floor(2.4) = 2 per side
+    out = crop(img, fraction_rect(img.shape, 0.1))  # floor(2.4) = 2 per side
     assert np.array_equal(out.data, img.data[2:-2, 2:-2])
+
+
+@pytest.mark.parametrize("fraction", [0.6, 0.5, 0.0])
+def test_crop_fraction_out_of_bounds_rejected(fraction):
+    with pytest.raises(ConfigError) as exc:
+        fraction_rect((100, 100), fraction)
+    assert str(exc.value) == f"crop fraction must lie in (0, 0.5), got {fraction}"
 
 
 # --- specs / dispatch -------------------------------------------------------
@@ -261,7 +269,6 @@ BOUNDS = {
     "gaussian_noise": (add_gaussian_noise, "sigma_rel must be >= 0, got {}"),
     "stripes": (add_stripes, "stripe period must be >= 2, got {}"),
     "gaussian_blur": (gaussian_blur, "blur sigma must be > 0, got {}"),
-    "crop_fraction": (crop_fraction, "crop fraction must lie in (0, 0.5), got {}"),
 }
 
 
@@ -271,11 +278,9 @@ BOUNDS = {
     ("gaussian_noise", {"sigma_rel": -0.1}),
     ("stripes", {"period": 1, "amplitude_rel": 0.1, "axis": 0}),
     ("gaussian_blur", {"sigma": 0.0}),
-    ("crop_fraction", {"fraction": 0.6}),
-    # the edges of the open bounds
+    # the edges of the open bounds; -0.0 is zero
+    ("linear_scale", {"factor": -0.0}),
     ("gamma", {"gamma": 0.0}),
-    ("crop_fraction", {"fraction": 0.5}),
-    ("crop_fraction", {"fraction": 0.0}),
 ])
 def test_bad_param_values_rejected_at_spec_time(kind, params, rng):
     # the same bound and message whether the spec or the function checks it
@@ -327,8 +332,16 @@ VALID_PARAMS = {
     "translate": {"shift": [2, 0]}, "mirror_replace": {"axis": 0},
     "gaussian_noise": {"sigma_rel": 0.05},
     "stripes": {"period": 8, "amplitude_rel": 0.25, "axis": 0},
-    "gaussian_blur": {"sigma": 1.0}, "crop_fraction": {"fraction": 0.03},
+    "gaussian_blur": {"sigma": 1.0},
 }
+
+
+def test_every_kind_keeps_the_shape(rng):
+    # a chain's output is scored against its input, so no kind may crop
+    assert list(distort._KINDS) == list(VALID_PARAMS)
+    img = _phantom_like(rng)
+    for kind, params in VALID_PARAMS.items():
+        assert apply(DistortionSpec(kind, params), img).shape == img.shape
 
 
 def test_only_gaussian_noise_is_seeded():

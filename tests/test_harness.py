@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from refmet import harness
-from refmet.distort import DistortionSpec, apply_chain, crop_fraction
+from refmet.distort import DistortionSpec, apply_chain, fraction_rect
 from refmet.downstream import task_similarity
 from refmet.errors import (ConfigError, NonRectangularMaskError, RefmetError,
                            ShapeMismatchError)
@@ -493,10 +493,10 @@ def test_crop_modes_score_dice_on_the_cropped_pair(small_phantoms, mask_mode):
     ref = small_phantoms[0].image
     test = apply_chain(chain, ref)
     if mask_mode == "crop_fraction":
-        ref, test = (crop_fraction(im, harness.CROP_FRACTION) for im in (ref, test))
+        rect = fraction_rect(ref.shape, harness.CROP_FRACTION)
     else:
         rect = bounding_box(small_phantoms[0].foreground_mask)
-        ref, test = crop(ref, rect), crop(test, rect)
+    ref, test = crop(ref, rect), crop(test, rect)
     assert dice_row.score == task_similarity(ref, test).value == 1.0
     assert mae_row.score == evaluate("mae", ref, test).value == 0.0
     full = small_phantoms[0].image

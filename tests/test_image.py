@@ -136,6 +136,25 @@ def test_pgm_rejects_negative(tmp_path):
         save_image(Image(np.array([[-1.0]])), tmp_path / "bad.pgm")
 
 
+SAVE_ERRORS = [
+    ("cube.pgm", np.zeros((2, 2, 2)), "PGM only stores 2D images"),
+    ("half.pgm", np.array([[0.5]]), "PGM requires integer-valued data"),
+    ("wide.pgm", np.array([[0.0, 65536.0]]), "PGM values must lie in [0, 65535]"),
+    ("big.rawf32", np.array([[1.0, -1e39]]),
+     "rawf32 stores float32, whose range is ±3.4028235e+38; the image exceeds it"),
+]
+
+
+@pytest.mark.parametrize("name, data, message", SAVE_ERRORS,
+                         ids=[name for name, _, _ in SAVE_ERRORS])
+def test_save_error_names_its_file(tmp_path, name, data, message):
+    path = tmp_path / name
+    with pytest.raises(FormatError) as exc:
+        save_image(Image(data), path)
+    assert str(exc.value) == f"{path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rawf32_roundtrip_bit_exact(tmp_path, rng):
     data = rng.random((8, 8), dtype=np.float32).astype(np.float64)
     save_image(Image(data), tmp_path / "r.rawf32")
